@@ -18,10 +18,13 @@ for pi annular non-crossing, together with the "tunnel" elements where pi
 is a pair of disc non-crossing permutations, one per circle, and exactly
 one block of V glues one cycle from each circle.
 
-Enumeration is by brute-force filtering of S_{p+q} (a deliberate choice:
-the filters are the definitions, so the enumerators cannot drift from
-them), memoized per size/shape, in lexicographic order on one-line images.
-The default bound keeps p + q <= 10.
+Enumeration is by brute-force filtering of S_{p+q} with the geodesic
+test above (a deliberate choice: the filters are the definitions, so the
+enumerators cannot drift from them), memoized per size/shape, in
+lexicographic order on one-line images.  The default bound keeps
+p + q <= 10.  The filter, like the complement-separation test of the
+product formula, runs on the 0-based kernels of ``perm``: ``_is_nc0`` for
+membership, ``_cycle_labels0`` and ``_separated`` for separation.
 """
 
 from __future__ import annotations
@@ -33,11 +36,17 @@ from typing import Iterable, Iterator
 from .perm import (
     Permutation,
     SetPartition,
+    _compose0,
     _cycle_count0,
+    _cycle_labels0,
+    _gamma0,
+    _inverse0,
+    _is_nc0,
+    _points_in,
+    _separated,
     full_cycle,
     orbit_partition,
     partition_join,
-    separates_points,
 )
 
 __all__ = [
@@ -207,40 +216,12 @@ def enumerate_nc(n: int, bound: int | None = None) -> tuple[Permutation, ...]:
     _check_bound(n, bound)
     cached = _nc_cache.get(n)
     if cached is None:
-        gamma0 = tuple(range(1, n)) + (0,)
-        out = []
-        target = n + 1
-        for img0 in itertools.permutations(range(n)):
-            inv = [0] * n
-            for i, v in enumerate(img0):
-                inv[v] = i
-            k0 = tuple(inv[g] for g in gamma0)
-            if _cycle_count0(img0) + _cycle_count0(k0) == target:
-                out.append(Permutation(v + 1 for v in img0))
-        cached = _nc_cache[n] = tuple(out)
+        cached = _nc_cache[n] = tuple(
+            Permutation(v + 1 for v in img0)
+            for img0 in itertools.permutations(range(n))
+            if _is_nc0(img0, n)
+        )
     return cached
-
-
-def _scan_cycles0(image0: tuple[int, ...], p: int) -> tuple[int, bool]:
-    """Cycle count and through-cycle flag in one traversal (0-based)."""
-    seen = bytearray(len(image0))
-    count = 0
-    through = False
-    for i in range(len(image0)):
-        if not seen[i]:
-            count += 1
-            j = i
-            low = high = False
-            while not seen[j]:
-                seen[j] = 1
-                if j < p:
-                    low = True
-                else:
-                    high = True
-                j = image0[j]
-            if low and high:
-                through = True
-    return count, through
 
 
 def enumerate_snc(shape: AnnulusShape, bound: int | None = None) -> tuple[Permutation, ...]:
@@ -250,21 +231,11 @@ def enumerate_snc(shape: AnnulusShape, bound: int | None = None) -> tuple[Permut
     key = (shape.p, shape.q)
     cached = _snc_cache.get(key)
     if cached is None:
-        p, n = shape.p, shape.total
-        gamma0 = tuple(range(1, p)) + (0,) + tuple(range(p + 1, n)) + (p,)
-        out = []
-        target = n
-        for img0 in itertools.permutations(range(n)):
-            count, through = _scan_cycles0(img0, p)
-            if not through:
-                continue
-            inv = [0] * n
-            for i, v in enumerate(img0):
-                inv[v] = i
-            k0 = tuple(inv[g] for g in gamma0)
-            if count + _cycle_count0(k0) == target:
-                out.append(Permutation(v + 1 for v in img0))
-        cached = _snc_cache[key] = tuple(out)
+        cached = _snc_cache[key] = tuple(
+            Permutation(v + 1 for v in img0)
+            for img0 in itertools.permutations(range(shape.total))
+            if _is_nc0(img0, shape.p)
+        )
     return cached
 
 
@@ -399,14 +370,16 @@ def count_snc_pairings(
 
     With ``separated_at`` given, only pairings pi whose complement
     pi^-1 gamma_pq puts the listed points into pairwise distinct cycles
-    are counted.  Enumeration is over all (p+q-1)!! pairings; the test
-    applied to each is the annular membership definition itself.
+    are counted; a point outside [1, p+q] is a ValueError.  Enumeration
+    is over all (p+q-1)!! pairings; the test applied to each is the
+    annular membership definition itself: a through pair, and n/2
+    complement cycles (a pairing has n/2 cycles of its own).
     """
     n = p + q
+    pts = None if separated_at is None else _points_in(separated_at, n)
     if n % 2:
         return 0
-    pts = None if separated_at is None else tuple(separated_at)
-    gamma0 = tuple(range(1, p)) + (0,) + tuple(range(p + 1, n)) + (p,)
+    gamma0 = _gamma0(p, q)
     half = n // 2
     count = 0
     for pairs in _pairings0(tuple(range(n))):
@@ -419,32 +392,11 @@ def count_snc_pairings(
                 through = True
         if not through:
             continue
-        k0 = tuple(img0[g] for g in gamma0)  # pairings are involutions
+        k0 = _compose0(img0, gamma0)  # pairings are involutions
         if _cycle_count0(k0) != half:
             continue
-        if pts is not None:
-            cycle_of = [0] * n
-            seen = bytearray(n)
-            label = 0
-            for i in range(n):
-                if not seen[i]:
-                    label += 1
-                    j = i
-                    while not seen[j]:
-                        seen[j] = 1
-                        cycle_of[j] = label
-                        j = k0[j]
-            hit = set()
-            ok = True
-            for pt in pts:
-                c = cycle_of[pt - 1]
-                if c in hit:
-                    ok = False
-                    break
-                hit.add(c)
-            if not ok:
-                continue
-        count += 1
+        if pts is None or _separated(_cycle_labels0(k0)[0], pts):
+            count += 1
     return count
 
 
@@ -486,30 +438,27 @@ def tau_of(comp: Composition) -> Permutation:
 
 # -- complements and the separation filter -----------------------------
 
-_kreweras_cache: dict[tuple[int, int, Permutation], Permutation] = {}
 _kreweras_ids_cache: dict[tuple[int, int, Permutation], tuple[int, ...]] = {}
 
 
 def kreweras(shape: AnnulusShape, a: Permutation) -> Permutation:
-    """The complement a^-1 gamma_pq, memoized per (shape, a)."""
-    key = (shape.p, shape.q, a)
-    cached = _kreweras_cache.get(key)
-    if cached is None:
-        cached = _kreweras_cache[key] = a.inverse() * shape.gamma()
-    return cached
+    """The complement a^-1 gamma_pq."""
+    return a.inverse() * shape.gamma()
 
 
 def kreweras_cycle_ids(shape: AnnulusShape, a: Permutation) -> tuple[int, ...]:
-    """Cycle labels of the complement, one per ground point."""
+    """Cycle labels of the complement a^-1 gamma_pq, one per ground point.
+
+    Label i marks the i-th cycle of ``kreweras(shape, a).cycles``.
+    Memoized per (shape, a).
+    """
     key = (shape.p, shape.q, a)
     cached = _kreweras_ids_cache.get(key)
     if cached is None:
-        k = kreweras(shape, a)
-        ids = [0] * k.size
-        for ci, cycle in enumerate(k.cycles):
-            for pt in cycle:
-                ids[pt - 1] = ci
-        cached = _kreweras_ids_cache[key] = tuple(ids)
+        if a.size != shape.total:
+            raise ValueError(f"size {a.size} does not match shape {shape}")
+        k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(shape.p, shape.q))
+        cached = _kreweras_ids_cache[key] = tuple(_cycle_labels0(k0)[0])
     return cached
 
 
@@ -524,7 +473,7 @@ def main_summand_filter(
         raise ValueError(f"composition {comp} does not fill shape {shape}")
     if vp.size != shape.total:
         raise ValueError("partitioned permutation does not match the shape")
-    return separates_points(kreweras(shape, vp.perm), comp.boundary_points)
+    return _separated(kreweras_cycle_ids(shape, vp.perm), comp.boundary_points)
 
 
 # -- the product and partial order ------------------------------------

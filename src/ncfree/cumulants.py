@@ -56,7 +56,7 @@ from .annular import (
     kreweras_cycle_ids,
     tau_of,
 )
-from .perm import Permutation, SetPartition, full_cycle, orbit_partition, partition_join
+from .perm import Permutation, SetPartition, _separated, orbit_partition, partition_join
 from .spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -289,16 +289,6 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
         if partition_join(orbit_partition(sigma), tau_blocks) == ones:
             parts.append(_kappa_cycles(model, args, sigma.cycles))
     return CumulantPolynomial.sum(parts)
-
-
-def _separated(ids: tuple[int, ...], points: tuple[int, ...]) -> bool:
-    seen = 0
-    for pt in points:
-        bit = 1 << ids[pt - 1]
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
 
 
 def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:

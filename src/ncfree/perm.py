@@ -21,7 +21,8 @@ equality; all operations are pure and safe for concurrent use.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable
 
 __all__ = [
     "Permutation",
@@ -354,26 +355,13 @@ def partition_join(u: SetPartition, v: SetPartition) -> SetPartition:
     """Least common coarsening of two partitions of the same set."""
     if u.size != v.size:
         raise ValueError("size mismatch in partition join")
-    n = u.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (u, v):
-        for block in part.blocks:
-            root = find(block[0] - 1)
-            for pt in block[1:]:
-                other = find(pt - 1)
-                if other != root:
-                    parent[other] = root
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i + 1)
-    return SetPartition(n, groups.values())
+    labels, count = _join0(
+        u.size, [(b[0] - 1, x - 1) for part in (u, v) for b in part.blocks for x in b[1:]]
+    )
+    blocks: list[list[int]] = [[] for _ in range(count)]
+    for pt, label in enumerate(labels, 1):
+        blocks[label].append(pt)
+    return SetPartition(u.size, blocks)
 
 
 def separates_points(a: Permutation, points: Iterable[int]) -> bool:
@@ -384,26 +372,38 @@ def separates_points(a: Permutation, points: Iterable[int]) -> bool:
     >>> separates_points(Permutation.parse("(1,3,4)(2)"), {3, 4})
     False
     """
-    pts = list(points)
-    cycle_of = [0] * a.size
-    for ci, cycle in enumerate(a.cycles):
-        for pt in cycle:
-            cycle_of[pt - 1] = ci
-    seen = set()
+    pts = _points_in(points, a.size)
+    return _separated(_cycle_labels0(tuple(x - 1 for x in a.image))[0], pts)
+
+
+def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
+    """The points as a tuple, or ValueError for one outside [1, n]."""
+    pts = tuple(points)
     for pt in pts:
-        if not (1 <= pt <= a.size):
-            raise ValueError(f"point {pt} outside [{a.size}]")
-        ci = cycle_of[pt - 1]
-        if ci in seen:
-            return False
-        seen.add(ci)
-    return True
+        if not 1 <= pt <= n:
+            raise ValueError(f"point {pt} outside [{n}]")
+    return pts
 
 
-# -- raw 0-based helpers for the exhaustive scans ----------------------
+# -- raw 0-based kernels -----------------------------------------------
 #
-# The verification suites sweep through S_n for n up to 9; they work on
-# plain image tuples (0-based) and only wrap survivors in Permutation.
+# The enumerators and the exhaustive sweeps work on plain 0-based image
+# tuples and only wrap survivors in Permutation.  One kernel per job; each
+# line gives the contract, then the callers (V = the verify sweeps):
+#
+# _cycle_count0(img)       number of cycles; _is_nc0, count_snc_pairings, V
+# _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers, V
+# _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, V
+# _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
+# _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join, V
+# _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
+# _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
+# _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); enumerate_*, V
+# _inverse0, _compose0     inverse; composition, right factor first; everywhere
+# _restrict0(img, pts0)    first-return map on pts0, relabelled by position in pts0; V
+#
+# Separation callers: separates_points, count_snc_pairings, and
+# main_summand_filter and main_product_cumulant on kreweras_cycle_ids labels.
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:
@@ -419,15 +419,39 @@ def _cycle_count0(image0: tuple[int, ...]) -> int:
     return count
 
 
-def _inverse0(image0: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(image0)
-    for i, v in enumerate(image0):
-        inv[v] = i
-    return tuple(inv)
+def _cycle_labels0(image0) -> tuple[list[int], int]:
+    n = len(image0)
+    lab = [-1] * n
+    c = 0
+    for i in range(n):
+        if lab[i] < 0:
+            j = i
+            while lab[j] < 0:
+                lab[j] = c
+                j = image0[j]
+            c += 1
+    return lab, c
 
 
-def _compose0(a0: tuple[int, ...], b0: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a0[x] for x in b0)
+def _scan_cycles0(image0: tuple[int, ...], p: int) -> tuple[int, bool]:
+    seen = bytearray(len(image0))
+    count = 0
+    through = False
+    for i in range(len(image0)):
+        if not seen[i]:
+            count += 1
+            j = i
+            low = high = False
+            while not seen[j]:
+                seen[j] = 1
+                if j < p:
+                    low = True
+                else:
+                    high = True
+                j = image0[j]
+            if low and high:
+                through = True
+    return count, through
 
 
 def _cycles0(image0: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -445,19 +469,90 @@ def _cycles0(image0: tuple[int, ...]) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...]:
-    """First-return map on sorted 0-based points, relabelled to 0..k-1."""
-    rank = {pt: i for i, pt in enumerate(pts0)}
-    out = []
-    for pt in pts0:
-        j = image0[pt]
-        while j not in rank:
-            j = image0[j]
-        out.append(rank[j])
+def _join0(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    # Union-find whose root is always the minimum of its block, so a point
+    # opens a new label exactly when it is its own root.
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    labels = []
+    count = 0
+    for i in range(n):
+        r = parent[i]
+        while parent[r] != r:
+            r = parent[r]
+        if r == i:
+            labels.append(count)
+            count += 1
+        else:
+            labels.append(labels[r])
+    return tuple(labels), count
+
+
+def _separated(labels, points: Iterable[int]) -> bool:
+    seen = 0
+    for pt in points:
+        bit = 1 << labels[pt - 1]
+        if seen & bit:
+            return False
+        seen |= bit
+    return True
+
+
+def _gamma0(*sizes: int) -> tuple[int, ...]:
+    out: list[int] = []
+    for size in sizes:
+        start = len(out)
+        out.extend(range(start + 1, start + size))
+        out.append(start)
     return tuple(out)
 
 
-def _iter_permutations0(n: int) -> Iterator[tuple[int, ...]]:
-    import itertools
+@lru_cache(maxsize=64)
+def _gamma_inverse0(*sizes: int) -> tuple[int, ...]:
+    return _inverse0(_gamma0(*sizes))
 
-    return itertools.permutations(range(n))
+
+def _is_nc0(image0: tuple[int, ...], p: int) -> bool:
+    # gamma^-1 pi is the inverse of the complement pi^-1 gamma, so it has
+    # the same cycle count, and it needs no inverse of pi.
+    n = len(image0)
+    if p == n:
+        count, target, ginv = _cycle_count0(image0), n + 1, _gamma_inverse0(n)
+    else:
+        count, through = _scan_cycles0(image0, p)
+        if not through:
+            return False
+        target, ginv = n, _gamma_inverse0(p, n - p)
+    return count + _cycle_count0(_compose0(ginv, image0)) == target
+
+
+def _inverse0(image0: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(image0)
+    for i, v in enumerate(image0):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _compose0(a0: tuple[int, ...], b0: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a0[x] for x in b0)
+
+
+def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...]:
+    rank = [-1] * len(image0)
+    for i, pt in enumerate(pts0):
+        rank[pt] = i
+    out = []
+    for pt in pts0:
+        j = image0[pt]
+        while rank[j] < 0:
+            j = image0[j]
+        out.append(rank[j])
+    return tuple(out)

@@ -16,11 +16,11 @@ gathered in submission order, so the report is deterministic either way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from math import comb
 
 from .annular import (
@@ -32,7 +32,6 @@ from .annular import (
     enumerate_psnc,
     enumerate_snc,
     fatten,
-    gamma_pq,
     is_nc_disc,
     is_snc,
     pp_leq,
@@ -52,9 +51,15 @@ from .perm import (
     Permutation,
     _compose0,
     _cycle_count0,
+    _cycle_labels0,
     _cycles0,
+    _gamma0,
     _inverse0,
-    _iter_permutations0,
+    _is_nc0,
+    _join0,
+    _restrict0,
+    _scan_cycles0,
+    _separated,
     compose,
     full_cycle,
     orbit_partition,
@@ -92,8 +97,26 @@ class CheckResult:
         return asdict(self)
 
 
-def _finish(name: str, t0: float, cases: int, fail: str | None) -> CheckResult:
-    return CheckResult(name, fail is None, cases, time.perf_counter() - t0, fail or "")
+def _check(title):
+    """Turn a sweep returning ``(cases, fail)`` into a timed check.
+
+    ``title`` names the result: a string, formatted with the call's
+    arguments (so cells can carry their shape), or a function of them.
+    ``fail`` is the first counterexample, or None when every case passed.
+    """
+
+    def decorate(sweep):
+        @functools.wraps(sweep)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            cases, fail = sweep(*args, **kwargs)
+            label = title.format if isinstance(title, str) else title
+            name = label(*args, **kwargs)
+            return CheckResult(name, fail is None, cases, time.perf_counter() - t0, fail or "")
+
+        return check
+
+    return decorate
 
 
 # -- small shared machinery --------------------------------------------
@@ -101,31 +124,6 @@ def _finish(name: str, t0: float, cases: int, fail: str | None) -> CheckResult:
 
 def _perm1(image0) -> Permutation:
     return Permutation(i + 1 for i in image0)
-
-
-def _cycle_labels0(image0) -> tuple[list[int], int]:
-    """Cycle id per point, ids assigned in first-visit order."""
-    n = len(image0)
-    lab = [-1] * n
-    c = 0
-    for i in range(n):
-        if lab[i] < 0:
-            j = i
-            while lab[j] < 0:
-                lab[j] = c
-                j = image0[j]
-            c += 1
-    return lab, c
-
-
-def _canon0(labels) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for x in labels:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
 
 
 def _compositions(total: int) -> list[tuple[int, ...]]:
@@ -144,25 +142,27 @@ def _compositions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _gamma0(p: int, q: int) -> tuple[int, ...]:
-    return tuple(range(1, p)) + (0,) + tuple(range(p + 1, p + q)) + (p,)
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _is_nc_disc0(image0) -> bool:
-    n = len(image0)
-    if n == 0:
-        return True
-    g = tuple(range(1, n)) + (0,)
-    return _cycle_count0(image0) + _cycle_count0(_compose0(_inverse0(image0), g)) == n + 1
+def _interval_edges(comp: Composition) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The part endpoints (1-based) and the 0-based neighbour pairs inside parts."""
+    ends = comp.boundary_points
+    return ends, [(i, i + 1) for i in range(comp.total - 1) if i + 1 not in ends]
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _sn_below(n: int):
     """For each permutation of [n], the bitmask of those on a geodesic below it.
 
     ``below[j]`` has bit ``i`` set when ``|pi_i| + |pi_i^-1 pi_j| = |pi_j|``.
     """
-    perms = tuple(_iter_permutations0(n))
+    perms = tuple(itertools.permutations(range(n)))
     invs = [_inverse0(p) for p in perms]
     lengths = [n - _cycle_count0(p) for p in perms]
     below = []
@@ -203,36 +203,45 @@ def _below_images0(image0) -> set[tuple[int, ...]]:
     return out
 
 
+def _complement_data(family, g0) -> list[tuple]:
+    """Per permutation, 0-based: its length and inverse, then the right
+    complement pi^-1 gamma and the left complement gamma pi^-1, each
+    followed by its length."""
+    n = len(g0)
+    out = []
+    for a in family:
+        inv = _inverse0(tuple(x - 1 for x in a.image))
+        right, left = _compose0(inv, g0), _compose0(g0, inv)
+        lengths = [n - _cycle_count0(x) for x in (inv, right, left)]
+        out.append((lengths[0], inv, right, lengths[1], left, lengths[2]))
+    return out
+
+
 # -- permutation kernel checks -----------------------------------------
 
 
-def check_nc_counts(max_n: int = 9) -> CheckResult:
+@_check("disc enumeration count is Catalan")
+def check_nc_counts(max_n: int = 9):
     """Disc enumeration sizes against the Catalan numbers."""
     max_n = min(max_n, 10)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         got, want = len(enumerate_nc(n)), catalan(n)
         cases += 1
         if got != want and fail is None:
             fail = f"n={n}: enumerated {got}, Catalan gives {want}"
-    return _finish("disc enumeration count is Catalan", t0, cases, fail)
+    return cases, fail
 
 
-def check_metric_triangle(max_n: int = 6) -> CheckResult:
+@_check("geodesic order is transitive")
+def check_metric_triangle(max_n: int = 6):
     """If pi is on a geodesic to sigma and sigma on one to tau, so is pi to tau."""
     max_n = min(max_n, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         perms, below = _sn_below(n)
-        for j in range(len(perms)):
-            bj = below[j]
-            m = bj
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                m ^= low
+        for j, bj in enumerate(below):
+            for i in _bits(bj):
                 cases += 1
                 stray = below[i] & ~bj
                 if stray and fail is None:
@@ -241,25 +250,21 @@ def check_metric_triangle(max_n: int = 6) -> CheckResult:
                         f"n={n}: {_perm1(perms[k])!r} <= {_perm1(perms[i])!r} <= "
                         f"{_perm1(perms[j])!r} but the outer relation fails"
                     )
-    return _finish("geodesic order is transitive", t0, cases, fail)
+    return cases, fail
 
 
-def check_metric_order(max_n: int = 6) -> CheckResult:
+@_check("geodesic order implies cycle containment")
+def check_metric_order(max_n: int = 6):
     """On a geodesic below sigma, every cycle sits inside a cycle of sigma."""
     max_n = min(max_n, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         perms, below = _sn_below(n)
         labels = [_cycle_labels0(p)[0] for p in perms]
         cycles = [_cycles0(p) for p in perms]
-        for j in range(len(perms)):
+        for j, bj in enumerate(below):
             lab = labels[j]
-            m = below[j]
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                m ^= low
+            for i in _bits(bj):
                 cases += 1
                 for c in cycles[i]:
                     l0 = lab[c[0]]
@@ -268,10 +273,11 @@ def check_metric_order(max_n: int = 6) -> CheckResult:
                             f"n={n}: cycle {tuple(x + 1 for x in c)} of "
                             f"{_perm1(perms[i])!r} straddles cycles of {_perm1(perms[j])!r}"
                         )
-    return _finish("geodesic order implies cycle containment", t0, cases, fail)
+    return cases, fail
 
 
-def check_conjugation_invariance(max_n: int = 6) -> CheckResult:
+@_check("metric length is conjugation invariant")
+def check_conjugation_invariance(max_n: int = 6):
     """Metric length is a class function.
 
     Exhaustive over all conjugator pairs through n=5; for larger n the
@@ -279,16 +285,13 @@ def check_conjugation_invariance(max_n: int = 6) -> CheckResult:
     case by composing conjugations.
     """
     max_n = min(max_n, 8)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(1, max_n + 1):
-        perms = list(_iter_permutations0(n))
+        perms = list(itertools.permutations(range(n)))
         if n <= 5:
             gens = perms
-        else:
-            swap = (1, 0) + tuple(range(2, n))
-            cyc = tuple(range(1, n)) + (0,)
-            gens = [swap, cyc]
+        else:  # the transposition (1,2) and the full cycle
+            gens = [_gamma0(2, *[1] * (n - 2)), _gamma0(n)]
         for g in gens:
             ginv = _inverse0(g)
             for p in perms:
@@ -296,20 +299,18 @@ def check_conjugation_invariance(max_n: int = 6) -> CheckResult:
                 conj = _compose0(g, _compose0(p, ginv))
                 if _cycle_count0(conj) != _cycle_count0(p) and fail is None:
                     fail = f"n={n}: conjugating {_perm1(p)!r} by {_perm1(g)!r} changed the length"
-    return _finish("metric length is conjugation invariant", t0, cases, fail)
+    return cases, fail
 
 
-def check_restriction_commutes(max_n: int = 6) -> CheckResult:
+@_check("restriction is multiplicative over an invariant set")
+def check_restriction_commutes(max_n: int = 6):
     """restrict(sigma pi, N) = restrict(sigma, N) restrict(pi, N) for pi supported in N."""
     max_n = min(max_n, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
-    from .perm import _restrict0
-
     for n in range(1, max_n + 1):
-        perms = list(_iter_permutations0(n))
+        perms = list(itertools.permutations(range(n)))
         for k in range(1, n + 1):
-            subs = list(_iter_permutations0(k))
+            subs = list(itertools.permutations(range(k)))
             for pts in itertools.combinations(range(n), k):
                 for s in perms:
                     rs = _restrict0(s, pts)
@@ -324,10 +325,11 @@ def check_restriction_commutes(max_n: int = 6) -> CheckResult:
                                 f"product differs from the product of restrictions for "
                                 f"sigma={_perm1(s)!r}"
                             )
-    return _finish("restriction is multiplicative over an invariant set", t0, cases, fail)
+    return cases, fail
 
 
-def check_order_refinement(max_total: int = 6) -> CheckResult:
+@_check("geodesic order matches per-cycle non-crossing refinement")
+def check_order_refinement(max_total: int = 6):
     """The metric order below a fixed permutation equals blockwise refinement.
 
     For sigma disc non-crossing or annular non-crossing, the set of pi
@@ -336,7 +338,6 @@ def check_order_refinement(max_total: int = 6) -> CheckResult:
     also certifies the generator used by ``check_separates``.
     """
     max_total = min(max_total, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     targets: list[tuple[int, tuple[int, ...]]] = []
     for n in range(1, max_total + 1):
@@ -349,7 +350,7 @@ def check_order_refinement(max_total: int = 6) -> CheckResult:
     for n, s0 in targets:
         ls = n - _cycle_count0(s0)
         metric = set()
-        for p0 in _iter_permutations0(n):
+        for p0 in itertools.permutations(range(n)):
             if n - _cycle_count0(p0) + n - _cycle_count0(_compose0(_inverse0(p0), s0)) == ls:
                 metric.add(p0)
         structural = _below_images0(s0)
@@ -357,10 +358,11 @@ def check_order_refinement(max_total: int = 6) -> CheckResult:
         if metric != structural and fail is None:
             off = (metric ^ structural).pop()
             fail = f"below {_perm1(s0)!r}: {_perm1(off)!r} is in one description only"
-    return _finish("geodesic order matches per-cycle non-crossing refinement", t0, cases, fail)
+    return cases, fail
 
 
-def check_snc_rotation(max_total: int = 6) -> CheckResult:
+@_check("annular membership via rotations to the disc")
+def check_snc_rotation(max_total: int = 6):
     """Annular membership equals disc membership after some circle rotations.
 
     A permutation with a connecting cycle is annular non-crossing exactly
@@ -368,17 +370,13 @@ def check_snc_rotation(max_total: int = 6) -> CheckResult:
     disc non-crossing permutation.
     """
     max_total = min(max_total, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
-    from .annular import _scan_cycles0
-
     for n in range(2, max_total + 1):
         for p in range(1, n):
             q = n - p
-            g0 = _gamma0(p, q)
             rotations = []
-            gp = tuple(range(1, p)) + (0,) + tuple(range(p, n))
-            gq = tuple(range(p)) + tuple(range(p + 1, n)) + (p,)
+            gp = _gamma0(p, *[1] * q)  # turns the outer circle only
+            gq = _gamma0(*[1] * p, q)  # turns the inner circle only
             r = tuple(range(n))
             for _u in range(p):
                 rv = r
@@ -386,28 +384,27 @@ def check_snc_rotation(max_total: int = 6) -> CheckResult:
                     rotations.append((rv, _inverse0(rv)))
                     rv = _compose0(gq, rv)
                 r = _compose0(gp, r)
-            for s0 in _iter_permutations0(n):
-                cc, through = _scan_cycles0(s0, p)
-                if not through:
+            for s0 in itertools.permutations(range(n)):
+                if not _scan_cycles0(s0, p)[1]:
                     continue
                 cases += 1
-                member = cc + _cycle_count0(_compose0(_inverse0(s0), g0)) == n
+                member = _is_nc0(s0, p)
                 rotated = any(
-                    _is_nc_disc0(_compose0(rot, _compose0(s0, rinv)))
-                    for rot, rinv in rotations
+                    _is_nc0(_compose0(rot, _compose0(s0, rinv)), n) for rot, rinv in rotations
                 )
                 if member != rotated and fail is None:
                     fail = (
                         f"shape ({p},{q}): {_perm1(s0)!r} has membership {member} "
                         f"but rotation criterion {rotated}"
                     )
-    return _finish("annular membership via rotations to the disc", t0, cases, fail)
+    return cases, fail
 
 
 # -- separation and fattening ------------------------------------------
 
 
-def check_first_sep(max_n: int = 8) -> CheckResult:
+@_check("interval connectedness equals endpoint separation")
+def check_first_sep(max_n: int = 8):
     """Connectedness with the interval partition equals endpoint separation.
 
     For sigma disc non-crossing and a composition with endpoint set N:
@@ -415,57 +412,28 @@ def check_first_sep(max_n: int = 8) -> CheckResult:
     and only if sigma^-1 gamma puts the points of N into distinct cycles.
     """
     max_n = min(max_n, 9)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(1, max_n + 1):
-        g0 = tuple(range(1, n)) + (0,)
-        prepared = []
-        for parts in _compositions(n):
-            ends = set()
-            acc = 0
-            for m in parts:
-                acc += m
-                ends.add(acc - 1)
-            edges = [(i, i + 1) for i in range(n - 1) if i not in ends]
-            prepared.append((parts, tuple(sorted(ends)), edges))
+        g0 = _gamma0(n)
+        prepared = [(parts, *_interval_edges(Composition(parts))) for parts in _compositions(n)]
         for sig in enumerate_nc(n):
             s0 = tuple(x - 1 for x in sig.image)
             slab, scount = _cycle_labels0(s0)
             klab, _ = _cycle_labels0(_compose0(_inverse0(s0), g0))
             for parts, ends, edges in prepared:
                 cases += 1
-                parent = list(range(scount))
-
-                def find(x: int) -> int:
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                comps = scount
-                for a, b in edges:
-                    ra, rb = find(slab[a]), find(slab[b])
-                    if ra != rb:
-                        parent[ra] = rb
-                        comps -= 1
-                lhs = comps == 1
-                hit = set()
-                rhs = True
-                for e in ends:
-                    c = klab[e]
-                    if c in hit:
-                        rhs = False
-                        break
-                    hit.add(c)
+                lhs = _join0(scount, [(slab[a], slab[b]) for a, b in edges])[1] == 1
+                rhs = _separated(klab, ends)
                 if lhs != rhs and fail is None:
                     fail = (
                         f"n={n}, parts {parts}, sigma={sig!r}: join reaches the top "
                         f"{lhs} but separation is {rhs}"
                     )
-    return _finish("interval connectedness equals endpoint separation", t0, cases, fail)
+    return cases, fail
 
 
-def check_separates(max_total: int = 8) -> CheckResult:
+@_check("join reaching the fattened cycles equals separation")
+def check_separates(max_total: int = 8):
     """Join against intervals reaching the fattened cycles equals separation.
 
     For pi disc non-crossing on the parts and sigma on a geodesic below
@@ -474,78 +442,49 @@ def check_separates(max_total: int = 8) -> CheckResult:
     sigma^-1 (fattened pi) separates the part endpoints.
     """
     max_total = min(max_total, 9)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for total in range(1, max_total + 1):
         for parts in _compositions(total):
             comp = Composition(parts)
-            r = len(parts)
-            n = total
-            ends = [b - 1 for b in comp.boundary_points]
-            endset = set(ends)
-            edges = [(i, i + 1) for i in range(n - 1) if i not in endset]
-            for pi in enumerate_nc(r):
-                pv = fatten(pi, comp)
-                pv0 = tuple(x - 1 for x in pv.image)
-                target = _canon0(_cycle_labels0(pv0)[0])
+            ends, edges = _interval_edges(comp)
+            for pi in enumerate_nc(len(parts)):
+                pv0 = tuple(x - 1 for x in fatten(pi, comp).image)
+                target = _cycle_labels0(pv0)[0]
                 for s0 in _below_images0(pv0):
                     cases += 1
+                    # Both label lists are canonical: the join of sigma's
+                    # cycles, read per point, against the fattened cycles.
                     slab, scount = _cycle_labels0(s0)
-                    parent = list(range(scount))
-
-                    def find(x: int) -> int:
-                        while parent[x] != x:
-                            parent[x] = parent[parent[x]]
-                            x = parent[x]
-                        return x
-
-                    for a, b in edges:
-                        ra, rb = find(slab[a]), find(slab[b])
-                        if ra != rb:
-                            parent[ra] = rb
-                    lhs = _canon0([find(slab[i]) for i in range(n)]) == target
-                    klab, _ = _cycle_labels0(_compose0(_inverse0(s0), pv0))
-                    hit = set()
-                    rhs = True
-                    for e in ends:
-                        c = klab[e]
-                        if c in hit:
-                            rhs = False
-                            break
-                        hit.add(c)
+                    joined, _ = _join0(scount, [(slab[a], slab[b]) for a, b in edges])
+                    lhs = [joined[c] for c in slab] == target
+                    rhs = _separated(_cycle_labels0(_compose0(_inverse0(s0), pv0))[0], ends)
                     if lhs != rhs and fail is None:
                         fail = (
                             f"parts {parts}, pi={pi!r}, sigma={_perm1(s0)!r}: "
                             f"join test {lhs}, separation {rhs}"
                         )
-    return _finish("join reaching the fattened cycles equals separation", t0, cases, fail)
+    return cases, fail
 
 
-def check_tracial_inequality(max_n: int = 6) -> CheckResult:
+@_check("complement order swaps sides on the disc")
+def check_tracial_inequality(max_n: int = 6):
     """Complementation swaps sides: tau below sigma^-1 gamma iff sigma below gamma tau^-1."""
     max_n = min(max_n, 8)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(1, max_n + 1):
-        g0 = tuple(range(1, n)) + (0,)
-        data = []
-        for sig in enumerate_nc(n):
-            s0 = tuple(x - 1 for x in sig.image)
-            inv = _inverse0(s0)
-            a = _compose0(inv, g0)
-            b = _compose0(g0, inv)
-            data.append((n - _cycle_count0(s0), inv, a, n - _cycle_count0(a), b, n - _cycle_count0(b)))
-        for lt, tinv, _ta, _tla, tb, tlb in data:
-            for ls, sinv, sa, sla, _sb, _slb in data:
+        data = _complement_data(enumerate_nc(n), _gamma0(n))
+        for lt, tinv, _tr, _tlr, tleft, tll in data:
+            for ls, sinv, sright, slr, _sl, _sll in data:
                 cases += 1
-                lhs = lt + n - _cycle_count0(_compose0(tinv, sa)) == sla
-                rhs = ls + n - _cycle_count0(_compose0(sinv, tb)) == tlb
+                lhs = lt + n - _cycle_count0(_compose0(tinv, sright)) == slr
+                rhs = ls + n - _cycle_count0(_compose0(sinv, tleft)) == tll
                 if lhs != rhs and fail is None:
                     fail = f"n={n}: one-sided complement order is not symmetric"
-    return _finish("complement order swaps sides on the disc", t0, cases, fail)
+    return cases, fail
 
 
-def check_restriction_lemma(max_total: int = 8) -> CheckResult:
+@_check("restriction of annular permutations stays non-crossing")
+def check_restriction_lemma(max_total: int = 8):
     """Restricting an annular non-crossing permutation stays non-crossing.
 
     The first-return restriction to any subset is either annular
@@ -553,7 +492,6 @@ def check_restriction_lemma(max_total: int = 8) -> CheckResult:
     permutations, one per circle.
     """
     max_total = min(max_total, 8)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(2, max_total + 1):
         for p in range(1, n):
@@ -561,56 +499,33 @@ def check_restriction_lemma(max_total: int = 8) -> CheckResult:
             snc0 = [tuple(x - 1 for x in s.image) for s in enumerate_snc(AnnulusShape(p, q))]
             for k in range(1, n + 1):
                 for pts in itertools.combinations(range(n), k):
-                    inN = bytearray(n)
-                    pos = {}
-                    k1 = 0
-                    for idx, pt in enumerate(pts):
-                        inN[pt] = 1
-                        pos[pt] = idx
-                        if pt < p:
-                            k1 += 1
+                    k1 = sum(pt < p for pt in pts)
                     for s0 in snc0:
                         cases += 1
-                        rimg = [0] * k
-                        for idx, pt in enumerate(pts):
-                            y = s0[pt]
-                            while not inN[y]:
-                                y = s0[y]
-                            rimg[idx] = pos[y]
-                        if not _restricted_member0(tuple(rimg), k1) and fail is None:
+                        rimg = _restrict0(s0, pts)
+                        if not _restricted_member0(rimg, k1) and fail is None:
                             fail = (
                                 f"shape ({p},{q}), sigma={_perm1(s0)!r}, "
                                 f"N={tuple(x + 1 for x in pts)}: restriction "
                                 f"{_perm1(rimg)!r} is not non-crossing for shape "
                                 f"({k1},{k - k1})"
                             )
-    return _finish("restriction of annular permutations stays non-crossing", t0, cases, fail)
+    return cases, fail
 
 
 def _restricted_member0(img, k1: int) -> bool:
+    """Annular non-crossing for the shape (k1, k - k1), or a disc
+    non-crossing permutation on each circle."""
     k = len(img)
-    if k1 == 0 or k1 == k:
-        return _is_nc_disc0(img)
-    through = False
-    seen = bytearray(k)
-    cc = 0
-    for i in range(k):
-        if not seen[i]:
-            cc += 1
-            side = i < k1
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                if (j < k1) != side:
-                    through = True
-                j = img[j]
-    if through:
-        g = _gamma0(k1, k - k1)
-        return cc + _cycle_count0(_compose0(_inverse0(img), g)) == k
-    return _is_nc_disc0(img[:k1]) and _is_nc_disc0(tuple(x - k1 for x in img[k1:]))
+    if k1 in (0, k):
+        return _is_nc0(img, k)
+    if _scan_cycles0(img, k1)[1]:
+        return _is_nc0(img, k1)
+    return _is_nc0(img[:k1], k1) and _is_nc0(tuple(x - k1 for x in img[k1:]), k - k1)
 
 
-def check_fattening(max_total: int = 9) -> CheckResult:
+@_check("inflation preserves non-crossing membership")
+def check_fattening(max_total: int = 9):
     """Inflating parts preserves non-crossing membership, disc and annular.
 
     Also checks the exchange identity psi pi^-1 gamma_small =
@@ -619,91 +534,64 @@ def check_fattening(max_total: int = 9) -> CheckResult:
     permutation.
     """
     max_total = min(max_total, 9)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for total in range(1, max_total + 1):
         for parts in _compositions(total):
-            comp = Composition(parts)
             r = len(parts)
-            psi = comp.boundary_points
-            if fatten(Permutation.identity(r), comp) != tau_of(comp) and fail is None:
+            disc = Composition(parts)
+            if fatten(Permutation.identity(r), disc) != tau_of(disc) and fail is None:
                 fail = f"parts {parts}: inflating the identity is not the interval permutation"
-            gr = full_cycle(r)
-            gn = full_cycle(total)
-            for pi in enumerate_nc(r):
-                pv = fatten(pi, comp)
-                cases += 1
-                if not is_nc_disc(pv) and fail is None:
-                    fail = f"parts {parts}, pi={pi!r}: inflation left the disc family"
-                z_small = compose(pi.inverse(), gr)
-                z_big = compose(pv.inverse(), gn)
-                if any(z_big(psi[k - 1]) != psi[z_small(k) - 1] for k in range(1, r + 1)):
-                    if fail is None:
-                        fail = f"parts {parts}, pi={pi!r}: exchange identity fails"
-    for total in range(2, max_total + 1):
-        for parts in _compositions(total):
-            for split in range(1, len(parts)):
+            # (composition, small family, small gamma, big gamma, big membership)
+            settings = [(disc, enumerate_nc(r), full_cycle(r), full_cycle(total), is_nc_disc)]
+            for split in range(1, r):
                 comp = Composition(parts, split=split)
-                rs = len(parts)
+                small, big = AnnulusShape(split, r - split), comp.shape()
+                member = functools.partial(is_snc, shape=big)
+                settings.append((comp, enumerate_snc(small), small.gamma(), big.gamma(), member))
+            for comp, family, g_small, g_big, member in settings:
                 psi = comp.boundary_points
-                shape_small = AnnulusShape(split, rs - split)
-                shape_big = comp.shape()
-                g_small = gamma_pq(split, rs - split)
-                g_big = shape_big.gamma()
-                for pi in enumerate_snc(shape_small):
+                for pi in family:
                     pv = fatten(pi, comp)
                     cases += 1
-                    if not is_snc(pv, shape_big) and fail is None:
-                        fail = (
-                            f"parts {parts} split {split}, pi={pi!r}: inflation left "
-                            f"the annular family"
-                        )
+                    if not member(pv) and fail is None:
+                        fail = f"{comp}, pi={pi!r}: inflation left the family"
                     z_small = compose(pi.inverse(), g_small)
                     z_big = compose(pv.inverse(), g_big)
-                    if any(z_big(psi[k - 1]) != psi[z_small(k) - 1] for k in range(1, rs + 1)):
+                    if any(z_big(psi[k - 1]) != psi[z_small(k) - 1] for k in range(1, r + 1)):
                         if fail is None:
-                            fail = f"parts {parts} split {split}, pi={pi!r}: exchange identity fails"
-    return _finish("inflation preserves non-crossing membership", t0, cases, fail)
+                            fail = f"{comp}, pi={pi!r}: exchange identity fails"
+    return cases, fail
 
 
 # -- annular order lemmas ----------------------------------------------
 
 
-def check_annular_order(max_total: int = 7) -> CheckResult:
+@_check("one-sided complement order transfers across the annulus")
+def check_annular_order(max_total: int = 7):
     """Below the complement on one side implies below it on the other.
 
     For annular non-crossing pi, sigma: if pi lies on a geodesic below
     sigma^-1 gamma then sigma lies on a geodesic below gamma pi^-1.
     """
     max_total = min(max_total, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(2, max_total + 1):
         for p in range(1, n):
             q = n - p
-            g0 = _gamma0(p, q)
-            snc0 = [tuple(x - 1 for x in s.image) for s in enumerate_snc(AnnulusShape(p, q))]
-            invs = [_inverse0(s) for s in snc0]
-            lens = [n - _cycle_count0(s) for s in snc0]
-            right = [_compose0(inv, g0) for inv in invs]
-            right_len = [n - _cycle_count0(a) for a in right]
-            left = [_compose0(g0, inv) for inv in invs]
-            left_len = [n - _cycle_count0(a) for a in left]
-            m = len(snc0)
-            for j in range(m):
-                aj = right[j]
-                laj = right_len[j]
-                for i in range(m):
-                    if lens[i] + n - _cycle_count0(_compose0(invs[i], aj)) == laj:
+            snc = enumerate_snc(AnnulusShape(p, q))
+            data = _complement_data(snc, _gamma0(p, q))
+            for j, (lj, invj, rightj, lrj, _lj, _llj) in enumerate(data):
+                for i, (li, invi, _ri, _lri, lefti, lli) in enumerate(data):
+                    if li + n - _cycle_count0(_compose0(invi, rightj)) == lrj:
                         cases += 1
-                        if lens[j] + n - _cycle_count0(_compose0(invs[j], left[i])) != left_len[i]:
+                        if lj + n - _cycle_count0(_compose0(invj, lefti)) != lli:
                             if fail is None:
                                 fail = (
-                                    f"shape ({p},{q}): pi={_perm1(snc0[i])!r} below the "
-                                    f"complement of sigma={_perm1(snc0[j])!r} but not "
+                                    f"shape ({p},{q}): pi={snc[i]!r} below the "
+                                    f"complement of sigma={snc[j]!r} but not "
                                     f"conversely"
                                 )
-    return _finish("one-sided complement order transfers across the annulus", t0, cases, fail)
+    return cases, fail
 
 
 def _tunnel_hypotheses(max_total: int):
@@ -726,7 +614,8 @@ def _tunnel_hypotheses(max_total: int):
                         yield shape, g, sigma, pi
 
 
-def check_tunnel_product(max_total: int = 6) -> CheckResult:
+@_check("two-sided complement product reaches the glued element")
+def check_tunnel_product(max_total: int = 6):
     """The two-sided complement product lands on the glued element.
 
     For pi a disc pair below sigma's complement, multiplying sigma by
@@ -734,7 +623,6 @@ def check_tunnel_product(max_total: int = 6) -> CheckResult:
     the join of sigma with it as its partition.
     """
     max_total = min(max_total, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for shape, g, sigma, pi in _tunnel_hypotheses(max_total):
         cases += 1
@@ -748,10 +636,11 @@ def check_tunnel_product(max_total: int = 6) -> CheckResult:
         )
         if got != want and fail is None:
             fail = f"shape {shape}, sigma={sigma!r}, pi={pi!r}: product gave {got!r}"
-    return _finish("two-sided complement product reaches the glued element", t0, cases, fail)
+    return cases, fail
 
 
-def check_order_corollary(max_total: int = 6) -> CheckResult:
+@_check("complement cycles organize the connecting structure")
+def check_order_corollary(max_total: int = 6):
     """Structure of sigma relative to gamma pi^-1 under the tunnel hypothesis.
 
     (i) non-connecting cycles of sigma sit inside single cycles of
@@ -761,7 +650,6 @@ def check_order_corollary(max_total: int = 6) -> CheckResult:
     union the connecting cycles form an annular non-crossing permutation.
     """
     max_total = min(max_total, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for shape, g, sigma, pi in _tunnel_hypotheses(max_total):
         cases += 1
@@ -786,80 +674,59 @@ def check_order_corollary(max_total: int = 6) -> CheckResult:
                 sides = sorted(gcycles[t][0] < p for t in tlabels)
                 if sides != [False, True]:
                     problem = "the two met complement cycles are not one per circle"
+        # By (i) and (ii) sigma maps each complement cycle into itself, so
+        # restricting to one, read along the cycle, is sigma there.
+        s0 = tuple(x - 1 for x in sigma.image)
         if problem is None:
             for t, c in enumerate(gcycles):
-                if t in tlabels:
-                    continue
-                relabel = {pt: i + 1 for i, pt in enumerate(c)}
-                local_img = [0] * len(c)
-                for pt in c:
-                    local_img[relabel[pt] - 1] = relabel[sigma(pt + 1) - 1]
-                if not is_nc_disc(Permutation(local_img)):
+                if t not in tlabels and not is_nc_disc(_perm1(_restrict0(s0, c))):
                     problem = f"enclosed cycles crossing along complement cycle {c}"
                     break
         if problem is None:
             outer = next(gcycles[t] for t in tlabels if gcycles[t][0] < p)
             inner = next(gcycles[t] for t in tlabels if gcycles[t][0] >= p)
-            relabel = {}
-            for i, pt in enumerate(outer + inner):
-                relabel[pt] = i + 1
             tpoints = {x - 1 for tc in through for x in tc}
-            union_img = [0] * (len(outer) + len(inner))
-            for pt in outer + inner:
-                img_pt = sigma(pt + 1) - 1 if pt in tpoints else pt
-                union_img[relabel[pt] - 1] = relabel[img_pt]
-            if not is_snc(Permutation(union_img), AnnulusShape(len(outer), len(inner))):
+            connecting = tuple(s0[x] if x in tpoints else x for x in range(n))
+            union = _perm1(_restrict0(connecting, outer + inner))
+            if not is_snc(union, AnnulusShape(len(outer), len(inner))):
                 problem = "connecting cycles not annular non-crossing on the union"
         if problem is not None and fail is None:
             fail = f"shape {shape}, sigma={sigma!r}, pi={pi!r}: {problem}"
-    return _finish("complement cycles organize the connecting structure", t0, cases, fail)
+    return cases, fail
 
 
 # -- the partial order on partitioned permutations ---------------------
 
 
 def _psnc_raw(shape: AnnulusShape):
-    """Precomputed arrays for fast order scans over one shape."""
+    """Precomputed arrays for fast order scans over one shape.
+
+    Per element: the 0-based image and its inverse, the canonical block
+    labels, the pairs joining each block, the length and the kind.
+    """
     els = enumerate_psnc(shape)
-    n = shape.total
     raw = []
     for el in els:
         img0 = tuple(x - 1 for x in el.perm.image)
-        plab = [0] * n
-        for bi, block in enumerate(el.partition.blocks):
-            for x in block:
-                plab[x - 1] = bi
-        raw.append((img0, _inverse0(img0), tuple(plab), el.length, el.kind))
+        pairs = [(b[0] - 1, x - 1) for b in el.partition.blocks for x in b[1:]]
+        plab, _ = _join0(shape.total, pairs)
+        raw.append((img0, _inverse0(img0), plab, pairs, el.length, el.kind))
     return els, raw
 
 
 def _raw_leq(a, b, n: int) -> bool:
     """a <= b via the single forced witness, on precomputed arrays."""
-    a_img, a_inv, a_plab, a_len, _ = a
-    b_img, _b_inv, b_plab, b_len, _ = b
+    _a_img, a_inv, _a_plab, a_pairs, a_len, _ = a
+    b_img, _b_inv, b_plab, _b_pairs, _b_len, _ = b
     w0 = _compose0(a_inv, b_img)
-    w_len = n - _cycle_count0(w0)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in (a_plab.index(a_plab[i]), w0[i]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    blocks = len({find(i) for i in range(n)})
-    if a_len + w_len != 2 * (n - blocks) - (n - _cycle_count0(b_img)):
+    joined, blocks = _join0(n, [*a_pairs, *enumerate(w0)])
+    if a_len + n - _cycle_count0(w0) != 2 * (n - blocks) - (n - _cycle_count0(b_img)):
         return False
-    joined = _canon0([find(i) for i in range(n)])
-    return joined == _canon0(b_plab)
+    return joined == b_plab
 
 
-def check_order_axioms(max_total: int = 6) -> CheckResult:
+@_check("the annular order is a partial order")
+def check_order_axioms(max_total: int = 6):
     """The witnessed-product relation is a partial order on each shape.
 
     Reflexivity, antisymmetry and transitivity over all elements; the
@@ -867,7 +734,6 @@ def check_order_axioms(max_total: int = 6) -> CheckResult:
     on the smaller shapes.
     """
     max_total = min(max_total, 7)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(2, max_total + 1):
         for p in range(1, n):
@@ -895,25 +761,20 @@ def check_order_axioms(max_total: int = 6) -> CheckResult:
                 cases += 1
                 if not below[j] >> j & 1 and fail is None:
                     fail = f"shape {shape}: {els[j]!r} not below itself"
-            for j in range(m):
-                mask = below[j]
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    i = low.bit_length() - 1
-                    mm ^= low
+            for j, mask in enumerate(below):
+                for i in _bits(mask):
                     cases += 1
                     if i != j and below[i] >> j & 1 and fail is None:
                         fail = f"shape {shape}: {els[i]!r} and {els[j]!r} below each other"
                     if below[i] & ~mask and fail is None:
                         fail = f"shape {shape}: transitivity fails through {els[i]!r}"
-    return _finish("the annular order is a partial order", t0, cases, fail)
+    return cases, fail
 
 
-def check_order_kinds(max_total: int = 5) -> CheckResult:
+@_check("glued elements never drop to disc elements")
+def check_order_kinds(max_total: int = 5):
     """Glued elements never sit below disc elements; other mixes occur."""
     max_total = min(max_total, 6)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     seen = {("disc", "disc"): 0, ("disc", "tunnel"): 0, ("tunnel", "tunnel"): 0}
     for n in range(2, max_total + 1):
@@ -926,7 +787,7 @@ def check_order_kinds(max_total: int = 5) -> CheckResult:
                     if i == j or not _raw_leq(raw[i], raw[j], n):
                         continue
                     cases += 1
-                    pair = (raw[i][4], raw[j][4])
+                    pair = (raw[i][5], raw[j][5])
                     if pair == ("tunnel", "disc") and fail is None:
                         fail = f"shape {shape}: glued {els[i]!r} below disc {els[j]!r}"
                     if pair in seen:
@@ -935,10 +796,11 @@ def check_order_kinds(max_total: int = 5) -> CheckResult:
         missing = [pair for pair, k in seen.items() if k == 0]
         if missing:
             fail = f"expected strict relations never realized: {missing}"
-    return _finish("glued elements never drop to disc elements", t0, cases, fail)
+    return cases, fail
 
 
-def check_order_structure(max_total: int = 6) -> CheckResult:
+@_check("witnessed products force the zero witness")
+def check_order_structure(max_total: int = 6):
     """Any witnessed product within the family forces the zero witness.
 
     Whenever (V, pi) (W, pi^-1 sigma) = (U, sigma) holds inside the
@@ -947,48 +809,27 @@ def check_order_structure(max_total: int = 6) -> CheckResult:
     multiplying by sigma pi^-1 on the other side reaches (U, sigma) too.
     """
     max_total = min(max_total, 6)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(2, max_total + 1):
         for p in range(1, n):
             shape = AnnulusShape(p, n - p)
             els, raw = _psnc_raw(shape)
-            index = {}
-            for k, (img0, _inv, plab, _l, _kd) in enumerate(raw):
-                index[(img0, _canon0(plab))] = k
+            index = {(img0, plab): k for k, (img0, _inv, plab, *_rest) in enumerate(raw)}
             sigmas = sorted({img0 for img0, *_ in raw})
             sigma_cc = {s: _cycle_count0(s) for s in sigmas}
-            for a_pos, (a_img, a_inv, a_plab, a_len, _kind) in enumerate(raw):
+            for a_pos, (_img, a_inv, _plab, a_pairs, a_len, _kind) in enumerate(raw):
                 for s_img in sigmas:
                     w0 = _compose0(a_inv, s_img)
                     wcycles = _cycles0(w0)
                     b_metric = n - sigma_cc[s_img]
                     for wblocks in _set_partitions(wcycles):
                         w_pp_len = 2 * (n - len(wblocks)) - (n - len(wcycles))
-                        parent = list(range(n))
-
-                        def find(x: int) -> int:
-                            while parent[x] != x:
-                                parent[x] = parent[parent[x]]
-                                x = parent[x]
-                            return x
-
-                        for i in range(n):
-                            ri, rj = find(i), find(a_plab.index(a_plab[i]))
-                            if ri != rj:
-                                parent[ri] = rj
-                        for block in wblocks:
-                            anchor = block[0][0]
-                            for cyc in block:
-                                for x in cyc:
-                                    ra, rx = find(anchor), find(x)
-                                    if ra != rx:
-                                        parent[rx] = ra
-                        labels = [find(i) for i in range(n)]
-                        blocks = len(set(labels))
+                        labels, blocks = _join0(
+                            n, [*a_pairs, *((b[0][0], x) for b in wblocks for c in b for x in c)]
+                        )
                         if a_len + w_pp_len != 2 * (n - blocks) - b_metric:
                             continue
-                        key = (s_img, _canon0(labels))
+                        key = (s_img, labels)
                         if key not in index:
                             continue
                         cases += 1
@@ -1019,7 +860,7 @@ def check_order_structure(max_total: int = 6) -> CheckResult:
                                 problem = "left multiplication by sigma pi^-1 misses"
                         if problem is not None and fail is None:
                             fail = f"shape {shape}, a={a_el!r}, b={b_el!r}: {problem}"
-    return _finish("witnessed products force the zero witness", t0, cases, fail)
+    return cases, fail
 
 
 def _set_partitions(items):
@@ -1047,41 +888,35 @@ def _model_cases(n: int):
     )
 
 
-def _main_theorem_cell(pq: tuple[int, int]) -> CheckResult:
-    p, q = pq
-    n = p + q
-    t0 = time.perf_counter()
-    cases, fail = 0, None
-    for op in _compositions(p):
-        for iq in _compositions(q):
-            comp = Composition(op + iq, split=len(op))
-            for label, model, word in _model_cases(n):
-                cases += 1
-                got = main_product_cumulant(model, word, comp)
-                want = oracle_product_cumulant(model, word, comp)
-                if got != want and fail is None:
-                    fail = (
-                        f"parts {comp.parts} split {comp.split}, {label}: separated "
-                        f"sum {got!r}, direct recursion {want!r}"
-                    )
-    return _finish(f"second order product cumulants, shape ({p},{q})", t0, cases, fail)
+def _product_title(sizes: tuple[int, ...]) -> str:
+    if len(sizes) == 1:
+        return f"first order product cumulants, n={sizes[0]}"
+    return "second order product cumulants, shape ({},{})".format(*sizes)
 
 
-def _ks_cell(n: int) -> CheckResult:
-    t0 = time.perf_counter()
+@_check(_product_title)
+def _product_cell(sizes: tuple[int, ...]):
+    """Filtered sums against the direct recursion on the grouped words.
+
+    ``sizes`` is (n,) for the first order formula on [n], or (p, q) for
+    the second order one on that annulus; every composition of each size
+    is a grouping, and each grouping meets every model of ``_model_cases``.
+    """
     cases, fail = 0, None
-    for parts in _compositions(n):
-        comp = Composition(parts)
-        for label, model, word in _model_cases(n):
+    for groups in itertools.product(*map(_compositions, sizes)):
+        split = len(groups[0]) if len(groups) == 2 else None
+        comp = Composition(sum(groups, ()), split=split)
+        formula = ks_product_cumulant if split is None else main_product_cumulant
+        for label, model, word in _model_cases(comp.total):
             cases += 1
-            got = ks_product_cumulant(model, word, comp)
+            got = formula(model, word, comp)
             want = oracle_product_cumulant(model, word, comp)
             if got != want and fail is None:
                 fail = (
-                    f"parts {parts}, {label}: connected sum {got!r}, "
-                    f"direct recursion {want!r}"
+                    f"parts {comp.parts} split {split}, {label}: filtered "
+                    f"sum {got!r}, direct recursion {want!r}"
                 )
-    return _finish(f"first order product cumulants, n={n}", t0, cases, fail)
+    return cases, fail
 
 
 def _haar_predicted(p: int, q: int, signs) -> int:
@@ -1094,9 +929,9 @@ def _haar_predicted(p: int, q: int, signs) -> int:
     return (-1) ** ((p + q) // 2) * snc_count(p // 2, q // 2)
 
 
-def _haar_cell(pq: tuple[int, int]) -> CheckResult:
+@_check("unitary sign sweep, shape ({0[0]},{0[1]})")
+def _haar_cell(pq: tuple[int, int]):
     p, q = pq
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for signs in itertools.product((1, -1), repeat=p + q):
         cases += 1
@@ -1104,12 +939,12 @@ def _haar_cell(pq: tuple[int, int]) -> CheckResult:
         want = _haar_predicted(p, q, signs)
         if got != want and fail is None:
             fail = f"signs {signs}: cumulant {got!r}, predicted {want}"
-    return _finish(f"unitary sign sweep, shape ({p},{q})", t0, cases, fail)
+    return cases, fail
 
 
-def _square_cell(pq: tuple[int, int]) -> CheckResult:
+@_check("squared semicircular entries, shape ({0[0]},{0[1]})")
+def _square_cell(pq: tuple[int, int]):
     p, q = pq
-    t0 = time.perf_counter()
     cases, fail = 0, None
     got = semicircular_square_kappa(p, q)
     ksum = sum(k * comb(p, k) * comb(q, k) for k in range(1, min(p, q) + 1))
@@ -1128,13 +963,13 @@ def _square_cell(pq: tuple[int, int]) -> CheckResult:
                 f"general machinery gives {full!r}/{direct!r}, "
                 f"pairing count gives {got}"
             )
-    return _finish(f"squared semicircular entries, shape ({p},{q})", t0, cases, fail)
+    return cases, fail
 
 
-def check_fluctuations(max_total: int = 10) -> CheckResult:
+@_check("semicircular fluctuation moments agree three ways")
+def check_fluctuations(max_total: int = 10):
     """Fluctuation moments three ways: cycle sum, closed form, pairing count."""
     max_total = min(max_total, 12)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(2, max_total + 1):
         for p in range(1, n):
@@ -1147,13 +982,13 @@ def check_fluctuations(max_total: int = 10) -> CheckResult:
                 fail = f"(p,q)=({p},{q}): sum {a}, closed {b}, pairings {c}"
             if n % 2 and a != 0 and fail is None:
                 fail = f"(p,q)=({p},{q}): odd total but value {a}"
-    return _finish("semicircular fluctuation moments agree three ways", t0, cases, fail)
+    return cases, fail
 
 
-def check_mobius_recurrence(max_total: int = 8) -> CheckResult:
+@_check("signed annular counts satisfy the recurrence")
+def check_mobius_recurrence(max_total: int = 8):
     """The signed annular counts satisfy the convolution recurrence."""
     max_total = min(max_total, 9)
-    t0 = time.perf_counter()
     cases, fail = 0, None
     for n in range(2, max_total + 1):
         for p in range(1, n):
@@ -1162,7 +997,7 @@ def check_mobius_recurrence(max_total: int = 8) -> CheckResult:
             res = mobius_recurrence_residual(p, q)
             if res != 0 and fail is None:
                 fail = f"(p,q)=({p},{q}): residual {res}"
-    return _finish("signed annular counts satisfy the recurrence", t0, cases, fail)
+    return cases, fail
 
 
 # -- suites ------------------------------------------------------------
@@ -1180,11 +1015,11 @@ def _shape_cells(max_total: int) -> list[tuple[int, int]]:
 
 
 def suite_main_theorem(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_main_theorem_cell, _shape_cells(max_total or 8), jobs)
+    return _cells(_product_cell, _shape_cells(max_total or 8), jobs)
 
 
 def suite_ks(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_ks_cell, list(range(1, (max_total or 8) + 1)), jobs)
+    return _cells(_product_cell, [(n,) for n in range(1, (max_total or 8) + 1)], jobs)
 
 
 def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
@@ -1207,60 +1042,39 @@ def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResul
     return [check_mobius_recurrence(max_total or 8)]
 
 
-_LEMMA_CHECKS: tuple[tuple[str, int], ...] = (
-    ("nc_counts", 9),
-    ("metric_triangle", 6),
-    ("metric_order", 6),
-    ("conjugation_invariance", 6),
-    ("restriction_commutes", 6),
-    ("order_refinement", 6),
-    ("snc_rotation", 6),
-    ("first_sep", 8),
-    ("separates", 8),
-    ("tracial_inequality", 6),
-    ("restriction_lemma", 8),
-    ("fattening", 9),
-    ("annular_order", 7),
-    ("tunnel_product", 6),
-    ("order_corollary", 6),
+_LEMMA_CHECKS = (
+    (check_nc_counts, 9),
+    (check_metric_triangle, 6),
+    (check_metric_order, 6),
+    (check_conjugation_invariance, 6),
+    (check_restriction_commutes, 6),
+    (check_order_refinement, 6),
+    (check_snc_rotation, 6),
+    (check_first_sep, 8),
+    (check_separates, 8),
+    (check_tracial_inequality, 6),
+    (check_restriction_lemma, 8),
+    (check_fattening, 9),
+    (check_annular_order, 7),
+    (check_tunnel_product, 6),
+    (check_order_corollary, 6),
 )
 
-_ORDER_CHECKS: tuple[tuple[str, int], ...] = (
-    ("order_axioms", 6),
-    ("order_kinds", 5),
-    ("order_structure", 6),
+_ORDER_CHECKS = (
+    (check_order_axioms, 6),
+    (check_order_kinds, 5),
+    (check_order_structure, 6),
 )
 
-_CHECKS = {
-    "nc_counts": check_nc_counts,
-    "metric_triangle": check_metric_triangle,
-    "metric_order": check_metric_order,
-    "conjugation_invariance": check_conjugation_invariance,
-    "restriction_commutes": check_restriction_commutes,
-    "order_refinement": check_order_refinement,
-    "snc_rotation": check_snc_rotation,
-    "first_sep": check_first_sep,
-    "separates": check_separates,
-    "tracial_inequality": check_tracial_inequality,
-    "restriction_lemma": check_restriction_lemma,
-    "fattening": check_fattening,
-    "annular_order": check_annular_order,
-    "tunnel_product": check_tunnel_product,
-    "order_corollary": check_order_corollary,
-    "order_axioms": check_order_axioms,
-    "order_kinds": check_order_kinds,
-    "order_structure": check_order_structure,
-}
 
-
-def _named_check(spec: tuple[str, int]) -> CheckResult:
-    name, bound = spec
-    return _CHECKS[name](bound)
+def _run_check(spec) -> CheckResult:
+    check, bound = spec
+    return check(bound)
 
 
 def _check_suite(table, max_total: int | None, jobs: int) -> list[CheckResult]:
-    specs = [(name, default if max_total is None else min(default, max_total)) for name, default in table]
-    return _cells(_named_check, specs, jobs)
+    specs = [(check, default if max_total is None else min(default, max_total)) for check, default in table]
+    return _cells(_run_check, specs, jobs)
 
 
 def suite_lemmas(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:

@@ -127,6 +127,10 @@ class TestKreweras:
         ids = kreweras_cycle_ids(shape, gamma_pq(2, 1))
         assert len(ids) == 3 and len(set(ids)) == 3
 
+    def test_cycle_ids_reject_a_size_mismatch(self):
+        with pytest.raises(ValueError):
+            kreweras_cycle_ids(AnnulusShape(2, 1), Permutation.identity(4))
+
     def test_annular_complement_identity(self):
         # #(a) + #(a^-1 gamma) = p + q for annular members.
         shape = AnnulusShape(3, 2)
@@ -227,6 +231,16 @@ class TestMainSummandFilter:
             PartitionedPermutation(SetPartition(3, [(1,), (2, 3)]), e3),
         }
 
+    def test_agrees_with_the_complement_cycles(self):
+        shape = AnnulusShape(2, 2)
+        for parts, split in (((1, 1, 1, 1), 2), ((2, 1, 1), 1), ((1, 1, 2), 2)):
+            comp = Composition(parts, split=split)
+            points = set(comp.boundary_points)
+            for vp in enumerate_psnc(shape):
+                cycles = kreweras(shape, vp.perm).cycles
+                want = all(len(points.intersection(c)) <= 1 for c in cycles)
+                assert main_summand_filter(shape, comp, vp) == want
+
 
 class TestFattening:
     def test_worked_example(self):
@@ -276,3 +290,11 @@ class TestPairingCounts:
         full = count_snc_pairings(2, 2)
         sep = count_snc_pairings(2, 2, separated_at=(2, 4))
         assert 0 < sep <= full
+
+    def test_separation_points_must_lie_on_the_annulus(self):
+        # Point 0 and negative points used to wrap around to the last ones.
+        for bad in ((0, 2), (-3,), (5,), (9,)):
+            with pytest.raises(ValueError):
+                count_snc_pairings(2, 2, separated_at=bad)
+        with pytest.raises(ValueError):
+            count_snc_pairings(2, 1, separated_at=(4,))

@@ -1,11 +1,23 @@
 """Permutations, set partitions, and the cycle metric."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ncfree.annular import AnnulusShape, gamma_pq, has_through_cycle, is_nc_disc, is_snc
 from ncfree.perm import (
     Permutation,
     SetPartition,
+    _cycle_count0,
+    _cycle_labels0,
+    _cycles0,
+    _gamma0,
+    _is_nc0,
+    _join0,
+    _restrict0,
+    _scan_cycles0,
+    _separated,
     compose,
     full_cycle,
     metric_length,
@@ -205,3 +217,85 @@ class TestSetPartition:
     @given(perms)
     def test_orbit_partition_tracks_metric(self, a):
         assert orbit_partition(a).metric_length == a.metric_length
+
+
+def image0(a):
+    return tuple(x - 1 for x in a.image)
+
+
+def cycle_index(a):
+    """Index into ``a.cycles`` of the cycle holding each point, 0-based."""
+    out = [0] * a.size
+    for ci, cycle in enumerate(a.cycles):
+        for pt in cycle:
+            out[pt - 1] = ci
+    return out
+
+
+annular_cases = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(sized_perms(n), st.integers(1, n - 1))
+)
+
+
+class TestRawKernels:
+    """Each 0-based kernel against a definition from the 1-based API."""
+
+    @given(perms)
+    def test_cycle_labels_index_the_cycles(self, a):
+        assert _cycle_labels0(image0(a)) == (cycle_index(a), a.cycle_count)
+        assert _cycles0(image0(a)) == [tuple(x - 1 for x in c) for c in a.cycles]
+
+    @given(annular_cases)
+    def test_count_and_through_cycle(self, case):
+        a, p = case
+        shape = AnnulusShape(p, a.size - p)
+        assert _cycle_count0(image0(a)) == a.cycle_count
+        assert _scan_cycles0(image0(a), p) == (a.cycle_count, has_through_cycle(a, shape))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8),
+            )
+        )
+    )
+    def test_join_is_the_fixpoint_merge(self, case):
+        n, pairs = case
+        blocks = [{i} for i in range(n)] + [set(pair) for pair in pairs]
+        merged = True
+        while merged:
+            merged = False
+            for x, y in itertools.combinations(range(len(blocks)), 2):
+                if blocks[x] & blocks[y]:
+                    blocks[x] |= blocks.pop(y)
+                    merged = True
+                    break
+        blocks.sort(key=min)
+        want = tuple(next(k for k, b in enumerate(blocks) if i in b) for i in range(n))
+        assert _join0(n, pairs) == (want, len(blocks))
+
+    @given(perms.flatmap(lambda a: st.tuples(st.just(a), st.lists(st.integers(1, a.size), max_size=4))))
+    def test_separation_counts_distinct_cycles(self, case):
+        a, pts = case
+        index = cycle_index(a)
+        want = len({index[pt - 1] for pt in pts}) == len(pts)
+        assert _separated(index, pts) == want
+        assert separates_points(a, pts) == want
+
+    @given(st.integers(1, 6))
+    def test_gamma(self, n):
+        assert _gamma0(n) == image0(full_cycle(n))
+        for p in range(1, n):
+            assert _gamma0(p, n - p) == image0(gamma_pq(p, n - p))
+
+    @given(annular_cases)
+    def test_membership(self, case):
+        a, p = case
+        assert _is_nc0(image0(a), a.size) == is_nc_disc(a)
+        assert _is_nc0(image0(a), p) == is_snc(a, AnnulusShape(p, a.size - p))
+
+    @given(perms.flatmap(lambda a: st.tuples(st.just(a), st.sets(st.integers(1, a.size), min_size=1))))
+    def test_restriction(self, case):
+        a, pts = case
+        assert _restrict0(image0(a), tuple(sorted(x - 1 for x in pts))) == image0(restrict(a, pts))
