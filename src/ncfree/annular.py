@@ -22,15 +22,19 @@ Enumeration is by brute-force filtering of S_{p+q} with the geodesic
 test above (a deliberate choice: the filters are the definitions, so the
 enumerators cannot drift from them), memoized per size/shape, in
 lexicographic order on one-line images.  The default bound keeps
-p + q <= 10.  The filter, like the complement-separation test of the
-product formula, runs on the 0-based kernels of ``perm``: ``_is_nc0`` for
-membership, ``_cycle_labels0`` and ``_separated`` for separation.
+p + q <= 10.  Each memo is an ``lru_cache`` on a private function behind
+a public one that checks the arguments; ``cumulants.clear_caches()``
+empties the complement labels, never the families.  The filter, like the
+complement-separation test of the product formula, runs on the 0-based
+kernels of ``perm``: ``_is_nc0`` for membership, ``_cycle_labels0`` and
+``_separated`` for separation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .perm import (
@@ -194,10 +198,6 @@ def is_snc(a: Permutation, shape: AnnulusShape) -> bool:
 
 # -- enumeration -------------------------------------------------------
 
-_nc_cache: dict[int, tuple[Permutation, ...]] = {}
-_snc_cache: dict[tuple[int, int], tuple[Permutation, ...]] = {}
-_psnc_cache: dict[tuple[int, int], tuple["PartitionedPermutation", ...]] = {}
-
 
 def _check_bound(total: int, bound: int | None) -> None:
     limit = ENUMERATION_BOUND if bound is None else bound
@@ -210,33 +210,36 @@ def _check_bound(total: int, bound: int | None) -> None:
         raise ValueError("enumeration needs a positive size")
 
 
+@lru_cache(maxsize=None)
+def _nc(n: int) -> tuple[Permutation, ...]:
+    return tuple(
+        Permutation(v + 1 for v in img0)
+        for img0 in itertools.permutations(range(n))
+        if _is_nc0(img0, n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _snc(p: int, q: int) -> tuple[Permutation, ...]:
+    return tuple(
+        Permutation(v + 1 for v in img0)
+        for img0 in itertools.permutations(range(p + q))
+        if _is_nc0(img0, p)
+    )
+
+
 def enumerate_nc(n: int, bound: int | None = None) -> tuple[Permutation, ...]:
     """All disc non-crossing permutations of [n], ordered lexicographically
     by one-line image.  Memoized; the returned tuple is shared."""
     _check_bound(n, bound)
-    cached = _nc_cache.get(n)
-    if cached is None:
-        cached = _nc_cache[n] = tuple(
-            Permutation(v + 1 for v in img0)
-            for img0 in itertools.permutations(range(n))
-            if _is_nc0(img0, n)
-        )
-    return cached
+    return _nc(n)
 
 
 def enumerate_snc(shape: AnnulusShape, bound: int | None = None) -> tuple[Permutation, ...]:
     """All annular non-crossing permutations of the shape, in lexicographic
     order on one-line images.  Memoized per shape."""
     _check_bound(shape.total, bound)
-    key = (shape.p, shape.q)
-    cached = _snc_cache.get(key)
-    if cached is None:
-        cached = _snc_cache[key] = tuple(
-            Permutation(v + 1 for v in img0)
-            for img0 in itertools.permutations(range(shape.total))
-            if _is_nc0(img0, shape.p)
-        )
-    return cached
+    return _snc(shape.p, shape.q)
 
 
 class PartitionedPermutation:
@@ -322,29 +325,25 @@ def enumerate_psnc(
     Memoized per shape.
     """
     _check_bound(shape.total, bound)
-    key = (shape.p, shape.q)
-    cached = _psnc_cache.get(key)
-    if cached is None:
-        p, q, n = shape.p, shape.q, shape.total
-        out = [PartitionedPermutation.disc(a) for a in enumerate_snc(shape, bound)]
-        for outer in enumerate_nc(p, bound):
-            for inner in enumerate_nc(q, bound):
-                image = list(outer.image) + [v + p for v in inner.image]
-                perm = Permutation(image)
-                out_cycles = outer.cycles
-                in_cycles = tuple(
-                    tuple(pt + p for pt in c) for c in inner.cycles
-                )
-                for i, c1 in enumerate(out_cycles):
-                    for c2 in in_cycles:
-                        blocks = [c1 + c2]
-                        blocks.extend(c for j, c in enumerate(out_cycles) if j != i)
-                        blocks.extend(c for c in in_cycles if c is not c2)
-                        out.append(
-                            PartitionedPermutation(SetPartition(n, blocks), perm)
-                        )
-        cached = _psnc_cache[key] = tuple(out)
-    return cached
+    return _psnc(shape.p, shape.q)
+
+
+@lru_cache(maxsize=None)
+def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
+    out = [PartitionedPermutation.disc(a) for a in _snc(p, q)]
+    for outer in _nc(p):
+        for inner in _nc(q):
+            image = list(outer.image) + [v + p for v in inner.image]
+            perm = Permutation(image)
+            out_cycles = outer.cycles
+            in_cycles = tuple(tuple(pt + p for pt in c) for c in inner.cycles)
+            for i, c1 in enumerate(out_cycles):
+                for c2 in in_cycles:
+                    blocks = [c1 + c2]
+                    blocks.extend(c for j, c in enumerate(out_cycles) if j != i)
+                    blocks.extend(c for c in in_cycles if c is not c2)
+                    out.append(PartitionedPermutation(SetPartition(p + q, blocks), perm))
+    return tuple(out)
 
 
 # -- pairings ----------------------------------------------------------
@@ -438,8 +437,6 @@ def tau_of(comp: Composition) -> Permutation:
 
 # -- complements and the separation filter -----------------------------
 
-_kreweras_ids_cache: dict[tuple[int, int, Permutation], tuple[int, ...]] = {}
-
 
 def kreweras(shape: AnnulusShape, a: Permutation) -> Permutation:
     """The complement a^-1 gamma_pq."""
@@ -450,16 +447,17 @@ def kreweras_cycle_ids(shape: AnnulusShape, a: Permutation) -> tuple[int, ...]:
     """Cycle labels of the complement a^-1 gamma_pq, one per ground point.
 
     Label i marks the i-th cycle of ``kreweras(shape, a).cycles``.
-    Memoized per (shape, a).
+    Memoized per (shape, a) until ``cumulants.clear_caches()``.
     """
-    key = (shape.p, shape.q, a)
-    cached = _kreweras_ids_cache.get(key)
-    if cached is None:
-        if a.size != shape.total:
-            raise ValueError(f"size {a.size} does not match shape {shape}")
-        k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(shape.p, shape.q))
-        cached = _kreweras_ids_cache[key] = tuple(_cycle_labels0(k0)[0])
-    return cached
+    if a.size != shape.total:
+        raise ValueError(f"size {a.size} does not match shape {shape}")
+    return _complement_labels(shape.p, shape.q, a)
+
+
+@lru_cache(maxsize=None)
+def _complement_labels(p: int, q: int, a: Permutation) -> tuple[int, ...]:
+    k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(p, q))
+    return tuple(_cycle_labels0(k0)[0])
 
 
 def main_summand_filter(
@@ -503,15 +501,44 @@ def pp_product(
 
 
 def pp_leq(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
-    """Order by existence of a completing factor.
+    """Order by existence of a completing factor: a <= b when a c = b.
 
-    Only the canonical witness (0_w, w) with w = a.perm^-1 b.perm needs
-    testing: any defined product forcing ``b`` uses exactly that factor.
+    The factor's permutation is forced, w = a.perm^-1 b.perm; its
+    partition W coarsens the cycles of w inside the blocks of ``b``, and
+    length additivity fixes how many blocks W has.  The zero witness
+    (0_w, w) is tried first; inside the annular family it is the only one
+    (``check_order_structure``), outside it coarser witnesses are searched.
     """
     if a.size != b.size:
         raise ValueError("size mismatch in partitioned permutation comparison")
     w = a.perm.inverse() * b.perm
-    return pp_product(a, PartitionedPermutation.disc(w)) == b
+    if pp_product(a, PartitionedPermutation.disc(w)) == b:
+        return True
+    # |a| + 2|W| - |w| = |b|, and each merge of two cycles of w adds 1 to |W|.
+    merges, odd = divmod(b.length - a.length - w.metric_length, 2)
+    if odd or merges <= 0:
+        return False
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in w.cycles:
+        groups.setdefault(b.partition.block_index(cycle[0]), []).append(cycle)
+    for choice in itertools.product(*map(_set_partitions, groups.values())):
+        blocks = [sum(group, ()) for parts in choice for group in parts]
+        if len(blocks) == w.cycle_count - merges:
+            if pp_product(a, PartitionedPermutation(SetPartition(a.size, blocks), w)) == b:
+                return True
+    return False
+
+
+def _set_partitions(items):
+    """Every partition of the sequence ``items`` into groups, each a tuple."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [(first,) + part[i]] + part[i + 1 :]
+        yield [(first,)] + part
 
 
 # -- serialization -----------------------------------------------------

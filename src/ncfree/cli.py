@@ -53,7 +53,6 @@ class RunConfig:
 
     max_total: int
     parallelism: int = 1
-    output_format: str = "json"
 
     def __post_init__(self) -> None:
         if self.parallelism < 1:

@@ -38,21 +38,29 @@ The product formulas: for grouped arguments A_i = a_{n_1+...+n_{i-1}+1}
 
 Both are verified against the direct recursions on the grouped words by
 the test suite; neither is assumed.
+
+Each recursion is an ``lru_cache`` on a private function keyed by the
+model and the argument words; the public functions check and normalise
+their arguments once, the private ones call each other directly.
+``clear_caches()`` empties these memos and the complement labels behind
+``annular.kreweras_cycle_ids`` (``memo_info()`` shows them), not the
+enumerations.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
+    _complement_labels,
     count_snc_pairings,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
+    is_nc_disc,
     kreweras_cycle_ids,
     tau_of,
 )
@@ -62,9 +70,8 @@ from .spaces import (
     MomentOracle,
     Scalar,
     Word,
+    _monomial,
     a_word,
-    alpha2_symbol,
-    alpha_symbol,
     catalan,
     concat_words,
     formal_moment_space,
@@ -75,8 +82,8 @@ from .spaces import (
 )
 
 __all__ = [
-    "CumulantCache",
     "clear_caches",
+    "memo_info",
     "kappa_n",
     "kappa_pi",
     "kappa_pq",
@@ -101,32 +108,6 @@ __all__ = [
 Args = tuple[Word, ...]
 
 
-@dataclass
-class CumulantCache:
-    """Memo tables for one model, keyed by literal argument words."""
-
-    first: dict[Args, Scalar] = field(default_factory=dict)
-    second: dict[tuple[Args, Args], Scalar] = field(default_factory=dict)
-    elements: dict[tuple[Args, PartitionedPermutation], Scalar] = field(
-        default_factory=dict
-    )
-
-
-_caches: dict[str, CumulantCache] = {}
-
-
-def _cache(model: MomentOracle) -> CumulantCache:
-    cache = _caches.get(model.name)
-    if cache is None:
-        cache = _caches[model.name] = CumulantCache()
-    return cache
-
-
-def clear_caches() -> None:
-    """Drop all memoized cumulant values (the enumerations stay)."""
-    _caches.clear()
-
-
 def _norm_args(args) -> Args:
     out = tuple(tuple(w) for w in args)
     if not out or any(not w for w in out):
@@ -138,37 +119,77 @@ def _sub_args(args: Args, cycle: tuple[int, ...]) -> Args:
     return tuple(args[i - 1] for i in cycle)
 
 
-def kappa_n(model: MomentOracle, args) -> Scalar:
-    """The free cumulant of the argument list, by the disc recursion."""
-    args = _norm_args(args)
-    cache = _cache(model).first
-    value = cache.get(args)
-    if value is None:
-        n = len(args)
-        if n == 1:
-            value = model.phi(args[0])
-        else:
-            parts = [
-                _kappa_cycles(model, args, pi.cycles)
-                for pi in enumerate_nc(n)
-                if pi.metric_length != n - 1  # skip the solved-for full cycle
-            ]
-            value = model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
-        cache[args] = value
-    return value
+@lru_cache(maxsize=None)
+def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
+    n = len(args)
+    if n == 1:
+        return model.phi(args[0])
+    parts = [
+        _kappa_cycles(model, args, pi.cycles)
+        for pi in enumerate_nc(n)
+        if pi.metric_length != n - 1  # skip the solved-for full cycle
+    ]
+    return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
 
 
 def _kappa_cycles(model: MomentOracle, args: Args, cycles) -> Scalar:
     out: Scalar = 1
     for cycle in cycles:
-        out = out * kappa_n(model, _sub_args(args, cycle))
+        out = out * _kappa_n(model, _sub_args(args, cycle))
     return out
+
+
+@lru_cache(maxsize=None)
+def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
+    shape = AnnulusShape(len(args1), len(args2))
+    gamma = shape.gamma()
+    allargs = args1 + args2
+    parts = [
+        _kappa_vp(model, allargs, vp)
+        for vp in enumerate_psnc(shape)
+        if vp.perm != gamma or vp.partition.block_count != 1  # skip the top
+    ]
+    return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
+
+
+@lru_cache(maxsize=None)
+def _kappa_vp(model: MomentOracle, args: Args, vp: PartitionedPermutation) -> Scalar:
+    value: Scalar = 1
+    for group in vp.block_cycles():
+        if len(group) == 1:
+            value = value * _kappa_n(model, _sub_args(args, group[0]))
+        elif len(group) == 2:
+            first, second = group  # ordered by minimum
+            value = value * _kappa_pq(model, _sub_args(args, first), _sub_args(args, second))
+        else:
+            raise ValueError("a block may hold at most two cycles")
+    return value
+
+
+_MEMOS = dict(
+    kappa_n=_kappa_n, kappa_pq=_kappa_pq, kappa_vp=_kappa_vp, complement_labels=_complement_labels
+)
+
+
+def clear_caches() -> None:
+    """Empty the cumulant memos and the complement labels; the
+    enumerations (one tuple per size or shape) stay."""
+    for memo in _MEMOS.values():
+        memo.cache_clear()
+
+
+def memo_info() -> dict[str, dict[str, int]]:
+    """Hits, misses and size of each memo that ``clear_caches`` empties."""
+    return {name: memo.cache_info()._asdict() for name, memo in _MEMOS.items()}
+
+
+def kappa_n(model: MomentOracle, args) -> Scalar:
+    """The free cumulant of the argument list, by the disc recursion."""
+    return _kappa_n(model, _norm_args(args))
 
 
 def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
     """Product of cumulants over the cycles of a disc non-crossing pi."""
-    from .annular import is_nc_disc
-
     args = _norm_args(args)
     if pi.size != len(args):
         raise ValueError("permutation size does not match argument count")
@@ -179,26 +200,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
     """The second order cumulant, by the annular recursion."""
-    args1 = _norm_args(args1)
-    args2 = _norm_args(args2)
-    cache = _cache(model).second
-    key = (args1, args2)
-    value = cache.get(key)
-    if value is None:
-        p, q = len(args1), len(args2)
-        shape = AnnulusShape(p, q)
-        gamma = shape.gamma()
-        allargs = args1 + args2
-        parts = []
-        for vp in enumerate_psnc(shape):
-            if vp.perm == gamma and vp.partition.block_count == 1:
-                continue  # the solved-for top element
-            parts.append(kappa_vp(model, allargs, vp))
-        value = model.phi2(
-            concat_words(args1), concat_words(args2)
-        ) - CumulantPolynomial.sum(parts)
-        cache[key] = value
-    return value
+    return _kappa_pq(model, _norm_args(args1), _norm_args(args2))
 
 
 def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
@@ -212,23 +214,7 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
     args = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
-    cache = _cache(model).elements
-    key = (args, vp)
-    value = cache.get(key)
-    if value is None:
-        value = 1
-        for group in vp.block_cycles():
-            if len(group) == 1:
-                value = value * kappa_n(model, _sub_args(args, group[0]))
-            elif len(group) == 2:
-                first, second = group  # ordered by minimum
-                value = value * kappa_pq(
-                    model, _sub_args(args, first), _sub_args(args, second)
-                )
-            else:
-                raise ValueError("a block may hold at most two cycles")
-        cache[key] = value
-    return value
+    return _kappa_vp(model, args, vp)
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----
@@ -249,7 +235,7 @@ def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     allargs = args1 + args2
     shape = AnnulusShape(len(args1), len(args2))
     return CumulantPolynomial.sum(
-        kappa_vp(model, allargs, vp) for vp in enumerate_psnc(shape)
+        _kappa_vp(model, allargs, vp) for vp in enumerate_psnc(shape)
     )
 
 
@@ -310,6 +296,8 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
     for vp in enumerate_psnc(shape):
         ids = kreweras_cycle_ids(shape, vp.perm)
         if _separated(ids, points):
+            # The public kappa_vp: the traced benchmark run (perfbench)
+            # counts the summands that pass the filter by its calls.
             parts.append(kappa_vp(model, args, vp))
     return CumulantPolynomial.sum(parts)
 
@@ -342,8 +330,6 @@ def symbolic_phi2_expansion(p: int, q: int) -> CumulantPolynomial:
     One monomial per annular partitioned permutation: kappa over every
     single-cycle block and kappa_{s,t} over the glued block.
     """
-    from .spaces import _monomial
-
     acc: dict[tuple[str, ...], int] = {}
     for vp in enumerate_psnc(AnnulusShape(p, q)):
         symbols = []

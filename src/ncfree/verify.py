@@ -27,6 +27,7 @@ from .annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
+    _set_partitions,
     count_snc_pairings,
     enumerate_nc,
     enumerate_psnc,
@@ -339,25 +340,20 @@ def check_order_refinement(max_total: int = 6):
     """
     max_total = min(max_total, 7)
     cases, fail = 0, None
-    targets: list[tuple[int, tuple[int, ...]]] = []
     for n in range(1, max_total + 1):
-        for sig in enumerate_nc(n):
-            targets.append((n, tuple(x - 1 for x in sig.image)))
-    for n in range(2, max_total + 1):
+        perms, below = _sn_below(n)
+        index = {p0: i for i, p0 in enumerate(perms)}
+        targets = list(enumerate_nc(n))
         for p in range(1, n):
-            for sig in enumerate_snc(AnnulusShape(p, n - p)):
-                targets.append((n, tuple(x - 1 for x in sig.image)))
-    for n, s0 in targets:
-        ls = n - _cycle_count0(s0)
-        metric = set()
-        for p0 in itertools.permutations(range(n)):
-            if n - _cycle_count0(p0) + n - _cycle_count0(_compose0(_inverse0(p0), s0)) == ls:
-                metric.add(p0)
-        structural = _below_images0(s0)
-        cases += len(metric)
-        if metric != structural and fail is None:
-            off = (metric ^ structural).pop()
-            fail = f"below {_perm1(s0)!r}: {_perm1(off)!r} is in one description only"
+            targets.extend(enumerate_snc(AnnulusShape(p, n - p)))
+        for sig in targets:
+            s0 = tuple(x - 1 for x in sig.image)
+            metric = {perms[i] for i in _bits(below[index[s0]])}
+            structural = _below_images0(s0)
+            cases += len(metric)
+            if metric != structural and fail is None:
+                off = (metric ^ structural).pop()
+                fail = f"below {sig!r}: {_perm1(off)!r} is in one description only"
     return cases, fail
 
 
@@ -861,18 +857,6 @@ def check_order_structure(max_total: int = 6):
                         if problem is not None and fail is None:
                             fail = f"shape {shape}, a={a_el!r}, b={b_el!r}: {problem}"
     return cases, fail
-
-
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [(first,) + tuple(part[i])] + part[i + 1 :]
-        yield [(first,)] + part
 
 
 # -- model suites ------------------------------------------------------

@@ -1,5 +1,8 @@
 """Annular families, partitioned permutations, and inflation."""
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -201,6 +204,53 @@ class TestProductAndOrder:
             for b in elements:
                 if a.kind == "tunnel" and b.kind == "disc":
                     assert not pp_leq(a, b)
+
+    def test_order_needs_coarser_witnesses_outside_the_family(self):
+        e = Permutation.identity(2)
+        a = PartitionedPermutation(SetPartition.singletons(2), e)
+        b = PartitionedPermutation(SetPartition.full(2), e)
+        assert pp_product(a, b) == b
+        assert pp_leq(a, b)
+        assert not pp_leq(b, a)
+
+    def test_order_matches_a_witness_search_through_n3(self):
+        for n in (1, 2, 3):
+            elements = _all_elements(n)
+            for a in elements:
+                for b in elements:
+                    assert pp_leq(a, b) == _brute_leq(a, b), (a, b)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.sampled_from(_all_elements(n))] * 3)))
+    def test_order_matches_a_witness_search(self, triple):
+        a, b, c = triple
+        assert pp_leq(a, b) == _brute_leq(a, b)
+        prod = pp_product(a, c)
+        if prod is not None:
+            assert pp_leq(a, prod)
+
+
+def _set_partitions_of(n):
+    """Every set partition of [n], from restricted growth strings."""
+    for rgs in itertools.product(range(n), repeat=n):
+        if all(rgs[i] <= max(rgs[:i], default=-1) + 1 for i in range(n)):
+            yield SetPartition(n, [[i + 1 for i in range(n) if rgs[i] == k] for k in range(max(rgs) + 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _all_elements(n):
+    """Every partitioned permutation of [n]: each cycle inside a block."""
+    out = []
+    for image in itertools.permutations(range(1, n + 1)):
+        perm = Permutation(image)
+        for part in _set_partitions_of(n):
+            if all(any(set(c) <= set(b) for b in part.blocks) for c in perm.cycles):
+                out.append(PartitionedPermutation(part, perm))
+    return tuple(out)
+
+
+def _brute_leq(a, b):
+    """a <= b by trying every partitioned permutation as the factor."""
+    return any(pp_product(a, c) == b for c in _all_elements(a.size))
 
 
 class TestMainSummandFilter:

@@ -14,6 +14,7 @@ from ncfree.cumulants import (
     kappa_vp,
     ks_product_cumulant,
     main_product_cumulant,
+    memo_info,
     mobius_annulus,
     mobius_full_cycle,
     mobius_recurrence_residual,
@@ -262,6 +263,25 @@ class TestModelEvaluations:
         before = kappa_n(sc, letters(x_word(4)))
         clear_caches()
         assert kappa_n(sc, letters(x_word(4))) == before
+
+    def test_clear_caches_empties_every_memo(self):
+        # The complement labels used by the product formula are emptied too.
+        clear_caches()
+        main_product_cumulant(formal_moment_space(), a_word(4), Composition((1, 1, 2), split=2))
+        info = memo_info()
+        assert set(info) == {"kappa_n", "kappa_pq", "kappa_vp", "complement_labels"}
+        assert all(memo["misses"] > 0 for memo in info.values()), info
+        clear_caches()
+        assert all(memo["currsize"] == 0 for memo in memo_info().values())
+
+    def test_entry_points_still_validate(self):
+        sc = semicircular_space()
+        with pytest.raises(ValueError):
+            kappa_n(sc, ())
+        with pytest.raises(ValueError):
+            kappa_pq(sc, letters(x_word(2)), ((),))
+        with pytest.raises(ValueError):
+            kappa_vp(sc, letters(x_word(2)), PartitionedPermutation.disc(Permutation.identity(3)))
 
 
 def _compositions(n):
