@@ -18,16 +18,18 @@ for pi annular non-crossing, together with the "tunnel" elements where pi
 is a pair of disc non-crossing permutations, one per circle, and exactly
 one block of V glues one cycle from each circle.
 
-Enumeration is by brute-force filtering of S_{p+q} with the geodesic
-test above (a deliberate choice: the filters are the definitions, so the
-enumerators cannot drift from them), memoized per size/shape, in
-lexicographic order on one-line images.  The default bound keeps
-p + q <= 10.  Each memo is an ``lru_cache`` on a private function behind
-a public one that checks the arguments; ``cumulants.clear_caches()``
-empties the complement labels, never the families.  The filter, like the
-complement-separation test of the product formula, runs on the 0-based
-kernels of ``perm``: ``_is_nc0`` for membership, ``_cycle_labels0`` and
-``_separated`` for separation.
+Enumeration generates the families instead of filtering S_{p+q}: the
+disc family by recursion on the cycle of the first point, the annular
+family as the circle-rotation conjugates of the disc members with a
+through cycle.  Both work on 0-based image tuples, wrap only the results
+in ``Permutation``, and return them in lexicographic order on one-line
+images; the tests compare them against the S_n filter ``perm._is_nc0``
+and the Mingo-Nica counts.  Each family is memoized per size/shape.  The
+default bound keeps p + q <= 12.  Each memo is an ``lru_cache`` on a
+private function behind a public one that checks the arguments;
+``cumulants.clear_caches()`` empties the complement labels, never the
+families.  The complement-separation test of the product formula runs
+on the 0-based kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .perm import (
@@ -45,8 +48,8 @@ from .perm import (
     _cycle_labels0,
     _gamma0,
     _inverse0,
-    _is_nc0,
     _points_in,
+    _scan_cycles0,
     _separated,
     full_cycle,
     orbit_partition,
@@ -76,10 +79,12 @@ __all__ = [
     "element_record",
 ]
 
-# Enumerators refuse sizes above this unless the caller raises the bound
-# explicitly.  S_10 is the largest symmetric group the brute filter
-# sweeps in acceptable time.
-ENUMERATION_BOUND = 10
+# Enumerators, and the CLI by default, refuse sizes above this unless the
+# caller raises it explicitly.  Every family of total 12 finishes: on a
+# 2-CPU Xeon VM under Python 3.11 the largest, psnc of the (6,6) shape,
+# takes about 60 s and 1.9 GB peak RSS (snc alone 18 s and 0.4 GB), and
+# 90 s and 2.7 GB as ``ncfree enumerate``.
+ENUMERATION_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -210,22 +215,55 @@ def _check_bound(total: int, bound: int | None) -> None:
         raise ValueError("enumeration needs a positive size")
 
 
+def _nc_images0(n: int) -> list[tuple[int, ...]]:
+    """0-based images of the disc non-crossing permutations of [n], sorted.
+
+    Recursion on the cycle of the first point: either 0 is fixed, or its
+    next point is some j, the points 1..j-1 in between form an independent
+    disc non-crossing permutation, and 0 joins the cycle of j in a disc
+    non-crossing permutation of j..n-1, ahead of j.  Every smaller size is
+    built once, in one table.  The loops visit (image of 0, the part on
+    1..j-1, the part on j..n-1) in increasing order, and the shifts and
+    the redirection of j's predecessor to 0 keep sorted parts sorted, so
+    each size comes out in lexicographic order without a sort.
+    """
+    table = [[()]]
+    for m in range(1, n + 1):
+        out = [(0,) + tuple(v + 1 for v in img) for img in table[m - 1]]
+        for j in range(1, m):
+            inners = [tuple(v + 1 for v in img) for img in table[j - 1]]
+            rests = []
+            for img in table[m - j]:
+                rest = [v + j for v in img]
+                rest[img.index(0)] = 0  # the point that led back to j now leads to 0
+                rests.append(tuple(rest))
+            out.extend((j,) + inner + rest for inner in inners for rest in rests)
+        table.append(out)
+    return table[n]
+
+
 @lru_cache(maxsize=None)
 def _nc(n: int) -> tuple[Permutation, ...]:
-    return tuple(
-        Permutation(v + 1 for v in img0)
-        for img0 in itertools.permutations(range(n))
-        if _is_nc0(img0, n)
-    )
+    return tuple(Permutation(v + 1 for v in img0) for img0 in _nc_images0(n))
 
 
 @lru_cache(maxsize=None)
 def _snc(p: int, q: int) -> tuple[Permutation, ...]:
-    return tuple(
-        Permutation(v + 1 for v in img0)
-        for img0 in itertools.permutations(range(p + q))
-        if _is_nc0(img0, p)
-    )
+    # A permutation with a through cycle is annular non-crossing exactly
+    # when some pair of circle rotations conjugates it to a disc
+    # non-crossing one (``verify.check_snc_rotation``), so the family is
+    # the set of rotation conjugates of the disc members with a through cycle.
+    n = p + q
+    discs = [img for img in _nc_images0(n) if _scan_cycles0(img, p)[1]]
+    found: set[tuple[int, ...]] = set()
+    for a in range(p):
+        for b in range(q):
+            rot = tuple((x + a) % p for x in range(p)) + tuple(p + (x + b) % q for x in range(q))
+            before = itemgetter(*_inverse0(rot))
+            after = tuple(v + 1 for v in rot)
+            # (rot pi rot^-1)(y) = rot(pi(rot^-1(y))), written 1-based
+            found.update(itemgetter(*before(img))(after) for img in discs)
+    return tuple(map(Permutation, sorted(found)))
 
 
 def enumerate_nc(n: int, bound: int | None = None) -> tuple[Permutation, ...]:

@@ -7,8 +7,9 @@ check suites; exit code 0 exactly when every check passes), and ``draw``
 (SVG annular diagrams).
 
 Every command is deterministic: identical invocations produce byte
-identical output.  Sizes are validated against a hard ceiling, 12 by
-default, overridable through the NCFREE_MAX_TOTAL environment variable.
+identical output.  Sizes are validated against a hard ceiling, by default
+the library's ``ENUMERATION_BOUND`` (12), overridable through the
+NCFREE_MAX_TOTAL environment variable.
 """
 
 from __future__ import annotations
@@ -20,24 +21,23 @@ from dataclasses import dataclass
 import click
 
 from .annular import (
+    ENUMERATION_BOUND,
     AnnulusShape,
     element_record,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
 )
-from .cumulants import snc_count, symbolic_kappa_pq, symbolic_phi2_expansion
+from .cumulants import snc_closed_form, symbolic_kappa_pq, symbolic_phi2_expansion
 from .draw import render_svg
 from .perm import Permutation, SetPartition
 from .verify import run_suite, suite_names
-
-_DEFAULT_CEILING = 12
 
 
 def _ceiling() -> int:
     raw = os.environ.get("NCFREE_MAX_TOTAL")
     if raw is None:
-        return _DEFAULT_CEILING
+        return ENUMERATION_BOUND
     try:
         value = int(raw)
     except ValueError:
@@ -77,6 +77,10 @@ def main() -> None:
     """
 
 
+def _perm_record(a: Permutation) -> dict:
+    return {"perm": a.cycle_string()}
+
+
 @main.command("enumerate")
 @click.argument("kind", type=click.Choice(["nc", "snc", "psnc"]))
 @click.argument("sizes", nargs=-1, type=int)
@@ -93,16 +97,16 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
         raise click.ClickException("sizes must be at least 1")
     cfg = RunConfig(max_total=sum(sizes))
     if kind == "nc":
-        records = [{"perm": a.cycle_string()} for a in enumerate_nc(sizes[0], bound=cfg.max_total)]
+        family, record = enumerate_nc(sizes[0], bound=cfg.max_total), _perm_record
     elif kind == "snc":
         shape = AnnulusShape(sizes[0], sizes[1])
-        records = [{"perm": a.cycle_string()} for a in enumerate_snc(shape, bound=cfg.max_total)]
+        family, record = enumerate_snc(shape, bound=cfg.max_total), _perm_record
     else:
         shape = AnnulusShape(sizes[0], sizes[1])
-        records = [element_record(vp) for vp in enumerate_psnc(shape, bound=cfg.max_total)]
-    for record in records:
-        click.echo(json.dumps(record, separators=(", ", ": ")))
-    click.echo(json.dumps({"count": len(records)}, separators=(", ", ": ")))
+        family, record = enumerate_psnc(shape, bound=cfg.max_total), element_record
+    lines = [json.dumps(record(x), separators=(", ", ": ")) for x in family]
+    lines.append(json.dumps({"count": len(family)}, separators=(", ", ": ")))
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -113,7 +117,7 @@ def counts(max_total: int) -> None:
     click.echo("p,q,count")
     for total in range(2, cfg.max_total + 1):
         for p in range(1, total):
-            click.echo(f"{p},{total - p},{snc_count(p, total - p)}")
+            click.echo(f"{p},{total - p},{snc_closed_form(p, total - p)}")
 
 
 @main.command()

@@ -50,6 +50,7 @@ enumerations.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .annular import (
     AnnulusShape,
@@ -97,6 +98,7 @@ __all__ = [
     "symbolic_phi2_expansion",
     "symbolic_kappa_pq",
     "snc_count",
+    "snc_closed_form",
     "catalan",
     "mobius_full_cycle",
     "mobius_annulus",
@@ -353,8 +355,19 @@ def symbolic_kappa_pq(p: int, q: int) -> CumulantPolynomial:
 
 
 def snc_count(p: int, q: int) -> int:
-    """Number of annular non-crossing permutations of the (p, q) shape."""
+    """Number of annular non-crossing permutations of the (p, q) shape,
+    counted by enumeration."""
     return len(enumerate_snc(AnnulusShape(p, q)))
+
+
+def snc_closed_form(p: int, q: int) -> int:
+    """Mingo and Nica's |S_NC(p, q)| = 2pq/(p+q) C(2p-1, p) C(2q-1, q).
+
+    Needs no enumeration, so it answers for any shape; ``snc_count``
+    counts the enumerated family instead.
+    """
+    shape = AnnulusShape(p, q)
+    return 2 * p * q * comb(2 * p - 1, p) * comb(2 * q - 1, q) // shape.total
 
 
 def mobius_full_cycle(n: int) -> int:

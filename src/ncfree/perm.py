@@ -388,17 +388,17 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # -- raw 0-based kernels -----------------------------------------------
 #
 # The enumerators and the exhaustive sweeps work on plain 0-based image
-# tuples and only wrap survivors in Permutation.  One kernel per job; each
+# tuples and only wrap results in Permutation.  One kernel per job; each
 # line gives the contract, then the callers (V = the verify sweeps):
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, count_snc_pairings, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers, V
-# _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, V
+# _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, enumerate_snc, V
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join, V
 # _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
 # _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
-# _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); enumerate_*, V
+# _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V, the tests
 # _inverse0, _compose0     inverse; composition, right factor first; everywhere
 # _restrict0(img, pts0)    first-return map on pts0, relabelled by position in pts0; V
 #

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncfree.annular import (
+    ENUMERATION_BOUND,
     AnnulusShape,
     Composition,
     PartitionedPermutation,
@@ -26,7 +27,8 @@ from ncfree.annular import (
     pp_product,
     tau_of,
 )
-from ncfree.perm import Permutation, SetPartition, compose, full_cycle
+from ncfree.cumulants import snc_closed_form
+from ncfree.perm import Permutation, SetPartition, _is_nc0, compose, full_cycle
 from ncfree.spaces import catalan
 
 
@@ -35,6 +37,16 @@ def annular_count(p, q):
     from math import comb
 
     return 2 * p * q * comb(2 * p - 1, p - 1) * comb(2 * q - 1, q - 1) // (p + q)
+
+
+def filtered(n, p):
+    """The S_n filter the generators replaced: every permutation of [n]
+    that ``_is_nc0`` accepts (disc when p == n), in lexicographic order."""
+    return tuple(
+        Permutation(v + 1 for v in img0)
+        for img0 in itertools.permutations(range(n))
+        if _is_nc0(img0, p)
+    )
 
 
 class TestShapesAndCompositions:
@@ -76,8 +88,12 @@ class TestShapesAndCompositions:
 
 class TestDiscFamily:
     def test_counts_are_catalan(self):
-        for n in range(1, 8):
+        for n in range(1, 13):
             assert len(enumerate_nc(n)) == catalan(n)
+
+    def test_generator_matches_the_filter(self):
+        for n in range(1, 9):
+            assert enumerate_nc(n) == filtered(n, n), n
 
     def test_membership(self):
         assert is_nc_disc(full_cycle(4))
@@ -91,16 +107,22 @@ class TestDiscFamily:
 
     def test_bound_guard(self):
         with pytest.raises(ValueError):
-            enumerate_nc(11)
+            enumerate_nc(ENUMERATION_BOUND + 1)
         with pytest.raises(ValueError):
             enumerate_nc(6, bound=5)
 
 
 class TestAnnularFamily:
     def test_known_counts(self):
-        for p in range(1, 4):
-            for q in range(1, 4):
-                assert len(enumerate_snc(AnnulusShape(p, q))) == annular_count(p, q)
+        for total in range(2, 10):
+            for p in range(1, total):
+                count = len(enumerate_snc(AnnulusShape(p, total - p)))
+                assert count == annular_count(p, total - p) == snc_closed_form(p, total - p)
+
+    def test_generator_matches_the_filter(self):
+        for total in range(2, 9):
+            for p in range(1, total):
+                assert enumerate_snc(AnnulusShape(p, total - p)) == filtered(total, p), p
 
     def test_members_need_a_through_cycle(self):
         # gamma itself stays on its own circles, so it is not annular.
@@ -165,6 +187,17 @@ class TestPartitionedPermutations:
         )
         groups = vp.block_cycles()
         assert ((1,), (3,)) in groups and ((2,),) in groups
+
+    def test_discs_in_snc_order_then_tunnels(self):
+        for shape in (AnnulusShape(2, 1), AnnulusShape(2, 3), AnnulusShape(4, 3)):
+            family = enumerate_psnc(shape)
+            snc = enumerate_snc(shape)
+            discs, tunnels = family[: len(snc)], family[len(snc) :]
+            assert tuple(vp.perm for vp in discs) == snc
+            assert all(vp.kind == "disc" for vp in discs)
+            assert tunnels and all(vp.kind == "tunnel" for vp in tunnels)
+            perms = [vp.perm for vp in tunnels]
+            assert perms == sorted(perms)
 
     def test_family_sizes(self):
         assert len(enumerate_psnc(AnnulusShape(1, 1))) == 2

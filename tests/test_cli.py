@@ -1,6 +1,7 @@
 """Command line interface: every subcommand plus the size ceiling."""
 
 import json
+from math import comb
 
 from click.testing import CliRunner
 
@@ -70,6 +71,19 @@ class TestCounts:
             "2,2,18",
             "3,1,15",
         ]
+
+    def test_closed_form_rows_up_to_the_ceiling(self):
+        # Used to fail above total 10: the counts came from enumeration.
+        res = run("counts", "--max-total", "12")
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        assert len(lines) == 67 and lines[0] == "p,q,count"
+        want = [
+            f"{p},{t - p},{2 * p * (t - p) * comb(2 * p - 1, p) * comb(2 * (t - p) - 1, t - p) // t}"
+            for t in range(2, 13)
+            for p in range(1, t)
+        ]
+        assert lines[1:] == want
 
 
 class TestTable:
