@@ -7,16 +7,17 @@ check suites; exit code 0 exactly when every check passes), and ``draw``
 (SVG annular diagrams).
 
 Every command is deterministic: identical invocations produce byte
-identical output.  Sizes are validated against a hard ceiling, by default
-the library's ``ENUMERATION_BOUND`` (12), overridable through the
-NCFREE_MAX_TOTAL environment variable.
+identical output.  The sizes of ``enumerate``, ``counts``, ``table`` and
+``verify`` are validated against a hard ceiling, by default the
+library's ``ENUMERATION_BOUND`` (12), overridable through the
+NCFREE_MAX_TOTAL environment variable; ``draw`` enumerates nothing and
+has no ceiling.  Run as ``ncfree`` or ``python -m ncfree.cli``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import click
 
@@ -47,24 +48,15 @@ def _ceiling() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bounds and plumbing shared by the commands."""
-
-    max_total: int
-    parallelism: int = 1
-
-    def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise click.ClickException("--jobs must be at least 1")
-        ceiling = _ceiling()
-        if self.max_total > ceiling:
-            raise click.ClickException(
-                f"requested size {self.max_total} exceeds the ceiling {ceiling} "
-                f"(override with NCFREE_MAX_TOTAL)"
-            )
-        if self.max_total < 1:
-            raise click.ClickException("sizes must be at least 1")
+def _check_total(total: int) -> None:
+    ceiling = _ceiling()
+    if total > ceiling:
+        raise click.ClickException(
+            f"requested size {total} exceeds the ceiling {ceiling} "
+            f"(override with NCFREE_MAX_TOTAL)"
+        )
+    if total < 1:
+        raise click.ClickException("sizes must be at least 1")
 
 
 @click.group()
@@ -95,15 +87,16 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
         raise click.ClickException(f"{kind} takes exactly {want} size argument(s)")
     if any(s < 1 for s in sizes):
         raise click.ClickException("sizes must be at least 1")
-    cfg = RunConfig(max_total=sum(sizes))
+    total = sum(sizes)
+    _check_total(total)
     if kind == "nc":
-        family, record = enumerate_nc(sizes[0], bound=cfg.max_total), _perm_record
+        family, record = enumerate_nc(sizes[0], bound=total), _perm_record
     elif kind == "snc":
         shape = AnnulusShape(sizes[0], sizes[1])
-        family, record = enumerate_snc(shape, bound=cfg.max_total), _perm_record
+        family, record = enumerate_snc(shape, bound=total), _perm_record
     else:
         shape = AnnulusShape(sizes[0], sizes[1])
-        family, record = enumerate_psnc(shape, bound=cfg.max_total), element_record
+        family, record = enumerate_psnc(shape, bound=total), element_record
     lines = [json.dumps(record(x), separators=(", ", ": ")) for x in family]
     lines.append(json.dumps({"count": len(family)}, separators=(", ", ": ")))
     click.echo("\n".join(lines))
@@ -113,9 +106,9 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
 @click.option("--max-total", "max_total", type=int, required=True, help="largest p+q to tabulate")
 def counts(max_total: int) -> None:
     """CSV of annular family sizes: header p,q,count then one row per shape."""
-    cfg = RunConfig(max_total=max_total)
+    _check_total(max_total)
     click.echo("p,q,count")
-    for total in range(2, cfg.max_total + 1):
+    for total in range(2, max_total + 1):
         for p in range(1, total):
             click.echo(f"{p},{total - p},{snc_closed_form(p, total - p)}")
 
@@ -141,7 +134,7 @@ def table(max_p: int, max_q: int, direction: str, fmt: str) -> None:
     """Symbolic second order tables for all shapes p <= q within the limits."""
     if max_p < 1 or max_q < 1:
         raise click.ClickException("sizes must be at least 1")
-    RunConfig(max_total=max_p + max_q)
+    _check_total(max_p + max_q)
     for p in range(1, max_p + 1):
         for q in range(p, max_q + 1):
             poly = (
@@ -183,7 +176,9 @@ def verify(ctx: click.Context, suite: str, max_total: int | None, jobs: int, fmt
     Exit code is 0 exactly when every check passes; failures carry the
     first counterexample found.
     """
-    RunConfig(max_total=max_total if max_total is not None else 1, parallelism=jobs)
+    if jobs < 1:
+        raise click.ClickException("--jobs must be at least 1")
+    _check_total(max_total if max_total is not None else 1)
     results = run_suite(suite, max_total, jobs)
     if fmt == "text":
         for res in results:
@@ -210,7 +205,6 @@ def draw(perm: str, shape: tuple[int, int], partition_json: str | None, out: str
     p, q = shape
     if p < 1 or q < 1:
         raise click.ClickException("both circle sizes must be at least 1")
-    RunConfig(max_total=p + q)
     try:
         pi = Permutation.parse(perm, size=p + q)
         partition = None
@@ -223,3 +217,7 @@ def draw(perm: str, shape: tuple[int, int], partition_json: str | None, out: str
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     click.echo(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()

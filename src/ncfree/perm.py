@@ -391,16 +391,20 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # tuples and only wrap results in Permutation.  One kernel per job; each
 # line gives the contract, then the callers (V = the verify sweeps):
 #
-# _cycle_count0(img)       number of cycles; _is_nc0, count_snc_pairings, V
+# _cycle_count0(img)       number of cycles; _is_nc0, _below0, count_snc_pairings, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers, V
 # _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, enumerate_snc, V
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
-# _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join, V
+# _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
+#                          V (separation sweeps, the order table, order structure)
 # _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
 # _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
-# _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V, the tests
+# _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
+#                          sweeps, fattening, order corollary), the tests
 # _inverse0, _compose0     inverse; composition, right factor first; everywhere
 # _restrict0(img, pts0)    first-return map on pts0, relabelled by position in pts0; V
+#                          (restriction lemmas, order corollary)
+# _below0(la, a_inv, b, lb)  la + |a^-1 b| == lb: a on a geodesic from e to b; V (metric sweeps)
 #
 # Separation callers: separates_points, count_snc_pairings, and
 # main_summand_filter and main_product_cumulant on kreweras_cycle_ids labels.
@@ -542,7 +546,7 @@ def _inverse0(image0: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _compose0(a0: tuple[int, ...], b0: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a0[x] for x in b0)
+    return tuple([a0[x] for x in b0])  # a list, not a generator: faster on short tuples
 
 
 def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...]:
@@ -556,3 +560,7 @@ def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...
             j = image0[j]
         out.append(rank[j])
     return tuple(out)
+
+
+def _below0(length_a: int, a_inv: tuple[int, ...], b: tuple[int, ...], length_b: int) -> bool:
+    return length_a + len(b) - _cycle_count0(_compose0(a_inv, b)) == length_b

@@ -424,7 +424,7 @@ class CumulantPolynomial:
             if not factors:
                 body = str(mag)
             elif mag == 1:
-                body = times.join(factors) if times != "*" else "*".join(factors)
+                body = times.join(factors)
             else:
                 body = times.join([str(mag)] + factors)
             pieces.append((coeff < 0, body))

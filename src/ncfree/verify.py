@@ -33,8 +33,6 @@ from .annular import (
     enumerate_psnc,
     enumerate_snc,
     fatten,
-    is_nc_disc,
-    is_snc,
     pp_leq,
     pp_product,
     tau_of,
@@ -50,6 +48,7 @@ from .cumulants import (
 )
 from .perm import (
     Permutation,
+    _below0,
     _compose0,
     _cycle_count0,
     _cycle_labels0,
@@ -61,8 +60,6 @@ from .perm import (
     _restrict0,
     _scan_cycles0,
     _separated,
-    compose,
-    full_cycle,
     orbit_partition,
     partition_join,
 )
@@ -127,6 +124,10 @@ def _perm1(image0) -> Permutation:
     return Permutation(i + 1 for i in image0)
 
 
+def _images0(family) -> list[tuple[int, ...]]:
+    return [tuple(x - 1 for x in a.image) for a in family]
+
+
 def _compositions(total: int) -> list[tuple[int, ...]]:
     """All compositions of ``total``, in cut-mask order."""
     out = []
@@ -167,11 +168,10 @@ def _sn_below(n: int):
     invs = [_inverse0(p) for p in perms]
     lengths = [n - _cycle_count0(p) for p in perms]
     below = []
-    for j, sigma in enumerate(perms):
+    for sigma, ls in zip(perms, lengths):
         mask = 0
-        ls = lengths[j]
-        for i in range(len(perms)):
-            if lengths[i] + n - _cycle_count0(_compose0(invs[i], sigma)) == ls:
+        for i, (li, inv) in enumerate(zip(lengths, invs)):
+            if _below0(li, inv, sigma, ls):
                 mask |= 1 << i
         below.append(mask)
     return perms, tuple(below)
@@ -210,8 +210,7 @@ def _complement_data(family, g0) -> list[tuple]:
     followed by its length."""
     n = len(g0)
     out = []
-    for a in family:
-        inv = _inverse0(tuple(x - 1 for x in a.image))
+    for inv in map(_inverse0, _images0(family)):
         right, left = _compose0(inv, g0), _compose0(g0, inv)
         lengths = [n - _cycle_count0(x) for x in (inv, right, left)]
         out.append((lengths[0], inv, right, lengths[1], left, lengths[2]))
@@ -346,14 +345,13 @@ def check_order_refinement(max_total: int = 6):
         targets = list(enumerate_nc(n))
         for p in range(1, n):
             targets.extend(enumerate_snc(AnnulusShape(p, n - p)))
-        for sig in targets:
-            s0 = tuple(x - 1 for x in sig.image)
+        for s0 in _images0(targets):
             metric = {perms[i] for i in _bits(below[index[s0]])}
             structural = _below_images0(s0)
             cases += len(metric)
             if metric != structural and fail is None:
                 off = (metric ^ structural).pop()
-                fail = f"below {sig!r}: {_perm1(off)!r} is in one description only"
+                fail = f"below {_perm1(s0)!r}: {_perm1(off)!r} is in one description only"
     return cases, fail
 
 
@@ -412,8 +410,7 @@ def check_first_sep(max_n: int = 8):
     for n in range(1, max_n + 1):
         g0 = _gamma0(n)
         prepared = [(parts, *_interval_edges(Composition(parts))) for parts in _compositions(n)]
-        for sig in enumerate_nc(n):
-            s0 = tuple(x - 1 for x in sig.image)
+        for s0 in _images0(enumerate_nc(n)):
             slab, scount = _cycle_labels0(s0)
             klab, _ = _cycle_labels0(_compose0(_inverse0(s0), g0))
             for parts, ends, edges in prepared:
@@ -422,7 +419,7 @@ def check_first_sep(max_n: int = 8):
                 rhs = _separated(klab, ends)
                 if lhs != rhs and fail is None:
                     fail = (
-                        f"n={n}, parts {parts}, sigma={sig!r}: join reaches the top "
+                        f"n={n}, parts {parts}, sigma={_perm1(s0)!r}: join reaches the top "
                         f"{lhs} but separation is {rhs}"
                     )
     return cases, fail
@@ -443,8 +440,8 @@ def check_separates(max_total: int = 8):
         for parts in _compositions(total):
             comp = Composition(parts)
             ends, edges = _interval_edges(comp)
-            for pi in enumerate_nc(len(parts)):
-                pv0 = tuple(x - 1 for x in fatten(pi, comp).image)
+            family = enumerate_nc(len(parts))
+            for pi, pv0 in zip(family, _images0(fatten(pi, comp) for pi in family)):
                 target = _cycle_labels0(pv0)[0]
                 for s0 in _below_images0(pv0):
                     cases += 1
@@ -472,8 +469,8 @@ def check_tracial_inequality(max_n: int = 6):
         for lt, tinv, _tr, _tlr, tleft, tll in data:
             for ls, sinv, sright, slr, _sl, _sll in data:
                 cases += 1
-                lhs = lt + n - _cycle_count0(_compose0(tinv, sright)) == slr
-                rhs = ls + n - _cycle_count0(_compose0(sinv, tleft)) == tll
+                lhs = _below0(lt, tinv, sright, slr)
+                rhs = _below0(ls, sinv, tleft, tll)
                 if lhs != rhs and fail is None:
                     fail = f"n={n}: one-sided complement order is not symmetric"
     return cases, fail
@@ -492,7 +489,7 @@ def check_restriction_lemma(max_total: int = 8):
     for n in range(2, max_total + 1):
         for p in range(1, n):
             q = n - p
-            snc0 = [tuple(x - 1 for x in s.image) for s in enumerate_snc(AnnulusShape(p, q))]
+            snc0 = _images0(enumerate_snc(AnnulusShape(p, q)))
             for k in range(1, n + 1):
                 for pts in itertools.combinations(range(n), k):
                     k1 = sum(pt < p for pt in pts)
@@ -537,25 +534,24 @@ def check_fattening(max_total: int = 9):
             disc = Composition(parts)
             if fatten(Permutation.identity(r), disc) != tau_of(disc) and fail is None:
                 fail = f"parts {parts}: inflating the identity is not the interval permutation"
-            # (composition, small family, small gamma, big gamma, big membership)
-            settings = [(disc, enumerate_nc(r), full_cycle(r), full_cycle(total), is_nc_disc)]
+            # (composition, small family, circle sizes before and after inflating)
+            settings = [(disc, enumerate_nc(r), (r,), (total,))]
             for split in range(1, r):
                 comp = Composition(parts, split=split)
-                small, big = AnnulusShape(split, r - split), comp.shape()
-                member = functools.partial(is_snc, shape=big)
-                settings.append((comp, enumerate_snc(small), small.gamma(), big.gamma(), member))
-            for comp, family, g_small, g_big, member in settings:
-                psi = comp.boundary_points
-                for pi in family:
-                    pv = fatten(pi, comp)
+                small = enumerate_snc(AnnulusShape(split, r - split))
+                settings.append((comp, small, (split, r - split), (comp.p, comp.q)))
+            for comp, family, small_sizes, big_sizes in settings:
+                psi0 = [x - 1 for x in comp.boundary_points]
+                g_small, g_big = _gamma0(*small_sizes), _gamma0(*big_sizes)
+                for pi0, pv0 in zip(_images0(family), _images0(fatten(pi, comp) for pi in family)):
                     cases += 1
-                    if not member(pv) and fail is None:
-                        fail = f"{comp}, pi={pi!r}: inflation left the family"
-                    z_small = compose(pi.inverse(), g_small)
-                    z_big = compose(pv.inverse(), g_big)
-                    if any(z_big(psi[k - 1]) != psi[z_small(k) - 1] for k in range(1, r + 1)):
+                    if not _is_nc0(pv0, big_sizes[0]) and fail is None:
+                        fail = f"{comp}, pi={_perm1(pi0)!r}: inflation left the family"
+                    z_small = _compose0(_inverse0(pi0), g_small)
+                    z_big = _compose0(_inverse0(pv0), g_big)
+                    if any(z_big[psi0[k]] != psi0[z_small[k]] for k in range(r)):
                         if fail is None:
-                            fail = f"{comp}, pi={pi!r}: exchange identity fails"
+                            fail = f"{comp}, pi={_perm1(pi0)!r}: exchange identity fails"
     return cases, fail
 
 
@@ -578,9 +574,9 @@ def check_annular_order(max_total: int = 7):
             data = _complement_data(snc, _gamma0(p, q))
             for j, (lj, invj, rightj, lrj, _lj, _llj) in enumerate(data):
                 for i, (li, invi, _ri, _lri, lefti, lli) in enumerate(data):
-                    if li + n - _cycle_count0(_compose0(invi, rightj)) == lrj:
+                    if _below0(li, invi, rightj, lrj):
                         cases += 1
-                        if lj + n - _cycle_count0(_compose0(invj, lefti)) != lli:
+                        if not _below0(lj, invj, lefti, lli):
                             if fail is None:
                                 fail = (
                                     f"shape ({p},{q}): pi={snc[i]!r} below the "
@@ -591,23 +587,24 @@ def check_annular_order(max_total: int = 7):
 
 
 def _tunnel_hypotheses(max_total: int):
-    """Pairs (sigma annular, pi a disc pair below sigma's complement)."""
+    """(shape, sigma, pi, gamma pi^-1), 0-based, for sigma annular
+    non-crossing and pi a disc pair below sigma's complement."""
     for n in range(2, max_total + 1):
         for p in range(1, n):
-            q = n - p
-            shape = AnnulusShape(p, q)
-            g = shape.gamma()
+            shape = AnnulusShape(p, n - p)
+            g0 = _gamma0(p, n - p)
             ncpairs = []
-            for pi1 in enumerate_nc(p):
-                for pi2 in enumerate_nc(q):
-                    img = pi1.image + tuple(x + p for x in pi2.image)
-                    ncpairs.append(Permutation(img))
-            for sigma in enumerate_snc(shape):
-                comp_perm = compose(sigma.inverse(), g)
-                la = comp_perm.metric_length
-                for pi in ncpairs:
-                    if pi.metric_length + compose(pi.inverse(), comp_perm).metric_length == la:
-                        yield shape, g, sigma, pi
+            for pi1 in _images0(enumerate_nc(p)):
+                for pi2 in _images0(enumerate_nc(n - p)):
+                    pi0 = pi1 + tuple(x + p for x in pi2)
+                    inv = _inverse0(pi0)
+                    ncpairs.append((pi0, inv, n - _cycle_count0(pi0), _compose0(g0, inv)))
+            for sigma0 in _images0(enumerate_snc(shape)):
+                right = _compose0(_inverse0(sigma0), g0)
+                lr = n - _cycle_count0(right)
+                for pi0, inv, lp, gp0 in ncpairs:
+                    if _below0(lp, inv, right, lr):
+                        yield shape, sigma0, pi0, gp0
 
 
 @_check("two-sided complement product reaches the glued element")
@@ -620,18 +617,17 @@ def check_tunnel_product(max_total: int = 6):
     """
     max_total = min(max_total, 7)
     cases, fail = 0, None
-    for shape, g, sigma, pi in _tunnel_hypotheses(max_total):
+    for shape, sigma0, pi0, gp0 in _tunnel_hypotheses(max_total):
         cases += 1
-        gp = compose(g, pi.inverse())
-        bridge = compose(sigma.inverse(), gp)
+        sigma, gp = _perm1(sigma0), _perm1(gp0)
         got = pp_product(
-            PartitionedPermutation.disc(sigma), PartitionedPermutation.disc(bridge)
+            PartitionedPermutation.disc(sigma), PartitionedPermutation.disc(sigma.inverse() * gp)
         )
         want = PartitionedPermutation(
             partition_join(orbit_partition(sigma), orbit_partition(gp)), gp
         )
         if got != want and fail is None:
-            fail = f"shape {shape}, sigma={sigma!r}, pi={pi!r}: product gave {got!r}"
+            fail = f"shape {shape}, sigma={sigma!r}, pi={_perm1(pi0)!r}: product gave {got!r}"
     return cases, fail
 
 
@@ -647,22 +643,20 @@ def check_order_corollary(max_total: int = 6):
     """
     max_total = min(max_total, 7)
     cases, fail = 0, None
-    for shape, g, sigma, pi in _tunnel_hypotheses(max_total):
+    for shape, s0, pi0, gp0 in _tunnel_hypotheses(max_total):
         cases += 1
         p = shape.p
-        n = shape.total
-        gp = compose(g, pi.inverse())
-        gp0 = tuple(x - 1 for x in gp.image)
         gcycles = _cycles0(gp0)
         lab, _ = _cycle_labels0(gp0)
-        through = [c for c in sigma.cycles if len({x <= p for x in c}) == 2]
-        local = [c for c in sigma.cycles if len({x <= p for x in c}) == 1]
+        scycles = _cycles0(s0)
+        through = [c for c in scycles if len({x < p for x in c}) == 2]
+        local = [c for c in scycles if len({x < p for x in c}) == 1]
         problem = None
         for c in local:
-            if len({lab[x - 1] for x in c}) != 1:
-                problem = f"local cycle {c} straddles complement cycles"
+            if len({lab[x] for x in c}) != 1:
+                problem = f"local cycle {tuple(x + 1 for x in c)} straddles complement cycles"
                 break
-        tlabels = sorted({lab[x - 1] for tc in through for x in tc})
+        tlabels = sorted({lab[x] for tc in through for x in tc})
         if problem is None:
             if len(tlabels) != 2:
                 problem = f"connecting cycles meet {len(tlabels)} complement cycles"
@@ -672,22 +666,21 @@ def check_order_corollary(max_total: int = 6):
                     problem = "the two met complement cycles are not one per circle"
         # By (i) and (ii) sigma maps each complement cycle into itself, so
         # restricting to one, read along the cycle, is sigma there.
-        s0 = tuple(x - 1 for x in sigma.image)
         if problem is None:
             for t, c in enumerate(gcycles):
-                if t not in tlabels and not is_nc_disc(_perm1(_restrict0(s0, c))):
-                    problem = f"enclosed cycles crossing along complement cycle {c}"
+                if t not in tlabels and not _is_nc0(_restrict0(s0, c), len(c)):
+                    c1 = tuple(x + 1 for x in c)
+                    problem = f"enclosed cycles crossing along complement cycle {c1}"
                     break
         if problem is None:
             outer = next(gcycles[t] for t in tlabels if gcycles[t][0] < p)
             inner = next(gcycles[t] for t in tlabels if gcycles[t][0] >= p)
-            tpoints = {x - 1 for tc in through for x in tc}
-            connecting = tuple(s0[x] if x in tpoints else x for x in range(n))
-            union = _perm1(_restrict0(connecting, outer + inner))
-            if not is_snc(union, AnnulusShape(len(outer), len(inner))):
+            tpoints = {x for tc in through for x in tc}
+            connecting = tuple(s0[x] if x in tpoints else x for x in range(len(s0)))
+            if not _is_nc0(_restrict0(connecting, outer + inner), len(outer)):
                 problem = "connecting cycles not annular non-crossing on the union"
         if problem is not None and fail is None:
-            fail = f"shape {shape}, sigma={sigma!r}, pi={pi!r}: {problem}"
+            fail = f"shape {shape}, sigma={_perm1(s0)!r}, pi={_perm1(pi0)!r}: {problem}"
     return cases, fail
 
 
@@ -702,23 +695,30 @@ def _psnc_raw(shape: AnnulusShape):
     """
     els = enumerate_psnc(shape)
     raw = []
-    for el in els:
-        img0 = tuple(x - 1 for x in el.perm.image)
+    for el, img0 in zip(els, _images0(el.perm for el in els)):
         pairs = [(b[0] - 1, x - 1) for b in el.partition.blocks for x in b[1:]]
         plab, _ = _join0(shape.total, pairs)
         raw.append((img0, _inverse0(img0), plab, pairs, el.length, el.kind))
     return els, raw
 
 
-def _raw_leq(a, b, n: int) -> bool:
-    """a <= b via the single forced witness, on precomputed arrays."""
-    _a_img, a_inv, _a_plab, a_pairs, a_len, _ = a
-    b_img, _b_inv, b_plab, _b_pairs, _b_len, _ = b
-    w0 = _compose0(a_inv, b_img)
-    joined, blocks = _join0(n, [*a_pairs, *enumerate(w0)])
-    if a_len + n - _cycle_count0(w0) != 2 * (n - blocks) - (n - _cycle_count0(b_img)):
-        return False
-    return joined == b_plab
+def _order_table(shape: AnnulusShape):
+    """The elements of the shape, and per element j the bitmask of the
+    elements i <= j, each decided by the single forced witness: the zero
+    witness (0_w, w) with w = pi_i^-1 pi_j."""
+    els, raw = _psnc_raw(shape)
+    n = shape.total
+    below = []
+    for b_img, _inv, b_plab, _pairs, _len, _kind in raw:
+        b_metric = n - _cycle_count0(b_img)
+        mask = 0
+        for i, (_img, a_inv, _plab, a_pairs, a_len, _kind) in enumerate(raw):
+            w0 = _compose0(a_inv, b_img)
+            joined, blocks = _join0(n, [*a_pairs, *enumerate(w0)])
+            if a_len + n - _cycle_count0(w0) == 2 * (n - blocks) - b_metric and joined == b_plab:
+                mask |= 1 << i
+        below.append(mask)
+    return els, below
 
 
 @_check("the annular order is a partial order")
@@ -734,15 +734,8 @@ def check_order_axioms(max_total: int = 6):
     for n in range(2, max_total + 1):
         for p in range(1, n):
             shape = AnnulusShape(p, n - p)
-            els, raw = _psnc_raw(shape)
+            els, below = _order_table(shape)
             m = len(els)
-            below = []
-            for j in range(m):
-                mask = 0
-                for i in range(m):
-                    if _raw_leq(raw[i], raw[j], n):
-                        mask |= 1 << i
-                below.append(mask)
             if m <= 60:
                 for j in range(m):
                     for i in range(m):
@@ -776,14 +769,11 @@ def check_order_kinds(max_total: int = 5):
     for n in range(2, max_total + 1):
         for p in range(1, n):
             shape = AnnulusShape(p, n - p)
-            els, raw = _psnc_raw(shape)
-            m = len(els)
-            for j in range(m):
-                for i in range(m):
-                    if i == j or not _raw_leq(raw[i], raw[j], n):
-                        continue
+            els, below = _order_table(shape)
+            for j, mask in enumerate(below):
+                for i in _bits(mask & ~(1 << j)):
                     cases += 1
-                    pair = (raw[i][5], raw[j][5])
+                    pair = (els[i].kind, els[j].kind)
                     if pair == ("tunnel", "disc") and fail is None:
                         fail = f"shape {shape}: glued {els[i]!r} below disc {els[j]!r}"
                     if pair in seen:
@@ -801,7 +791,7 @@ def check_order_structure(max_total: int = 6):
 
     Whenever (V, pi) (W, pi^-1 sigma) = (U, sigma) holds inside the
     family, W is the cycle partition of pi^-1 sigma, U is the join of V
-    with it (equivalently with pi and sigma, or with sigma pi^-1), and
+    with it (equivalently with sigma, or with sigma pi^-1), and
     multiplying by sigma pi^-1 on the other side reaches (U, sigma) too.
     """
     max_total = min(max_total, 6)
@@ -829,33 +819,22 @@ def check_order_structure(max_total: int = 6):
                         if key not in index:
                             continue
                         cases += 1
+                        flip0 = _compose0(s_img, a_inv)
+                        u, v1, v2 = (
+                            _join0(n, [*a_pairs, *enumerate(x)])[0] for x in (w0, s_img, flip0)
+                        )
                         problem = None
                         if len(wblocks) != len(wcycles):
                             problem = "a coarser witness partition also multiplies"
-                        b_el = els[index[key]]
-                        a_el = els[a_pos]
-                        if problem is None:
-                            u = partition_join(
-                                a_el.partition, orbit_partition(compose(a_el.perm.inverse(), b_el.perm))
-                            )
-                            v1 = partition_join(
-                                partition_join(a_el.partition, orbit_partition(a_el.perm)),
-                                orbit_partition(b_el.perm),
-                            )
-                            v2 = partition_join(
-                                a_el.partition, orbit_partition(compose(b_el.perm, a_el.perm.inverse()))
-                            )
-                            if not (u == v1 == v2 == b_el.partition):
-                                problem = "join expressions disagree with the product partition"
-                        if problem is None:
-                            flip = pp_product(
-                                PartitionedPermutation.disc(compose(b_el.perm, a_el.perm.inverse())),
-                                a_el,
-                            )
-                            if flip != b_el:
-                                problem = "left multiplication by sigma pi^-1 misses"
+                        elif not u == v1 == v2 == labels:
+                            problem = "join expressions disagree with the product partition"
+                        # (0_f, f)(V, pi) with f = sigma pi^-1 has partition v2 and
+                        # permutation sigma, so it is (U, sigma) when the lengths add.
+                        elif n - _cycle_count0(flip0) + a_len != 2 * (n - blocks) - b_metric:
+                            problem = "left multiplication by sigma pi^-1 misses"
                         if problem is not None and fail is None:
-                            fail = f"shape {shape}, a={a_el!r}, b={b_el!r}: {problem}"
+                            b_el = els[index[key]]
+                            fail = f"shape {shape}, a={els[a_pos]!r}, b={b_el!r}: {problem}"
     return cases, fail
 
 

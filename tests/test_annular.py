@@ -262,6 +262,25 @@ class TestProductAndOrder:
             assert pp_leq(a, prod)
 
 
+    @given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(_all_elements(n))))
+    def test_product_unit(self, a):
+        unit = PartitionedPermutation(SetPartition.singletons(a.size), Permutation.identity(a.size))
+        assert pp_product(unit, a) == a == pp_product(a, unit)
+
+    @given(st.data())
+    def test_product_is_associative(self, data):
+        # Random triples rarely compose, so each factor is drawn from the
+        # elements that compose with the product so far; the unit always does.
+        elements = _all_elements(data.draw(st.integers(1, 5)))
+        a = data.draw(st.sampled_from(elements))
+        b = data.draw(st.sampled_from([x for x in elements if pp_product(a, x) is not None]))
+        ab = pp_product(a, b)
+        c = data.draw(st.sampled_from([x for x in elements if pp_product(ab, x) is not None]))
+        bc = pp_product(b, c)
+        assert bc is not None
+        assert pp_product(a, bc) == pp_product(ab, c)
+
+
 def _set_partitions_of(n):
     """Every set partition of [n], from restricted growth strings."""
     for rgs in itertools.product(range(n), repeat=n):

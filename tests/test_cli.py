@@ -1,10 +1,15 @@
 """Command line interface: every subcommand plus the size ceiling."""
 
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import ncfree
 from ncfree.cli import main
 
 
@@ -56,6 +61,22 @@ class TestCeiling:
 
     def test_counts_respects_ceiling(self):
         assert run("counts", "--max-total", "13").exit_code != 0
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_group(self):
+        # Used to exit 0 with empty output: the module had no __main__ block.
+        src = str(Path(ncfree.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncfree.cli", "counts", "--max-total", "3"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["p,q,count", "1,1,1", "1,2,4", "2,1,4"]
 
 
 class TestCounts:
@@ -136,6 +157,10 @@ class TestVerify:
     def test_unknown_suite_is_rejected(self):
         assert run("verify", "nope").exit_code != 0
 
+    def test_jobs_must_be_positive(self):
+        res = run("verify", "mobius", "--jobs", "0")
+        assert res.exit_code != 0 and "--jobs must be at least 1" in res.output
+
     def test_order_suite_small(self):
         res = run("verify", "order", "--max", "4")
         assert res.exit_code == 0
@@ -177,6 +202,17 @@ class TestDraw:
         assert res.exit_code == 0
         assert 'stroke-dasharray' in out.read_text()
 
+    def test_no_ceiling(self, tmp_path):
+        # Drawing enumerates nothing; this README example used to fail
+        # under any ceiling below 12.
+        out = tmp_path / "readme.svg"
+        res = run(
+            "draw", "(1,2,12,9,8)(3,4)(5,10,11)(6)(7)", "--shape", "8", "4",
+            "--out", str(out), env={"NCFREE_MAX_TOTAL": "11"},
+        )
+        assert res.exit_code == 0, res.output
+        assert out.read_text().startswith("<?xml")
+
     def test_rejects_bad_input(self, tmp_path):
         out = str(tmp_path / "bad.svg")
         oversized = run("draw", "(1,5)(2,4)", "--shape", "2", "2", "--out", out)
@@ -188,3 +224,5 @@ class TestDraw:
             "--partition", "[[1],[2,3]]", "--out", out,
         )
         assert loose_block.exit_code != 0 and "block" in loose_block.output
+        empty_circle = run("draw", "", "--shape", "0", "2", "--out", out)
+        assert empty_circle.exit_code != 0 and "at least 1" in empty_circle.output

@@ -9,6 +9,7 @@ from ncfree.annular import AnnulusShape, gamma_pq, has_through_cycle, is_nc_disc
 from ncfree.perm import (
     Permutation,
     SetPartition,
+    _below0,
     _cycle_count0,
     _cycle_labels0,
     _cycles0,
@@ -294,6 +295,14 @@ class TestRawKernels:
         a, p = case
         assert _is_nc0(image0(a), a.size) == is_nc_disc(a)
         assert _is_nc0(image0(a), p) == is_snc(a, AnnulusShape(p, a.size - p))
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(sized_perms(n), sized_perms(n))))
+    def test_geodesic_order(self, pair):
+        b, c = pair
+        # the identity and b itself always lie below b; a random c rarely does
+        for a in (c, Permutation.identity(b.size), b):
+            want = a.metric_length + (a.inverse() * b).metric_length == b.metric_length
+            assert _below0(a.metric_length, image0(a.inverse()), image0(b), b.metric_length) == want
 
     @given(perms.flatmap(lambda a: st.tuples(st.just(a), st.sets(st.integers(1, a.size), min_size=1))))
     def test_restriction(self, case):
