@@ -407,12 +407,13 @@ def count_snc_pairings(
 
     With ``separated_at`` given, only pairings pi whose complement
     pi^-1 gamma_pq puts the listed points into pairwise distinct cycles
-    are counted; a point outside [1, p+q] is a ValueError.  Enumeration
-    is over all (p+q-1)!! pairings; the test applied to each is the
-    annular membership definition itself: a through pair, and n/2
-    complement cycles (a pairing has n/2 cycles of its own).
+    are counted.  A circle with no point, or a point outside [1, p+q], is
+    a ValueError.  Enumeration is over all (p+q-1)!! pairings; the test
+    applied to each is the annular membership definition itself: a
+    through pair, and n/2 complement cycles (a pairing has n/2 cycles of
+    its own).
     """
-    n = p + q
+    n = AnnulusShape(p, q).total
     pts = None if separated_at is None else _points_in(separated_at, n)
     if n % 2:
         return 0
@@ -471,6 +472,12 @@ def tau_of(comp: Composition) -> Permutation:
     '(1,2,3)(4,5)(6,7,8,9)(10,11)(12)'
     """
     return fatten(Permutation.identity(comp.part_count), comp)
+
+
+def _interval_edges(comp: Composition) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The part endpoints (1-based) and the 0-based neighbour pairs inside parts."""
+    ends = comp.boundary_points
+    return ends, [(i, i + 1) for i in range(comp.total - 1) if i + 1 not in ends]
 
 
 # -- complements and the separation filter -----------------------------

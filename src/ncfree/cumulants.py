@@ -41,8 +41,9 @@ the test suite; neither is assumed.
 
 Each recursion is an ``lru_cache`` on a private function keyed by the
 model and the argument words; the public functions check and normalise
-their arguments once, the private ones call each other directly.
-``clear_caches()`` empties these memos and the complement labels behind
+their arguments once.  Every caller multiplies cumulants over an
+element's blocks through ``_kappa_blocks``, which has no memo.
+``clear_caches()`` empties the two memos and the complement labels behind
 ``annular.kreweras_cycle_ids`` (``memo_info()`` shows them), not the
 enumerations.
 """
@@ -57,15 +58,15 @@ from .annular import (
     Composition,
     PartitionedPermutation,
     _complement_labels,
+    _interval_edges,
     count_snc_pairings,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
     is_nc_disc,
     kreweras_cycle_ids,
-    tau_of,
 )
-from .perm import Permutation, SetPartition, _separated, orbit_partition, partition_join
+from .perm import Permutation, _cycle_labels0, _join0, _separated
 from .spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -117,28 +118,17 @@ def _norm_args(args) -> Args:
     return out
 
 
-def _sub_args(args: Args, cycle: tuple[int, ...]) -> Args:
-    return tuple(args[i - 1] for i in cycle)
-
-
 @lru_cache(maxsize=None)
 def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     n = len(args)
     if n == 1:
         return model.phi(args[0])
     parts = [
-        _kappa_cycles(model, args, pi.cycles)
+        _kappa_blocks(model, args, [(c,) for c in pi.cycles])
         for pi in enumerate_nc(n)
         if pi.metric_length != n - 1  # skip the solved-for full cycle
     ]
     return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
-
-
-def _kappa_cycles(model: MomentOracle, args: Args, cycles) -> Scalar:
-    out: Scalar = 1
-    for cycle in cycles:
-        out = out * _kappa_n(model, _sub_args(args, cycle))
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -147,35 +137,39 @@ def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
     gamma = shape.gamma()
     allargs = args1 + args2
     parts = [
-        _kappa_vp(model, allargs, vp)
+        _kappa_blocks(model, allargs, vp.block_cycles())
         for vp in enumerate_psnc(shape)
-        if vp.perm != gamma or vp.partition.block_count != 1  # skip the top
+        if vp.partition.block_count != 1 or vp.perm != gamma  # skip the top
     ]
     return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
 
 
-@lru_cache(maxsize=None)
-def _kappa_vp(model: MomentOracle, args: Args, vp: PartitionedPermutation) -> Scalar:
+def _kappa_blocks(model: MomentOracle, args: Args, blocks) -> Scalar:
+    """Product over ``blocks``, each a tuple of 1-based cycles, of kappa_n of
+    a one-cycle block's arguments and kappa_{s,t} of a two-cycle one's.  No
+    factor after a zero one is computed; every block's size is checked."""
     value: Scalar = 1
-    for group in vp.block_cycles():
-        if len(group) == 1:
-            value = value * _kappa_n(model, _sub_args(args, group[0]))
-        elif len(group) == 2:
-            first, second = group  # ordered by minimum
-            value = value * _kappa_pq(model, _sub_args(args, first), _sub_args(args, second))
-        else:
+    for block in blocks:
+        if len(block) > 2:
             raise ValueError("a block may hold at most two cycles")
+        if not value:
+            continue
+        if len(block) == 1:
+            value = value * _kappa_n(model, tuple([args[i - 1] for i in block[0]]))
+        else:
+            first, second = block
+            value = value * _kappa_pq(
+                model, tuple([args[i - 1] for i in first]), tuple([args[i - 1] for i in second])
+            )
     return value
 
 
-_MEMOS = dict(
-    kappa_n=_kappa_n, kappa_pq=_kappa_pq, kappa_vp=_kappa_vp, complement_labels=_complement_labels
-)
+_MEMOS = dict(kappa_n=_kappa_n, kappa_pq=_kappa_pq, complement_labels=_complement_labels)
 
 
 def clear_caches() -> None:
-    """Empty the cumulant memos and the complement labels; the
-    enumerations (one tuple per size or shape) stay."""
+    """Empty the ``kappa_n`` and ``kappa_pq`` memos and the complement
+    labels; the enumerations (one tuple per size or shape) stay."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 
@@ -197,7 +191,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
         raise ValueError("permutation size does not match argument count")
     if not is_nc_disc(pi):
         raise ValueError(f"{pi!r} is not disc non-crossing")
-    return _kappa_cycles(model, args, pi.cycles)
+    return _kappa_blocks(model, args, [(c,) for c in pi.cycles])
 
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
@@ -211,12 +205,13 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
     Single-cycle blocks contribute kappa over the cycle (arguments read in
     cycle order from the minimum); a two-cycle block contributes
     kappa_{s,t} with the cycle of smaller minimum first.  For the annular
-    elements that smaller-minimum cycle is the outer-circle one.
+    elements that smaller-minimum cycle is the outer-circle one.  A block
+    of three or more cycles is a ValueError.
     """
     args = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
-    return _kappa_vp(model, args, vp)
+    return _kappa_blocks(model, args, vp.block_cycles())
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----
@@ -226,7 +221,7 @@ def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     args = _norm_args(args)
     return CumulantPolynomial.sum(
-        _kappa_cycles(model, args, pi.cycles) for pi in enumerate_nc(len(args))
+        _kappa_blocks(model, args, [(c,) for c in pi.cycles]) for pi in enumerate_nc(len(args))
     )
 
 
@@ -237,7 +232,7 @@ def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     allargs = args1 + args2
     shape = AnnulusShape(len(args1), len(args2))
     return CumulantPolynomial.sum(
-        _kappa_vp(model, allargs, vp) for vp in enumerate_psnc(shape)
+        _kappa_blocks(model, allargs, vp.block_cycles()) for vp in enumerate_psnc(shape)
     )
 
 
@@ -270,12 +265,12 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     n = len(word)
     if comp.total != n:
         raise ValueError("composition does not exhaust the word")
-    tau_blocks = orbit_partition(tau_of(comp))
-    ones = SetPartition.full(n)
+    _, edges = _interval_edges(comp)
     parts = []
     for sigma in enumerate_nc(n):
-        if partition_join(orbit_partition(sigma), tau_blocks) == ones:
-            parts.append(_kappa_cycles(model, args, sigma.cycles))
+        labels, count = _cycle_labels0([x - 1 for x in sigma.image])
+        if _join0(count, [(labels[a], labels[b]) for a, b in edges])[1] == 1:
+            parts.append(_kappa_blocks(model, args, [(c,) for c in sigma.cycles]))
     return CumulantPolynomial.sum(parts)
 
 
@@ -317,13 +312,21 @@ def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Sca
 # -- symbolic tables ---------------------------------------------------
 
 
-def symbolic_phi_expansion(n: int) -> CumulantPolynomial:
-    """alpha_n as a polynomial in the first order cumulant symbols."""
+def _monomial_counts(block_lists) -> CumulantPolynomial:
+    """Count the cumulant monomial of each block list (as in ``_kappa_blocks``)."""
     acc: dict[tuple[str, ...], int] = {}
-    for pi in enumerate_nc(n):
-        monomial = tuple(sorted(kappa_symbol(len(c)) for c in pi.cycles))
+    for blocks in block_lists:
+        monomial = _monomial(
+            (kappa_symbol if len(block) == 1 else kappa2_symbol)(*map(len, block))
+            for block in blocks
+        )
         acc[monomial] = acc.get(monomial, 0) + 1
     return CumulantPolynomial(acc)
+
+
+def symbolic_phi_expansion(n: int) -> CumulantPolynomial:
+    """alpha_n as a polynomial in the first order cumulant symbols."""
+    return _monomial_counts([(c,) for c in pi.cycles] for pi in enumerate_nc(n))
 
 
 def symbolic_phi2_expansion(p: int, q: int) -> CumulantPolynomial:
@@ -332,17 +335,7 @@ def symbolic_phi2_expansion(p: int, q: int) -> CumulantPolynomial:
     One monomial per annular partitioned permutation: kappa over every
     single-cycle block and kappa_{s,t} over the glued block.
     """
-    acc: dict[tuple[str, ...], int] = {}
-    for vp in enumerate_psnc(AnnulusShape(p, q)):
-        symbols = []
-        for group in vp.block_cycles():
-            if len(group) == 1:
-                symbols.append(kappa_symbol(len(group[0])))
-            else:
-                symbols.append(kappa2_symbol(len(group[0]), len(group[1])))
-        monomial = _monomial(symbols)
-        acc[monomial] = acc.get(monomial, 0) + 1
-    return CumulantPolynomial(acc)
+    return _monomial_counts(vp.block_cycles() for vp in enumerate_psnc(AnnulusShape(p, q)))
 
 
 def symbolic_kappa_pq(p: int, q: int) -> CumulantPolynomial:

@@ -392,11 +392,12 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # line gives the contract, then the callers (V = the verify sweeps):
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, _below0, count_snc_pairings, V
-# _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers, V
+# _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
+#                          ks_product_cumulant, V
 # _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, enumerate_snc, V
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
-#                          V (separation sweeps, the order table, order structure)
+#                          ks_product_cumulant, V (separation sweeps, order table and structure)
 # _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
 # _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family

@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
@@ -199,6 +200,8 @@ def _symbol_parts(sym: str) -> tuple[str, tuple[int, ...]]:
     return kind, tuple(int(x) for x in rest.split(","))
 
 
+# Polynomial products sort by this key; the cache parses each symbol once.
+@lru_cache(maxsize=1024)
 def _symbol_key(sym: str):
     kind, orders = _symbol_parts(sym)
     return (kind, len(orders), orders)

@@ -27,6 +27,7 @@ from .annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
+    _interval_edges,
     _set_partitions,
     count_snc_pairings,
     enumerate_nc,
@@ -150,12 +151,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _interval_edges(comp: Composition) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The part endpoints (1-based) and the 0-based neighbour pairs inside parts."""
-    ends = comp.boundary_points
-    return ends, [(i, i + 1) for i in range(comp.total - 1) if i + 1 not in ends]
 
 
 @functools.lru_cache(maxsize=None)

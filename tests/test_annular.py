@@ -1,6 +1,5 @@
 """Annular families, partitioned permutations, and inflation."""
 
-import functools
 import itertools
 
 import pytest
@@ -214,6 +213,35 @@ class TestPartitionedPermutations:
             assert SetPartition(3, rec["partition"]) == vp.partition
 
 
+def _set_partitions_of(n):
+    """Every set partition of [n], from restricted growth strings."""
+    for rgs in itertools.product(range(n), repeat=n):
+        if all(rgs[i] <= max(rgs[:i], default=-1) + 1 for i in range(n)):
+            yield SetPartition(n, [[i + 1 for i in range(n) if rgs[i] == k] for k in range(max(rgs) + 1)])
+
+
+def _all_elements(n):
+    """Every partitioned permutation of [n]: each cycle inside a block."""
+    out = []
+    for image in itertools.permutations(range(1, n + 1)):
+        perm = Permutation(image)
+        for part in _set_partitions_of(n):
+            if all(any(set(c) <= set(b) for b in part.blocks) for c in perm.cycles):
+                out.append(PartitionedPermutation(part, perm))
+    return tuple(out)
+
+
+def _brute_leq(a, b):
+    """a <= b by trying every partitioned permutation as the factor."""
+    return any(pp_product(a, c) == b for c in ELEMENTS[a.size])
+
+
+# Built at import, not inside the strategies: _all_elements(5) (501
+# elements) takes about a second, which hypothesis would count as
+# input generation and fail its too_slow health check on.
+ELEMENTS = {n: _all_elements(n) for n in range(1, 6)}
+
+
 class TestProductAndOrder:
     def test_product_adds_lengths_or_is_none(self):
         shape = AnnulusShape(2, 1)
@@ -248,12 +276,12 @@ class TestProductAndOrder:
 
     def test_order_matches_a_witness_search_through_n3(self):
         for n in (1, 2, 3):
-            elements = _all_elements(n)
+            elements = ELEMENTS[n]
             for a in elements:
                 for b in elements:
                     assert pp_leq(a, b) == _brute_leq(a, b), (a, b)
 
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.sampled_from(_all_elements(n))] * 3)))
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.sampled_from(ELEMENTS[n])] * 3)))
     def test_order_matches_a_witness_search(self, triple):
         a, b, c = triple
         assert pp_leq(a, b) == _brute_leq(a, b)
@@ -262,7 +290,7 @@ class TestProductAndOrder:
             assert pp_leq(a, prod)
 
 
-    @given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(_all_elements(n))))
+    @given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(ELEMENTS[n])))
     def test_product_unit(self, a):
         unit = PartitionedPermutation(SetPartition.singletons(a.size), Permutation.identity(a.size))
         assert pp_product(unit, a) == a == pp_product(a, unit)
@@ -271,7 +299,7 @@ class TestProductAndOrder:
     def test_product_is_associative(self, data):
         # Random triples rarely compose, so each factor is drawn from the
         # elements that compose with the product so far; the unit always does.
-        elements = _all_elements(data.draw(st.integers(1, 5)))
+        elements = ELEMENTS[data.draw(st.integers(1, 5))]
         a = data.draw(st.sampled_from(elements))
         b = data.draw(st.sampled_from([x for x in elements if pp_product(a, x) is not None]))
         ab = pp_product(a, b)
@@ -279,30 +307,6 @@ class TestProductAndOrder:
         bc = pp_product(b, c)
         assert bc is not None
         assert pp_product(a, bc) == pp_product(ab, c)
-
-
-def _set_partitions_of(n):
-    """Every set partition of [n], from restricted growth strings."""
-    for rgs in itertools.product(range(n), repeat=n):
-        if all(rgs[i] <= max(rgs[:i], default=-1) + 1 for i in range(n)):
-            yield SetPartition(n, [[i + 1 for i in range(n) if rgs[i] == k] for k in range(max(rgs) + 1)])
-
-
-@functools.lru_cache(maxsize=None)
-def _all_elements(n):
-    """Every partitioned permutation of [n]: each cycle inside a block."""
-    out = []
-    for image in itertools.permutations(range(1, n + 1)):
-        perm = Permutation(image)
-        for part in _set_partitions_of(n):
-            if all(any(set(c) <= set(b) for b in part.blocks) for c in perm.cycles):
-                out.append(PartitionedPermutation(part, perm))
-    return tuple(out)
-
-
-def _brute_leq(a, b):
-    """a <= b by trying every partitioned permutation as the factor."""
-    return any(pp_product(a, c) == b for c in _all_elements(a.size))
 
 
 class TestMainSummandFilter:
@@ -387,6 +391,11 @@ class TestPairingCounts:
 
     def test_odd_totals_vanish(self):
         assert count_snc_pairings(2, 1) == 0
+
+    def test_each_circle_needs_a_point(self):
+        for p, q in ((0, 2), (-1, 3), (2, 0)):
+            with pytest.raises(ValueError):
+                count_snc_pairings(p, q)
 
     def test_separation_filter_reduces_the_count(self):
         full = count_snc_pairings(2, 2)

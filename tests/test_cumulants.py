@@ -124,6 +124,17 @@ class TestSecondOrder:
         vp = PartitionedPermutation(SetPartition.full(2), Permutation.identity(2))
         assert kappa_vp(fm, args, vp) == kappa_pq(fm, (args[0],), (args[1],))
 
+    def test_kappa_vp_rejects_blocks_of_three_cycles(self):
+        sc = semicircular_space()
+        three = PartitionedPermutation(SetPartition.full(3), Permutation.identity(3))
+        with pytest.raises(ValueError):
+            kappa_vp(sc, letters(x_word(3)), three)
+        # kappa_1 of a semicircular is 0, so the product is already zero
+        # when the three-cycle block comes up; the guard still applies.
+        after_zero = PartitionedPermutation(SetPartition(4, [[1], [2, 3, 4]]), Permutation.identity(4))
+        with pytest.raises(ValueError):
+            kappa_vp(sc, letters(x_word(4)), after_zero)
+
 
 class TestSymbolicTables:
     def test_first_order_expansion(self):
@@ -135,6 +146,13 @@ class TestSymbolicTables:
             symbolic_phi_expansion(4)
             == k4 + 4 * k1 * k3 + 2 * k2**2 + 6 * k1**2 * k2 + k1**4
         )
+
+    def test_first_order_monomials_are_canonical(self):
+        # From n = 12 on a cycle of length 10 meets one of length 2, and
+        # k2 sorts before k10 in a monomial, so adding k2*k10 adds to a term.
+        alpha = symbolic_phi_expansion(12)
+        assert ("k2", "k10") in alpha.terms
+        assert len((alpha + sym("k2") * sym("k10")).terms) == len(alpha.terms)
 
     def test_term_count_is_the_family_size(self):
         from ncfree.annular import enumerate_psnc
@@ -251,6 +269,11 @@ class TestModelEvaluations:
         assert semicircular_square_kappa(2, 2) == 6
         assert semicircular_square_kappa(3, 1) == 3
 
+    def test_square_needs_points_on_both_circles(self):
+        for p, q in ((0, 1), (-1, 2), (1, 0)):
+            with pytest.raises(ValueError):
+                semicircular_square_kappa(p, q)
+
     def test_square_symmetry(self):
         for p in range(1, 4):
             for q in range(1, 4):
@@ -269,7 +292,7 @@ class TestModelEvaluations:
         clear_caches()
         main_product_cumulant(formal_moment_space(), a_word(4), Composition((1, 1, 2), split=2))
         info = memo_info()
-        assert set(info) == {"kappa_n", "kappa_pq", "kappa_vp", "complement_labels"}
+        assert set(info) == {"kappa_n", "kappa_pq", "complement_labels"}
         assert all(memo["misses"] > 0 for memo in info.values()), info
         clear_caches()
         assert all(memo["currsize"] == 0 for memo in memo_info().values())
