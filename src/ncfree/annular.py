@@ -27,9 +27,9 @@ images; the tests compare them against the S_n filter ``perm._is_nc0``
 and the Mingo-Nica counts.  Each family is memoized per size/shape.  The
 default bound keeps p + q <= 12.  Each memo is an ``lru_cache`` on a
 private function behind a public one that checks the arguments;
-``cumulants.clear_caches()`` empties the complement labels, never the
-families.  The complement-separation test of the product formula runs
-on the 0-based kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
+``cumulants.clear_caches()`` never empties the families.  The
+complement-separation test of the product formula runs on the 0-based
+kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
 """
 
 from __future__ import annotations
@@ -492,14 +492,12 @@ def kreweras_cycle_ids(shape: AnnulusShape, a: Permutation) -> tuple[int, ...]:
     """Cycle labels of the complement a^-1 gamma_pq, one per ground point.
 
     Label i marks the i-th cycle of ``kreweras(shape, a).cycles``.
-    Memoized per (shape, a) until ``cumulants.clear_caches()``.
     """
     if a.size != shape.total:
         raise ValueError(f"size {a.size} does not match shape {shape}")
     return _complement_labels(shape.p, shape.q, a)
 
 
-@lru_cache(maxsize=None)
 def _complement_labels(p: int, q: int, a: Permutation) -> tuple[int, ...]:
     k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(p, q))
     return tuple(_cycle_labels0(k0)[0])

@@ -39,13 +39,13 @@ The product formulas: for grouped arguments A_i = a_{n_1+...+n_{i-1}+1}
 Both are verified against the direct recursions on the grouped words by
 the test suite; neither is assumed.
 
-Each recursion is an ``lru_cache`` on a private function keyed by the
-model and the argument words; the public functions check and normalise
-their arguments once.  Every caller multiplies cumulants over an
-element's blocks through ``_kappa_blocks``, which has no memo.
-``clear_caches()`` empties the two memos and the complement labels behind
-``annular.kreweras_cycle_ids`` (``memo_info()`` shows them), not the
-enumerations.
+Every sum above walks a plan built once per size or shape, (records, top):
+per element, its blocks as 0-based index tuples and the labels its filter
+reads, and the index of the solved-for element.  ``_kappa_blocks``, with
+no memo, multiplies cumulants over the blocks and returns at the first
+zero factor.  The recursions are ``lru_cache``s keyed by the model object
+and the words; ``clear_caches()`` empties them and the plans
+(``memo_info()`` shows them), not the enumerations.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .annular import (
     enumerate_psnc,
     enumerate_snc,
     is_nc_disc,
-    kreweras_cycle_ids,
 )
 from .perm import Permutation, _cycle_labels0, _join0, _separated
 from .spaces import (
@@ -119,57 +118,80 @@ def _norm_args(args) -> Args:
 
 
 @lru_cache(maxsize=None)
+def _nc_plan(n: int):
+    """Per element of NC(n): its blocks, cycle labels and cycle count."""
+    records, pool = [], {}
+    for pi in enumerate_nc(n):
+        labels, count = _cycle_labels0([x - 1 for x in pi.image])
+        records.append((_blocks0(((c,) for c in pi.cycles), pool), tuple(labels), count))
+    return tuple(records), next(i for i, rec in enumerate(records) if rec[2] == 1)
+
+
+@lru_cache(maxsize=None)
+def _psnc_plan(p: int, q: int):
+    """Per element of PS_NC(p, q): its blocks and its complement's labels."""
+    shape = AnnulusShape(p, q)
+    gamma, elements, pool = shape.gamma(), enumerate_psnc(shape), {}
+    records = tuple(
+        (_blocks0(vp.block_cycles(), pool), _complement_labels(p, q, vp.perm)) for vp in elements
+    )
+    # gamma_pq has no through cycle, so only the top (1, gamma_pq) has it as perm
+    return records, next(i for i, vp in enumerate(elements) if vp.perm == gamma)
+
+
+def _blocks0(block_cycles, pool: dict) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """0-based blocks of 1-based cycles, each kept once in ``pool``; ValueError past two cycles."""
+    out = []
+    for block in block_cycles:
+        if len(block) > 2:
+            raise ValueError("a block may hold at most two cycles")
+        block0 = tuple(tuple([i - 1 for i in c]) for c in block)
+        out.append(pool.setdefault(block0, block0))
+    return tuple(out)
+
+
+def _kappa_blocks(model: MomentOracle, args: Args, blocks) -> Scalar:
+    """Product over 0-based ``blocks`` of kappa_n of a one-cycle block's
+    arguments and kappa_{s,t} of a two-cycle one's; returns at the first
+    zero factor."""
+    value: Scalar = 1
+    for block in blocks:
+        if len(block) == 1:
+            value = value * _kappa_n(model, tuple([args[i] for i in block[0]]))
+        else:
+            first, second = block
+            value = value * _kappa_pq(
+                model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
+            )
+        if not value:
+            return value
+    return value
+
+
+@lru_cache(maxsize=None)
 def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     n = len(args)
     if n == 1:
         return model.phi(args[0])
-    parts = [
-        _kappa_blocks(model, args, [(c,) for c in pi.cycles])
-        for pi in enumerate_nc(n)
-        if pi.metric_length != n - 1  # skip the solved-for full cycle
-    ]
+    records, top = _nc_plan(n)
+    parts = [_kappa_blocks(model, args, rec[0]) for rec in records[:top] + records[top + 1 :]]
     return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
-    shape = AnnulusShape(len(args1), len(args2))
-    gamma = shape.gamma()
+    records, top = _psnc_plan(len(args1), len(args2))
     allargs = args1 + args2
-    parts = [
-        _kappa_blocks(model, allargs, vp.block_cycles())
-        for vp in enumerate_psnc(shape)
-        if vp.partition.block_count != 1 or vp.perm != gamma  # skip the top
-    ]
+    parts = [_kappa_blocks(model, allargs, rec[0]) for rec in records[:top] + records[top + 1 :]]
     return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, blocks) -> Scalar:
-    """Product over ``blocks``, each a tuple of 1-based cycles, of kappa_n of
-    a one-cycle block's arguments and kappa_{s,t} of a two-cycle one's.  No
-    factor after a zero one is computed; every block's size is checked."""
-    value: Scalar = 1
-    for block in blocks:
-        if len(block) > 2:
-            raise ValueError("a block may hold at most two cycles")
-        if not value:
-            continue
-        if len(block) == 1:
-            value = value * _kappa_n(model, tuple([args[i - 1] for i in block[0]]))
-        else:
-            first, second = block
-            value = value * _kappa_pq(
-                model, tuple([args[i - 1] for i in first]), tuple([args[i - 1] for i in second])
-            )
-    return value
-
-
-_MEMOS = dict(kappa_n=_kappa_n, kappa_pq=_kappa_pq, complement_labels=_complement_labels)
+_MEMOS = dict(kappa_n=_kappa_n, kappa_pq=_kappa_pq, nc_plan=_nc_plan, psnc_plan=_psnc_plan)
 
 
 def clear_caches() -> None:
-    """Empty the ``kappa_n`` and ``kappa_pq`` memos and the complement
-    labels; the enumerations (one tuple per size or shape) stay."""
+    """Empty the ``kappa_n`` and ``kappa_pq`` memos and the summation plans;
+    the enumerations (one tuple per size or shape) stay."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 
@@ -191,7 +213,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
         raise ValueError("permutation size does not match argument count")
     if not is_nc_disc(pi):
         raise ValueError(f"{pi!r} is not disc non-crossing")
-    return _kappa_blocks(model, args, [(c,) for c in pi.cycles])
+    return _kappa_blocks(model, args, _blocks0(((c,) for c in pi.cycles), {}))
 
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
@@ -211,7 +233,7 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
     args = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
-    return _kappa_blocks(model, args, vp.block_cycles())
+    return _kappa_blocks(model, args, _blocks0(vp.block_cycles(), {}))
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----
@@ -220,20 +242,16 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
 def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     args = _norm_args(args)
-    return CumulantPolynomial.sum(
-        _kappa_blocks(model, args, [(c,) for c in pi.cycles]) for pi in enumerate_nc(len(args))
-    )
+    records, _ = _nc_plan(len(args))
+    return CumulantPolynomial.sum([_kappa_blocks(model, args, rec[0]) for rec in records])
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
-    args1 = _norm_args(args1)
-    args2 = _norm_args(args2)
+    args1, args2 = _norm_args(args1), _norm_args(args2)
     allargs = args1 + args2
-    shape = AnnulusShape(len(args1), len(args2))
-    return CumulantPolynomial.sum(
-        _kappa_blocks(model, allargs, vp.block_cycles()) for vp in enumerate_psnc(shape)
-    )
+    records, _ = _psnc_plan(len(args1), len(args2))
+    return CumulantPolynomial.sum([_kappa_blocks(model, allargs, rec[0]) for rec in records])
 
 
 # -- cumulants with products as arguments ------------------------------
@@ -266,11 +284,12 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     if comp.total != n:
         raise ValueError("composition does not exhaust the word")
     _, edges = _interval_edges(comp)
-    parts = []
-    for sigma in enumerate_nc(n):
-        labels, count = _cycle_labels0([x - 1 for x in sigma.image])
-        if _join0(count, [(labels[a], labels[b]) for a, b in edges])[1] == 1:
-            parts.append(_kappa_blocks(model, args, [(c,) for c in sigma.cycles]))
+    records, _ = _nc_plan(n)
+    parts = [
+        _kappa_blocks(model, args, blocks)
+        for blocks, labels, count in records
+        if _join0(count, [(labels[a], labels[b]) for a, b in edges])[1] == 1
+    ]
     return CumulantPolynomial.sum(parts)
 
 
@@ -289,13 +308,8 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
         raise ValueError("composition does not exhaust the word")
     args = tuple((letter,) for letter in word)
     points = comp.boundary_points
-    parts = []
-    for vp in enumerate_psnc(shape):
-        ids = kreweras_cycle_ids(shape, vp.perm)
-        if _separated(ids, points):
-            # The public kappa_vp: the traced benchmark run (perfbench)
-            # counts the summands that pass the filter by its calls.
-            parts.append(kappa_vp(model, args, vp))
+    records, _ = _psnc_plan(shape.p, shape.q)
+    parts = [_kappa_blocks(model, args, b) for b, labels in records if _separated(labels, points)]
     return CumulantPolynomial.sum(parts)
 
 

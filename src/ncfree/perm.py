@@ -393,7 +393,7 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, _below0, count_snc_pairings, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
-#                          ks_product_cumulant, V
+#                          _complement_labels, the disc plans of cumulants, V
 # _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, enumerate_snc, V
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
@@ -407,8 +407,8 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #                          (restriction lemmas, order corollary)
 # _below0(la, a_inv, b, lb)  la + |a^-1 b| == lb: a on a geodesic from e to b; V (metric sweeps)
 #
-# Separation callers: separates_points, count_snc_pairings, and
-# main_summand_filter and main_product_cumulant on kreweras_cycle_ids labels.
+# Separation callers: separates_points, count_snc_pairings, main_summand_filter on
+# kreweras_cycle_ids labels, main_product_cumulant on its plan's complement labels.
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:

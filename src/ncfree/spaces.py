@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
@@ -242,8 +242,9 @@ class CumulantPolynomial:
         clean: dict[tuple[str, ...], Coeff] = {}
         if terms:
             for monomial, coeff in terms.items():
-                if isinstance(coeff, Fraction) and coeff.denominator == 1:
-                    coeff = int(coeff)
+                # int first: a Fraction test runs ABCMeta's instance hook in Python
+                if not isinstance(coeff, int) and isinstance(coeff, Fraction):
+                    coeff = int(coeff) if coeff.denominator == 1 else coeff
                 if coeff:
                     clean[tuple(monomial)] = coeff
         self.terms = clean
@@ -287,29 +288,25 @@ class CumulantPolynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _add_terms(self, other: "Scalar", negate: bool) -> "CumulantPolynomial":
-        out = dict(self.terms)
+    def _add_terms(self, other: "Scalar", negate: bool):
         if isinstance(other, CumulantPolynomial):
             items = other.terms.items()
+        elif isinstance(other, int) or isinstance(other, Fraction):
+            items = (((), other),) if other else ()
         else:
-            items = ({(): other}).items() if other else ()
+            return NotImplemented
+        out = dict(self.terms)
         for m, c in items:
-            if negate:
-                c = -c
-            out[m] = out.get(m, 0) + c
+            out[m] = out.get(m, 0) + (-c if negate else c)
         return CumulantPolynomial(out)
 
     def __add__(self, other):
-        if isinstance(other, (CumulantPolynomial, int, Fraction)):
-            return self._add_terms(other, negate=False)
-        return NotImplemented
+        return self._add_terms(other, negate=False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (CumulantPolynomial, int, Fraction)):
-            return self._add_terms(other, negate=True)
-        return NotImplemented
+        return self._add_terms(other, negate=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -318,18 +315,18 @@ class CumulantPolynomial:
         return CumulantPolynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return CumulantPolynomial()
-            return CumulantPolynomial({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, CumulantPolynomial):
+        if isinstance(other, CumulantPolynomial):
+            out: dict[tuple[str, ...], Coeff] = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = _monomial(m1 + m2)
+                    out[m] = out.get(m, 0) + c1 * c2
+            return CumulantPolynomial(out)
+        if not (isinstance(other, int) or isinstance(other, Fraction)):
             return NotImplemented
-        out: dict[tuple[str, ...], Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _monomial(m1 + m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return CumulantPolynomial(out)
+        if not other:
+            return CumulantPolynomial()
+        return CumulantPolynomial({m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -444,17 +441,17 @@ Scalar = Union[int, Fraction, CumulantPolynomial]
 # -- oracles -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentOracle:
     """A first and second order moment functional pair.
 
-    ``name`` identifies the model semantically; the cumulant layer keys
-    its memo tables by it, so two oracles sharing a name must agree.
+    The cumulant layer keys its memo tables by the oracle object itself
+    (hash and equality by identity), so the models are module singletons.
     """
 
     name: str
-    phi: Callable[[Word], Scalar] = field(compare=False)
-    phi2: Callable[[Word, Word], Scalar] = field(compare=False)
+    phi: Callable[[Word], Scalar]
+    phi2: Callable[[Word, Word], Scalar]
 
 
 def _semicircular_phi2_words(w1: Word, w2: Word) -> int:

@@ -4,8 +4,18 @@ import itertools
 
 import pytest
 
-from ncfree.annular import AnnulusShape, Composition, PartitionedPermutation
+from ncfree.annular import (
+    AnnulusShape,
+    Composition,
+    PartitionedPermutation,
+    enumerate_nc,
+    enumerate_psnc,
+    main_summand_filter,
+    tau_of,
+)
 from ncfree.cumulants import (
+    _nc_plan,
+    _psnc_plan,
     clear_caches,
     haar_kappa_pq,
     kappa_n,
@@ -27,18 +37,31 @@ from ncfree.cumulants import (
     symbolic_phi2_expansion,
     symbolic_phi_expansion,
 )
-from ncfree.perm import Permutation, SetPartition
+from ncfree.perm import Permutation, SetPartition, orbit_partition, partition_join
 from ncfree.spaces import (
     CumulantPolynomial,
+    MomentOracle,
     a_word,
     formal_moment_space,
     haar_unitary_space,
+    semicircular_phi,
     semicircular_space,
     u_word,
     x_word,
 )
 
 MODELS = (semicircular_space(), haar_unitary_space(), formal_moment_space())
+
+
+def model_cases(n):
+    """The four model cases of the product formula checks."""
+    alt = tuple(1 if i % 2 == 0 else -1 for i in range(n))
+    return (
+        (semicircular_space(), x_word(n)),
+        (haar_unitary_space(), u_word(alt)),
+        (haar_unitary_space(), u_word((1,) * n)),
+        (formal_moment_space(), a_word(n)),
+    )
 
 
 def model_word(model, n):
@@ -220,6 +243,47 @@ class TestProductsAsEntries:
                     want = oracle_product_cumulant(model, word, comp)
                     assert got == want, (model.name, comp.parts, comp.split)
 
+    def test_second_order_is_the_filtered_sum_of_kappa_vp(self):
+        # The per-element route: the public filter and kappa_vp on each element.
+        for total in range(2, 7):
+            for comp in _split_compositions(total):
+                shape = comp.shape()
+                kept = [vp for vp in enumerate_psnc(shape) if main_summand_filter(shape, comp, vp)]
+                for model, word in model_cases(total):
+                    args = letters(word)
+                    want = CumulantPolynomial.sum(kappa_vp(model, args, vp) for vp in kept)
+                    got = main_product_cumulant(model, word, comp)
+                    assert got == want, (model.name, comp.parts, comp.split)
+
+    def test_first_order_is_the_filtered_sum_of_kappa_pi(self):
+        # The per-element route: a SetPartition join with tau's orbits, and kappa_pi.
+        for n in range(1, 8):
+            for comp in _compositions(n):
+                tau = orbit_partition(tau_of(comp))
+                kept = [
+                    sigma
+                    for sigma in enumerate_nc(n)
+                    if partition_join(orbit_partition(sigma), tau).block_count == 1
+                ]
+                for model, word in model_cases(n):
+                    args = letters(word)
+                    want = CumulantPolynomial.sum(kappa_pi(model, args, s) for s in kept)
+                    assert ks_product_cumulant(model, word, comp) == want, (model.name, comp.parts)
+
+    def test_plans_leave_out_only_the_solved_for_element(self):
+        for n in range(1, 8):
+            records, top = _nc_plan(n)
+            assert len(records) == len(enumerate_nc(n))
+            full = ((tuple(range(n)),),)
+            assert [i for i, rec in enumerate(records) if rec[0] == full] == [top]
+        for total in range(2, 7):
+            for p in range(1, total):
+                q = total - p
+                records, top = _psnc_plan(p, q)
+                assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
+                glued = ((tuple(range(p)), tuple(range(p, total))),)
+                assert [i for i, rec in enumerate(records) if rec[0] == glued] == [top]
+
     def test_part_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             ks_product_cumulant(semicircular_space(), x_word(3), Composition((2, 2)))
@@ -287,12 +351,22 @@ class TestModelEvaluations:
         clear_caches()
         assert kappa_n(sc, letters(x_word(4))) == before
 
+    def test_memos_are_keyed_by_the_model_object(self):
+        # A model that shares the semicircular's name but not its moments
+        # gets its own cumulants once the real model's memo is warm.
+        sc = semicircular_space()
+        args = letters(x_word(2))
+        assert kappa_n(sc, args) == 1
+        doubled = MomentOracle(sc.name, lambda w: 2 * semicircular_phi(w), sc.phi2)
+        assert kappa_n(doubled, args) == 2
+        assert kappa_n(sc, args) == 1
+
     def test_clear_caches_empties_every_memo(self):
-        # The complement labels used by the product formula are emptied too.
+        # The summation plans used by the product formula are emptied too.
         clear_caches()
         main_product_cumulant(formal_moment_space(), a_word(4), Composition((1, 1, 2), split=2))
         info = memo_info()
-        assert set(info) == {"kappa_n", "kappa_pq", "complement_labels"}
+        assert set(info) == {"kappa_n", "kappa_pq", "nc_plan", "psnc_plan"}
         assert all(memo["misses"] > 0 for memo in info.values()), info
         clear_caches()
         assert all(memo["currsize"] == 0 for memo in memo_info().values())

@@ -178,6 +178,20 @@ class TestPolynomialRing:
         with pytest.raises(ValueError):
             poly.to_json_obj()
 
+    def test_coefficient_types(self):
+        # ints (bool included) and fractions act as scalars, a whole
+        # fraction is stored as an int, and other types are refused.
+        k1 = CumulantPolynomial.from_symbol("k1")
+        whole = CumulantPolynomial({("k1",): Fraction(4, 2)})
+        assert whole == 2 * k1 and type(whole.terms[("k1",)]) is int
+        assert k1 * True == k1 + False == k1 - False == k1
+        assert (k1 * Fraction(1, 2)).terms == {("k1",): Fraction(1, 2)}
+        assert k1 - Fraction(1, 2) == k1 + Fraction(-1, 2)
+        with pytest.raises(TypeError):
+            k1 * 1.5
+        with pytest.raises(TypeError):
+            k1 + "x"
+
     @given(polynomials(), polynomials(), polynomials())
     def test_ring_laws(self, a, b, c):
         assert a + b == b + a
