@@ -27,9 +27,11 @@ images; the tests compare them against the S_n filter ``perm._is_nc0``
 and the Mingo-Nica counts.  Each family is memoized per size/shape.  The
 default bound keeps p + q <= 12.  Each memo is an ``lru_cache`` on a
 private function behind a public one that checks the arguments;
-``cumulants.clear_caches()`` never empties the families.  The
-complement-separation test of the product formula runs on the 0-based
-kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
+``cumulants.clear_caches()`` never empties the families; every element
+passes its validating constructor.  ``element_line`` formats the JSON
+Lines of ``ncfree enumerate`` without ``json``.  The complement-separation
+test of the product formula runs on the 0-based kernels
+``_cycle_labels0`` and ``_separated`` of ``perm``.
 """
 
 from __future__ import annotations
@@ -77,13 +79,14 @@ __all__ = [
     "pp_product",
     "pp_leq",
     "element_record",
+    "element_line",
 ]
 
 # Enumerators, and the CLI by default, refuse sizes above this unless the
 # caller raises it explicitly.  Every family of total 12 finishes: on a
 # 2-CPU Xeon VM under Python 3.11 the largest, psnc of the (6,6) shape,
-# takes about 60 s and 1.9 GB peak RSS (snc alone 18 s and 0.4 GB), and
-# 90 s and 2.7 GB as ``ncfree enumerate``.
+# takes about 52 s and 1.9 GB peak RSS (snc alone 18 s and 0.4 GB), and
+# 84 s and 2.7 GB as ``ncfree enumerate``.
 ENUMERATION_BOUND = 12
 
 
@@ -144,11 +147,7 @@ class Composition:
 
     @property
     def boundary_points(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for n in self.parts:
-            acc += n
-            out.append(acc)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.parts))
 
     def _require_split(self) -> int:
         if self.split is None:
@@ -293,12 +292,11 @@ class PartitionedPermutation:
     def __init__(self, partition: SetPartition, perm: Permutation):
         if partition.size != perm.size:
             raise ValueError("partition and permutation sizes differ")
-        for cycle in perm.cycles:
-            bi = partition.block_index(cycle[0])
-            if any(partition.block_index(pt) != bi for pt in cycle[1:]):
-                raise ValueError(
-                    f"cycle {cycle} is not contained in a block of {partition!r}"
-                )
+        labels = partition.labels
+        # every cycle lies in a block exactly when pi keeps each point's block label
+        if tuple(map(((-1,) + labels).__getitem__, perm.image)) != labels:
+            cycle = next(c for c in perm.cycles if len({labels[pt - 1] for pt in c}) > 1)
+            raise ValueError(f"cycle {cycle} is not contained in a block of {partition!r}")
         self.partition = partition
         self.perm = perm
         self._block_cycles: tuple[tuple[tuple[int, ...], ...], ...] | None = None
@@ -329,11 +327,9 @@ class PartitionedPermutation:
         the outer-circle cycle of a tunnel block first.
         """
         if self._block_cycles is None:
-            per_block: list[list[tuple[int, ...]]] = [
-                [] for _ in range(self.partition.block_count)
-            ]
+            per_block: list[list[tuple[int, ...]]] = [[] for _ in self.partition.blocks]
             for cycle in self.perm.cycles:
-                per_block[self.partition.block_index(cycle[0])].append(cycle)
+                per_block[self.partition.labels[cycle[0] - 1]].append(cycle)
             self._block_cycles = tuple(tuple(group) for group in per_block)
         return self._block_cycles
 
@@ -368,19 +364,19 @@ def enumerate_psnc(
 
 @lru_cache(maxsize=None)
 def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
-    out = [PartitionedPermutation.disc(a) for a in _snc(p, q)]
+    n = p + q
+    out = [PartitionedPermutation(SetPartition(n, a.cycles), a) for a in _snc(p, q)]
+    inners = [(tuple(v + p for v in b.image), tuple(tuple(x + p for x in c) for c in b.cycles))
+              for b in _nc(q)]
     for outer in _nc(p):
-        for inner in _nc(q):
-            image = list(outer.image) + [v + p for v in inner.image]
-            perm = Permutation(image)
-            out_cycles = outer.cycles
-            in_cycles = tuple(tuple(pt + p for pt in c) for c in inner.cycles)
+        out_cycles = outer.cycles
+        for in_image, in_cycles in inners:
+            perm = Permutation(outer.image + in_image)
             for i, c1 in enumerate(out_cycles):
-                for c2 in in_cycles:
-                    blocks = [c1 + c2]
-                    blocks.extend(c for j, c in enumerate(out_cycles) if j != i)
-                    blocks.extend(c for c in in_cycles if c is not c2)
-                    out.append(PartitionedPermutation(SetPartition(p + q, blocks), perm))
+                rest = out_cycles[:i] + out_cycles[i + 1 :]
+                for j, c2 in enumerate(in_cycles):
+                    blocks = (c1 + c2,) + rest + in_cycles[:j] + in_cycles[j + 1 :]
+                    out.append(PartitionedPermutation(SetPartition(n, blocks), perm))
     return tuple(out)
 
 
@@ -455,9 +451,7 @@ def fatten(a: Permutation, comp: Composition) -> Permutation:
         raise ValueError(
             f"permutation of size {a.size} does not match {comp.part_count} parts"
         )
-    partial = [0]
-    for n in comp.parts:
-        partial.append(partial[-1] + n)
+    partial = [0, *itertools.accumulate(comp.parts)]
     total = partial[-1]
     image = [i + 2 for i in range(total)]
     for k in range(1, comp.part_count + 1):
@@ -594,3 +588,19 @@ def element_record(vp: PartitionedPermutation) -> dict:
         "partition": [list(b) for b in vp.partition.blocks],
         "kind": vp.kind,
     }
+
+
+def element_line(x: Permutation | PartitionedPermutation) -> str:
+    """``json.dumps`` of ``{"perm": x.cycle_string()}`` or of ``element_record(x)``,
+    separators ``", "`` and ``": "``: cycle strings need no escaping, and the
+    repr of a list of int lists is its JSON.
+
+    >>> for vp in enumerate_psnc(AnnulusShape(1, 1)):
+    ...     print(element_line(vp))
+    {"perm": "(1,2)", "partition": [[1, 2]], "kind": "disc"}
+    {"perm": "(1)(2)", "partition": [[1, 2]], "kind": "tunnel"}
+    """
+    if isinstance(x, Permutation):
+        return f'{{"perm": "{x.cycle_string()}"}}'
+    blocks = list(map(list, x.partition.blocks))
+    return f'{{"perm": "{x.perm.cycle_string()}", "partition": {blocks}, "kind": "{x.kind}"}}'

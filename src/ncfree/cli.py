@@ -24,7 +24,7 @@ import click
 from .annular import (
     ENUMERATION_BOUND,
     AnnulusShape,
-    element_record,
+    element_line,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
@@ -69,10 +69,6 @@ def main() -> None:
     """
 
 
-def _perm_record(a: Permutation) -> dict:
-    return {"perm": a.cycle_string()}
-
-
 @main.command("enumerate")
 @click.argument("kind", type=click.Choice(["nc", "snc", "psnc"]))
 @click.argument("sizes", nargs=-1, type=int)
@@ -80,7 +76,8 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
     """Dump one family as JSON Lines, one element per line, then the count.
 
     KIND is nc (one size: the disc), or snc/psnc (two sizes: outer and
-    inner circle).
+    inner circle).  ``annular.element_line`` formats the element lines
+    byte for byte as ``json.dumps``; only the count line uses ``json``.
     """
     want = 1 if kind == "nc" else 2
     if len(sizes) != want:
@@ -90,14 +87,11 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
     total = sum(sizes)
     _check_total(total)
     if kind == "nc":
-        family, record = enumerate_nc(sizes[0], bound=total), _perm_record
-    elif kind == "snc":
-        shape = AnnulusShape(sizes[0], sizes[1])
-        family, record = enumerate_snc(shape, bound=total), _perm_record
+        family = enumerate_nc(sizes[0], bound=total)
     else:
-        shape = AnnulusShape(sizes[0], sizes[1])
-        family, record = enumerate_psnc(shape, bound=total), element_record
-    lines = [json.dumps(record(x), separators=(", ", ": ")) for x in family]
+        family_of = enumerate_snc if kind == "snc" else enumerate_psnc
+        family = family_of(AnnulusShape(sizes[0], sizes[1]), bound=total)
+    lines = list(map(element_line, family))
     lines.append(json.dumps({"count": len(family)}, separators=(", ", ": ")))
     click.echo("\n".join(lines))
 

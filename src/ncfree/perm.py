@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 __all__ = [
@@ -184,7 +185,8 @@ class Permutation:
     # -- text form ------------------------------------------------------
 
     def cycle_string(self) -> str:
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in self.cycles)
+        # the repr of the cycles, compacted: ((1, 3), (2,)) -> (1,3)(2)
+        return repr(self.cycles).replace(" ", "").replace(",)", ")")[1:-1].replace("),(", ")(")
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"
@@ -222,16 +224,21 @@ class SetPartition:
         if size < 1:
             raise ValueError("partitions live on [n] with n >= 1")
         canon = sorted(tuple(sorted(b)) for b in blocks)
-        seen = [False] * size
-        for block in canon:
-            if not block:
-                raise ValueError("empty block")
-            for pt in block:
-                if not (1 <= pt <= size) or seen[pt - 1]:
-                    raise ValueError(f"blocks do not partition [{size}]: {canon!r}")
-                seen[pt - 1] = True
-        if not all(seen):
-            raise ValueError(f"blocks do not cover [{size}]: {canon!r}")
+        points = sorted(chain.from_iterable(canon))
+        # Accept in C when non-empty blocks hold exactly the ints 1..size;
+        # anything else goes to the per-point loop, which has the last word.
+        if not (all(canon) and type(size) is int and {*map(type, points)} == {int}
+                and points == list(range(1, size + 1))):
+            seen = [False] * size
+            for block in canon:
+                if not block:
+                    raise ValueError("empty block")
+                for pt in block:
+                    if not (1 <= pt <= size) or seen[pt - 1]:
+                        raise ValueError(f"blocks do not partition [{size}]: {canon!r}")
+                    seen[pt - 1] = True
+            if not all(seen):
+                raise ValueError(f"blocks do not cover [{size}]: {canon!r}")
         self.size = size
         self.blocks = tuple(canon)
         self._index: tuple[int, ...] | None = None
@@ -258,15 +265,20 @@ class SetPartition:
         """n minus the number of blocks."""
         return self.size - len(self.blocks)
 
-    def block_index(self, i: int) -> int:
-        """Index into ``blocks`` of the block containing i."""
+    @property
+    def labels(self) -> tuple[int, ...]:
+        """The block index of each point 1..n: first-appearance labels, as from ``_join0``."""
         if self._index is None:
             index = [0] * self.size
             for bi, block in enumerate(self.blocks):
                 for pt in block:
                     index[pt - 1] = bi
             self._index = tuple(index)
-        return self._index[i - 1]
+        return self._index
+
+    def block_index(self, i: int) -> int:
+        """Index into ``blocks`` of the block containing i."""
+        return self.labels[i - 1]
 
     def block_containing(self, i: int) -> tuple[int, ...]:
         return self.blocks[self.block_index(i)]

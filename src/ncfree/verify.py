@@ -685,15 +685,15 @@ def check_order_corollary(max_total: int = 6):
 def _psnc_raw(shape: AnnulusShape):
     """Precomputed arrays for fast order scans over one shape.
 
-    Per element: the 0-based image and its inverse, the canonical block
-    labels, the pairs joining each block, the length and the kind.
+    Per element: the 0-based image and its inverse, the block labels
+    (``SetPartition.labels``, the first-appearance labels ``_join0`` gives
+    the pairs), the pairs joining each block, the length and the kind.
     """
     els = enumerate_psnc(shape)
     raw = []
     for el, img0 in zip(els, _images0(el.perm for el in els)):
         pairs = [(b[0] - 1, x - 1) for b in el.partition.blocks for x in b[1:]]
-        plab, _ = _join0(shape.total, pairs)
-        raw.append((img0, _inverse0(img0), plab, pairs, el.length, el.kind))
+        raw.append((img0, _inverse0(img0), el.partition.labels, pairs, el.length, el.kind))
     return els, raw
 
 

@@ -205,6 +205,26 @@ class TestPartitionedPermutations:
         disc = [vp for vp in enumerate_psnc(shape) if vp.kind == "disc"]
         assert len(disc) == annular_count(2, 2)
 
+    def test_constructor_accepts_exactly_the_dominated_pairs(self):
+        for n in range(1, 5):
+            parts = list(_set_partitions_of(n))
+            for image in itertools.permutations(range(1, n + 1)):
+                perm = Permutation(image)
+                for part in parts:
+                    inside = all(any(set(c) <= set(b) for b in part.blocks) for c in perm.cycles)
+                    if inside:
+                        assert PartitionedPermutation(part, perm).perm == perm
+                    else:
+                        with pytest.raises(ValueError):
+                            PartitionedPermutation(part, perm)
+
+    def test_refusals_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^partition and permutation sizes differ$"):
+            PartitionedPermutation(SetPartition.full(3), Permutation.identity(2))
+        with pytest.raises(ValueError) as info:
+            PartitionedPermutation(SetPartition(4, [(1, 2), (3, 4)]), Permutation.parse("(1,3)(2,4)"))
+        assert str(info.value) == "cycle (1, 3) is not contained in a block of SetPartition[{1,2}{3,4}]"
+
     def test_records_round_trip(self):
         for vp in enumerate_psnc(AnnulusShape(2, 1)):
             rec = element_record(vp)

@@ -10,6 +10,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import ncfree
+from ncfree.annular import AnnulusShape, element_record, enumerate_nc, enumerate_psnc, enumerate_snc
 from ncfree.cli import main
 
 
@@ -42,6 +43,27 @@ class TestEnumerate:
         assert records[-1] == {"count": 2}
         assert {"perm": "(1,2)", "partition": [[1, 2]], "kind": "disc"} in records
         assert {"perm": "(1)(2)", "partition": [[1, 2]], "kind": "tunnel"} in records
+
+    def test_lines_are_the_json_dumps_of_each_record(self):
+        # json.dumps of each element's record is the oracle for every line.
+        def dumps(record):
+            return json.dumps(record, separators=(", ", ": "))
+
+        cases = [(("nc", n), enumerate_nc(n)) for n in range(1, 8)]
+        for total in range(2, 8):
+            for p in range(1, total):
+                shape = AnnulusShape(p, total - p)
+                cases.append((("snc", p, total - p), enumerate_snc(shape)))
+                cases.append((("psnc", p, total - p), enumerate_psnc(shape)))
+        for (kind, *sizes), family in cases:
+            res = run("enumerate", kind, *map(str, sizes))
+            assert res.exit_code == 0
+            if kind == "psnc":
+                want = [dumps(element_record(vp)) for vp in family]
+            else:
+                want = [dumps({"perm": a.cycle_string()}) for a in family]
+            want.append(dumps({"count": len(family)}))
+            assert res.output.splitlines() == want, (kind, sizes)
 
     def test_size_arity(self):
         assert run("enumerate", "nc", "2", "1").exit_code != 0

@@ -64,6 +64,13 @@ class TestPermutationBasics:
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
 
+    def test_cycle_string_joins_the_cycles(self):
+        for n in range(1, 7):
+            for image in itertools.permutations(range(1, n + 1)):
+                a = Permutation(image)
+                want = "".join("(" + ",".join(map(str, c)) + ")" for c in a.cycles)
+                assert a.cycle_string() == want
+
     def test_cycles_are_canonical(self):
         a = Permutation.parse("(5,2,4)(3,1)")
         assert a.cycles == ((1, 3), (2, 4, 5))
@@ -178,6 +185,35 @@ class TestSetPartition:
             SetPartition(3, [(1, 2), (2, 3)])
         with pytest.raises(ValueError):
             SetPartition(3, [(1, 2)])
+
+    @pytest.mark.parametrize(
+        "size, blocks, error, message",
+        [
+            (3, [(1, 2), (2, 3)], ValueError, "blocks do not partition [3]: [(1, 2), (2, 3)]"),
+            (3, [(1,), (3,)], ValueError, "blocks do not cover [3]: [(1,), (3,)]"),
+            (3, [(0, 1), (2, 3)], ValueError, "blocks do not partition [3]: [(0, 1), (2, 3)]"),
+            (3, [(1, 2), (3, 4)], ValueError, "blocks do not partition [3]: [(1, 2), (3, 4)]"),
+            (2, [(1, 2), ()], ValueError, "empty block"),
+            (3, [(1, 1, 2), (3,)], ValueError, "blocks do not partition [3]: [(1, 1, 2), (3,)]"),
+            (2, [(1.0,), (2,)], TypeError, "list indices must be integers or slices, not float"),
+            (2.0, [(1,), (2,)], TypeError, "can't multiply sequence by non-int of type 'float'"),
+            (2, [], ValueError, "blocks do not cover [2]: []"),
+        ],
+        ids=["overlap", "gap", "zero", "past-n", "empty", "repeat", "float-point", "float-size", "none"],
+    )
+    def test_refusals_keep_their_errors(self, size, blocks, error, message):
+        with pytest.raises(error) as info:
+            SetPartition(size, blocks)
+        assert str(info.value) == message
+
+    def test_accepts_what_the_point_loop_accepts(self):
+        # a bool is an int to the per-point loop, so True stands for 1
+        assert SetPartition(2, [(True,), (2,)]).blocks == ((True,), (2,))
+
+    def test_labels_are_first_appearance_block_indices(self):
+        v = SetPartition(5, [(2, 5), (1, 3), (4,)])
+        assert v.labels == (0, 1, 0, 2, 1)
+        assert [v.block_index(i) for i in range(1, 6)] == list(v.labels)
 
     def test_full_and_singletons(self):
         assert SetPartition.full(3).blocks == ((1, 2, 3),)

@@ -8,8 +8,11 @@ with ``pytest -m extended``.
 
 import pytest
 
+from ncfree.annular import AnnulusShape
+from ncfree.perm import _join0
 from ncfree.verify import (
     CheckResult,
+    _psnc_raw,
     check_fluctuations,
     check_mobius_recurrence,
     run_suite,
@@ -94,6 +97,15 @@ class TestReducedBounds:
         assert [(r.name, r.passed, r.cases) for r in serial] == [
             (r.name, r.passed, r.cases) for r in parallel
         ]
+
+
+class TestRawRecords:
+    def test_block_labels_are_the_join_of_the_block_pairs(self):
+        for total in range(2, 7):
+            for p in range(1, total):
+                _els, raw = _psnc_raw(AnnulusShape(p, total - p))
+                for _img, _inv, plab, pairs, _len, _kind in raw:
+                    assert plab == _join0(total, pairs)[0]
 
 
 @pytest.mark.extended
