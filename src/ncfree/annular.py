@@ -18,20 +18,20 @@ for pi annular non-crossing, together with the "tunnel" elements where pi
 is a pair of disc non-crossing permutations, one per circle, and exactly
 one block of V glues one cycle from each circle.
 
-Enumeration generates the families instead of filtering S_{p+q}: the
-disc family by recursion on the cycle of the first point, the annular
-family as the circle-rotation conjugates of the disc members with a
-through cycle.  Both work on 0-based image tuples, wrap only the results
-in ``Permutation``, and return them in lexicographic order on one-line
-images; the tests compare them against the S_n filter ``perm._is_nc0``
-and the Mingo-Nica counts.  Each family is memoized per size/shape.  The
-default bound keeps p + q <= 12.  Each memo is an ``lru_cache`` on a
-private function behind a public one that checks the arguments;
-``cumulants.clear_caches()`` never empties the families; every element
-passes its validating constructor.  ``element_line`` formats the JSON
-Lines of ``ncfree enumerate`` without ``json``.  The complement-separation
-test of the product formula runs on the 0-based kernels
-``_cycle_labels0`` and ``_separated`` of ``perm``.
+Enumeration generates the families instead of filtering: the disc family
+by recursion on the cycle of the first point, the disc pairings on the
+partner of the first point, and each annular family (``enumerate_snc``,
+``count_snc_pairings``) as the circle-rotation conjugates of its disc
+members with a through cycle, all on 0-based image tuples.  The tests
+compare them against the S_n filter ``perm._is_nc0``, the (n-1)!! pairing
+filter and the Mingo-Nica counts.  The enumerators wrap only their results
+in ``Permutation``, sort them by one-line image and memoize them per size or
+shape, up to p + q <= 12 by default, each in an ``lru_cache`` behind a public
+function that checks the arguments; ``cumulants.clear_caches()`` never
+empties them; every element passes its validating constructor.
+``element_line`` formats the JSON Lines of ``ncfree enumerate`` without
+``json``.  The complement-separation test of the product formula runs on
+the 0-based kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .perm import (
     Permutation,
     SetPartition,
     _compose0,
-    _cycle_count0,
     _cycle_labels0,
     _gamma0,
     _inverse0,
@@ -246,14 +245,26 @@ def _nc(n: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(v + 1 for v in img0) for img0 in _nc_images0(n))
 
 
-@lru_cache(maxsize=None)
-def _snc(p: int, q: int) -> tuple[Permutation, ...]:
-    # A permutation with a through cycle is annular non-crossing exactly
-    # when some pair of circle rotations conjugates it to a disc
-    # non-crossing one (``verify.check_snc_rotation``), so the family is
-    # the set of rotation conjugates of the disc members with a through cycle.
-    n = p + q
-    discs = [img for img in _nc_images0(n) if _scan_cycles0(img, p)[1]]
+def _nc_pairings0(n: int) -> list[tuple[int, ...]]:
+    """0-based images of the non-crossing pairings of [n], n even: 0 pairs
+    with an odd j, and 1..j-1 and j+1..n-1 carry independent such pairings."""
+    table = [[()]]
+    for m in range(2, n + 1, 2):
+        out = []
+        for j in range(1, m, 2):
+            inners = [tuple(v + 1 for v in img) for img in table[j // 2]]
+            rests = [tuple(v + j + 1 for v in img) for img in table[(m - j - 1) // 2]]
+            out.extend((j,) + inner + (0,) + rest for inner in inners for rest in rests)
+        table.append(out)
+    return table[n // 2]
+
+
+def _rotation_conjugates(discs0: list[tuple[int, ...]], p: int, q: int) -> set[tuple[int, ...]]:
+    """1-based images of the circle-rotation conjugates of the 0-based disc
+    images with a through cycle.  When ``discs0`` holds every disc
+    non-crossing image of some cycle types, these are the annular
+    non-crossing permutations of those types (``verify.check_snc_rotation``)."""
+    discs = [img for img in discs0 if _scan_cycles0(img, p)[1]]
     found: set[tuple[int, ...]] = set()
     for a in range(p):
         for b in range(q):
@@ -262,7 +273,12 @@ def _snc(p: int, q: int) -> tuple[Permutation, ...]:
             after = tuple(v + 1 for v in rot)
             # (rot pi rot^-1)(y) = rot(pi(rot^-1(y))), written 1-based
             found.update(itemgetter(*before(img))(after) for img in discs)
-    return tuple(map(Permutation, sorted(found)))
+    return found
+
+
+@lru_cache(maxsize=None)
+def _snc(p: int, q: int) -> tuple[Permutation, ...]:
+    return tuple(map(Permutation, sorted(_rotation_conjugates(_nc_images0(p + q), p, q))))
 
 
 def enumerate_nc(n: int, bound: int | None = None) -> tuple[Permutation, ...]:
@@ -287,7 +303,7 @@ class PartitionedPermutation:
     "disc" when V = 0_pi (each block a single cycle) and "tunnel" otherwise.
     """
 
-    __slots__ = ("partition", "perm", "_block_cycles", "_hash")
+    __slots__ = ("partition", "perm", "_hash")
 
     def __init__(self, partition: SetPartition, perm: Permutation):
         if partition.size != perm.size:
@@ -299,7 +315,6 @@ class PartitionedPermutation:
             raise ValueError(f"cycle {cycle} is not contained in a block of {partition!r}")
         self.partition = partition
         self.perm = perm
-        self._block_cycles: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -326,12 +341,10 @@ class PartitionedPermutation:
         their minima.  For the annular elements enumerated here this puts
         the outer-circle cycle of a tunnel block first.
         """
-        if self._block_cycles is None:
-            per_block: list[list[tuple[int, ...]]] = [[] for _ in self.partition.blocks]
-            for cycle in self.perm.cycles:
-                per_block[self.partition.labels[cycle[0] - 1]].append(cycle)
-            self._block_cycles = tuple(tuple(group) for group in per_block)
-        return self._block_cycles
+        per_block: list[list[tuple[int, ...]]] = [[] for _ in self.partition.blocks]
+        for cycle in self.perm.cycles:
+            per_block[self.partition.labels[cycle[0] - 1]].append(cycle)
+        return tuple(tuple(group) for group in per_block)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -383,19 +396,6 @@ def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
 # -- pairings ----------------------------------------------------------
 
 
-def _pairings0(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-    """All perfect matchings of an even 0-based point list."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in _pairings0(remaining):
-            tail.append((first, partner))
-            yield tail
-
-
 def count_snc_pairings(
     p: int, q: int, separated_at: Iterable[int] | None = None
 ) -> int:
@@ -404,34 +404,21 @@ def count_snc_pairings(
     With ``separated_at`` given, only pairings pi whose complement
     pi^-1 gamma_pq puts the listed points into pairwise distinct cycles
     are counted.  A circle with no point, or a point outside [1, p+q], is
-    a ValueError.  Enumeration is over all (p+q-1)!! pairings; the test
-    applied to each is the annular membership definition itself: a
-    through pair, and n/2 complement cycles (a pairing has n/2 cycles of
-    its own).
+    a ValueError.  The pairings are generated as the rotation conjugates of
+    the disc non-crossing pairings with a through pair, the construction
+    of ``enumerate_snc``; the tests compare the counts with a filter over
+    all (p+q-1)!! pairings.
     """
     n = AnnulusShape(p, q).total
     pts = None if separated_at is None else _points_in(separated_at, n)
     if n % 2:
         return 0
+    members = _rotation_conjugates(_nc_pairings0(n), p, q)
+    if pts is None:
+        return len(members)
     gamma0 = _gamma0(p, q)
-    half = n // 2
-    count = 0
-    for pairs in _pairings0(tuple(range(n))):
-        img0 = [0] * n
-        through = False
-        for a, b in pairs:
-            img0[a] = b
-            img0[b] = a
-            if (a < p) != (b < p):
-                through = True
-        if not through:
-            continue
-        k0 = _compose0(img0, gamma0)  # pairings are involutions
-        if _cycle_count0(k0) != half:
-            continue
-        if pts is None or _separated(_cycle_labels0(k0)[0], pts):
-            count += 1
-    return count
+    # a pairing is an involution, so its complement pi^-1 gamma is pi gamma
+    return sum(_separated(_cycle_labels0([img[g] - 1 for g in gamma0])[0], pts) for img in members)
 
 
 # -- fattening ---------------------------------------------------------

@@ -403,10 +403,11 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # tuples and only wrap results in Permutation.  One kernel per job; each
 # line gives the contract, then the callers (V = the verify sweeps):
 #
-# _cycle_count0(img)       number of cycles; _is_nc0, _below0, count_snc_pairings, V
+# _cycle_count0(img)       number of cycles; _is_nc0, _below0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
 #                          _complement_labels, the disc plans of cumulants, V
-# _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, enumerate_snc, V
+# _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, V,
+#                          the annular generators (enumerate_snc, count_snc_pairings)
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
 #                          ks_product_cumulant, V (separation sweeps, order table and structure)
@@ -419,8 +420,9 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #                          (restriction lemmas, order corollary)
 # _below0(la, a_inv, b, lb)  la + |a^-1 b| == lb: a on a geodesic from e to b; V (metric sweeps)
 #
-# Separation callers: separates_points, count_snc_pairings, main_summand_filter on
-# kreweras_cycle_ids labels, main_product_cumulant on its plan's complement labels.
+# Separation callers: separates_points, count_snc_pairings on its generated pairings,
+# main_summand_filter on kreweras_cycle_ids labels, main_product_cumulant on its plan's
+# complement labels.
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:

@@ -10,6 +10,7 @@ from ncfree.annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
+    _nc_pairings0,
     count_snc_pairings,
     element_record,
     enumerate_nc,
@@ -26,8 +27,19 @@ from ncfree.annular import (
     pp_product,
     tau_of,
 )
-from ncfree.cumulants import snc_closed_form
-from ncfree.perm import Permutation, SetPartition, _is_nc0, compose, full_cycle
+from ncfree.cumulants import semicircular_square_kappa, snc_closed_form
+from ncfree.perm import (
+    Permutation,
+    SetPartition,
+    _compose0,
+    _cycle_count0,
+    _cycle_labels0,
+    _gamma0,
+    _is_nc0,
+    _separated,
+    compose,
+    full_cycle,
+)
 from ncfree.spaces import catalan
 
 
@@ -46,6 +58,43 @@ def filtered(n, p):
         for img0 in itertools.permutations(range(n))
         if _is_nc0(img0, p)
     )
+
+
+def pairings0(points):
+    """All perfect matchings of an even 0-based point list."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, partner in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for tail in pairings0(remaining):
+            tail.append((first, partner))
+            yield tail
+
+
+def filtered_pairing_complements(p, q):
+    """The filter ``count_snc_pairings`` replaced: over all (p+q-1)!!
+    pairings, keep those with a through pair and (p+q)/2 complement cycles
+    (the annular membership definition, since a pairing has (p+q)/2 cycles
+    of its own); return the complement cycle labels of each member."""
+    n = p + q
+    gamma0 = _gamma0(p, q)
+    out = []
+    for pairs in pairings0(tuple(range(n))):
+        img0 = [0] * n
+        through = False
+        for a, b in pairs:
+            img0[a] = b
+            img0[b] = a
+            if (a < p) != (b < p):
+                through = True
+        if not through:
+            continue
+        k0 = _compose0(img0, gamma0)  # pairings are involutions
+        if _cycle_count0(k0) == n // 2:
+            out.append(_cycle_labels0(k0)[0])
+    return out
 
 
 class TestShapesAndCompositions:
@@ -93,6 +142,14 @@ class TestDiscFamily:
     def test_generator_matches_the_filter(self):
         for n in range(1, 9):
             assert enumerate_nc(n) == filtered(n, n), n
+
+    def test_pairing_generator(self):
+        for n in range(2, 15, 2):
+            images = _nc_pairings0(n)
+            assert len(set(images)) == len(images) == catalan(n // 2)
+            for img in images:
+                assert all(img[i] != i and img[img[i]] == i for i in range(n))
+                assert _is_nc0(img, n)
 
     def test_membership(self):
         assert is_nc_disc(full_cycle(4))
@@ -429,3 +486,30 @@ class TestPairingCounts:
                 count_snc_pairings(2, 2, separated_at=bad)
         with pytest.raises(ValueError):
             count_snc_pairings(2, 1, separated_at=(4,))
+
+
+class TestPairingOracle:
+    def test_counts_match_the_filter(self):
+        for total in range(2, 13):
+            for p in range(1, total):
+                q = total - p
+                assert count_snc_pairings(p, q) == len(filtered_pairing_complements(p, q))
+
+    def test_separated_counts_match_the_filter(self):
+        for total in range(2, 9):
+            for p in range(1, total):
+                q = total - p
+                members = filtered_pairing_complements(p, q)
+                for r in range(total + 1):
+                    for pts in itertools.combinations(range(1, total + 1), r):
+                        want = sum(_separated(labels, pts) for labels in members)
+                        assert count_snc_pairings(p, q, separated_at=pts) == want, (p, q, pts)
+
+    def test_squares_match_the_filter(self):
+        for p in range(1, 6):
+            for q in range(1, 7 - p):
+                members = filtered_pairing_complements(2 * p, 2 * q)
+                evens = tuple(range(2, 2 * (p + q) + 1, 2))
+                want = sum(_separated(labels, evens) for labels in members)
+                assert count_snc_pairings(2 * p, 2 * q, separated_at=evens) == want, (p, q)
+                assert semicircular_square_kappa(p, q) == want

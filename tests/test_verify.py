@@ -19,6 +19,7 @@ from ncfree.verify import (
     suite_ks,
     suite_main_theorem,
     suite_names,
+    suite_semicircular_square,
 )
 
 
@@ -121,3 +122,6 @@ class TestExtendedBounds:
 
     def test_mobius_total_9(self):
         assert_all_pass([check_mobius_recurrence(9)])
+
+    def test_semicircular_square_bound_5(self):
+        assert_all_pass(suite_semicircular_square(5))
