@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import islice
 
 import click
 
@@ -32,7 +33,10 @@ from .annular import (
 from .cumulants import snc_closed_form, symbolic_kappa_pq, symbolic_phi2_expansion
 from .draw import render_svg
 from .perm import Permutation, SetPartition
-from .verify import run_suite, suite_names
+from .verify import SQUARE_BOUND, run_suite, suite_names
+
+
+_ECHO_CHUNK = 4096  # lines per write of ``enumerate``: its output is never held whole
 
 
 def _ceiling() -> int:
@@ -91,9 +95,10 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
     else:
         family_of = enumerate_snc if kind == "snc" else enumerate_psnc
         family = family_of(AnnulusShape(sizes[0], sizes[1]), bound=total)
-    lines = list(map(element_line, family))
-    lines.append(json.dumps({"count": len(family)}, separators=(", ", ": ")))
-    click.echo("\n".join(lines))
+    lines = map(element_line, family)
+    while chunk := list(islice(lines, _ECHO_CHUNK)):
+        click.echo("\n".join(chunk))
+    click.echo(json.dumps({"count": len(family)}, separators=(", ", ": ")))
 
 
 @main.command()
@@ -173,6 +178,11 @@ def verify(ctx: click.Context, suite: str, max_total: int | None, jobs: int, fmt
     if jobs < 1:
         raise click.ClickException("--jobs must be at least 1")
     _check_total(max_total if max_total is not None else 1)
+    if suite in ("semicircular-square", "all") and (max_total or 0) > SQUARE_BOUND:
+        raise click.ClickException(
+            f"semicircular-square runs to --max {SQUARE_BOUND} at most: its cells hold "
+            f"every annular pairing of 2(p+q) points"
+        )
     results = run_suite(suite, max_total, jobs)
     if fmt == "text":
         for res in results:

@@ -41,11 +41,20 @@ the test suite; neither is assumed.
 
 Every sum above walks a plan built once per size or shape, (records, top):
 per element, its blocks as 0-based index tuples and the labels its filter
-reads, and the index of the solved-for element.  ``_kappa_blocks``, with
-no memo, multiplies cumulants over the blocks and returns at the first
-zero factor.  The recursions are ``lru_cache``s keyed by the model object
-and the words; ``clear_caches()`` empties them and the plans
-(``memo_info()`` shows them), not the enumerations.
+reads, and the index of the solved-for element.  ``_kappa_blocks`` is the
+only code that multiplies cumulants over blocks: it takes a walk's block
+lists, evaluates each distinct block once per call, and stops a product at
+its first zero factor.
+
+Memoised, each as an ``lru_cache``: the plans; the recursions ``_kappa_n``
+and ``_kappa_pq``, keyed by the model object and the words; and, at most
+128 (model, word, size or shape) entries, ``_nonzero_summands``: a plan's
+records not known to have a zero product, with their products as far as
+computed.  A product formula call filters those records for its
+composition and computes only the products still missing, so each product
+is computed once per shape and no call computes more than it sums.
+``oracle_product_cumulant`` never reads them.  ``clear_caches()`` empties
+all of these (``memo_info()`` shows them), not the enumerations.
 """
 
 from __future__ import annotations
@@ -150,22 +159,31 @@ def _blocks0(block_cycles, pool: dict) -> tuple[tuple[tuple[int, ...], ...], ...
     return tuple(out)
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, blocks) -> Scalar:
-    """Product over 0-based ``blocks`` of kappa_n of a one-cycle block's
-    arguments and kappa_{s,t} of a two-cycle one's; returns at the first
-    zero factor."""
-    value: Scalar = 1
-    for block in blocks:
-        if len(block) == 1:
-            value = value * _kappa_n(model, tuple([args[i] for i in block[0]]))
-        else:
-            first, second = block
-            value = value * _kappa_pq(
-                model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
-            )
-        if not value:
-            return value
-    return value
+def _kappa_blocks(model: MomentOracle, args: Args, block_lists) -> list[Scalar]:
+    """Per list of 0-based blocks, the product of kappa_n of each one-cycle
+    block's arguments and kappa_{s,t} of each two-cycle one's, stopped at
+    its first zero factor.  A block object is evaluated once per call: in a
+    plan, ``_blocks0`` made equal blocks one object."""
+    factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
+    out: list[Scalar] = []
+    for blocks in block_lists:
+        value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
+        for block in blocks:
+            factor = factors.get(id(block))
+            if factor is None:
+                if len(block) == 1:
+                    factor = _kappa_n(model, tuple([args[i] for i in block[0]]))
+                else:
+                    first, second = block
+                    factor = _kappa_pq(
+                        model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
+                    )
+                factors[id(block)] = factor
+            value = factor if value is None else value * factor
+            if not value:
+                break
+        out.append(value)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -174,24 +192,59 @@ def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     if n == 1:
         return model.phi(args[0])
     records, top = _nc_plan(n)
-    parts = [_kappa_blocks(model, args, rec[0]) for rec in records[:top] + records[top + 1 :]]
+    parts = _kappa_blocks(model, args, [rec[0] for i, rec in enumerate(records) if i != top])
     return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
     records, top = _psnc_plan(len(args1), len(args2))
-    allargs = args1 + args2
-    parts = [_kappa_blocks(model, allargs, rec[0]) for rec in records[:top] + records[top + 1 :]]
+    blocks = [rec[0] for i, rec in enumerate(records) if i != top]
+    parts = _kappa_blocks(model, args1 + args2, blocks)
     return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
 
 
-_MEMOS = dict(kappa_n=_kappa_n, kappa_pq=_kappa_pq, nc_plan=_nc_plan, psnc_plan=_psnc_plan)
+@lru_cache(maxsize=128)
+def _nonzero_summands(model: MomentOracle, word: Word, p: int, q: int | None = None) -> list:
+    """``[records, products]``: the records of the plan of NC(p), or of
+    PS_NC(p, q), not known to have an int zero product on the letters of
+    ``word``, and their products, None until ``_kept_products`` needs them.
+
+    An int zero adds nothing to a sum and leaves its type alone, unlike a
+    Fraction or polynomial zero.  On the annulus a record whose complement
+    joins p and p + q is left out at once: every composition's endpoints
+    hold both.
+    """
+    records, _ = _nc_plan(p) if q is None else _psnc_plan(p, q)
+    if q is not None:
+        records = [rec for rec in records if _separated(rec[1], (p, p + q))]
+    return [list(records), [None] * len(records)]
+
+
+def _kept_products(model: MomentOracle, word: Word, summands: list, kept: list[int]) -> list:
+    """The products at the indices ``kept`` of ``summands``, the missing
+    ones computed in one walk; then the int zeros found leave ``summands``."""
+    records, products = summands
+    missing = [i for i in kept if products[i] is None]
+    if missing:
+        args = tuple([(letter,) for letter in word])
+        values = _kappa_blocks(model, args, [records[i][0] for i in missing])
+        for i, value in zip(missing, values):
+            products[i] = value
+    out = [products[i] for i in kept]
+    if missing and any(not value and type(value) is int for value in values):
+        live = [i for i, v in enumerate(products) if v or type(v) is not int]  # None stays
+        summands[:] = [records[i] for i in live], [products[i] for i in live]
+    return out
+
+
+_MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _nc_plan, _psnc_plan, _nonzero_summands)}
 
 
 def clear_caches() -> None:
-    """Empty the ``kappa_n`` and ``kappa_pq`` memos and the summation plans;
-    the enumerations (one tuple per size or shape) stay."""
+    """Empty the ``kappa_n`` and ``kappa_pq`` memos, the summation plans and
+    the product formulas' summands; the enumerations (one tuple per size or
+    shape) stay."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 
@@ -213,7 +266,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
         raise ValueError("permutation size does not match argument count")
     if not is_nc_disc(pi):
         raise ValueError(f"{pi!r} is not disc non-crossing")
-    return _kappa_blocks(model, args, _blocks0(((c,) for c in pi.cycles), {}))
+    return _kappa_blocks(model, args, [_blocks0(((c,) for c in pi.cycles), {})])[0]
 
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
@@ -233,7 +286,7 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
     args = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
-    return _kappa_blocks(model, args, _blocks0(vp.block_cycles(), {}))
+    return _kappa_blocks(model, args, [_blocks0(vp.block_cycles(), {})])[0]
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----
@@ -243,15 +296,14 @@ def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     args = _norm_args(args)
     records, _ = _nc_plan(len(args))
-    return CumulantPolynomial.sum([_kappa_blocks(model, args, rec[0]) for rec in records])
+    return CumulantPolynomial.sum(_kappa_blocks(model, args, [rec[0] for rec in records]))
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
     args1, args2 = _norm_args(args1), _norm_args(args2)
-    allargs = args1 + args2
     records, _ = _psnc_plan(len(args1), len(args2))
-    return CumulantPolynomial.sum([_kappa_blocks(model, allargs, rec[0]) for rec in records])
+    return CumulantPolynomial.sum(_kappa_blocks(model, args1 + args2, [rec[0] for rec in records]))
 
 
 # -- cumulants with products as arguments ------------------------------
@@ -279,18 +331,16 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     if comp.split is not None:
         raise ValueError("use a split composition with main_product_cumulant")
     word = tuple(word)
-    args = tuple((letter,) for letter in word)
-    n = len(word)
-    if comp.total != n:
+    if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
     _, edges = _interval_edges(comp)
-    records, _ = _nc_plan(n)
-    parts = [
-        _kappa_blocks(model, args, blocks)
-        for blocks, labels, count in records
+    summands = _nonzero_summands(model, word, len(word))
+    kept = [
+        i
+        for i, (_, labels, count) in enumerate(summands[0])
         if _join0(count, [(labels[a], labels[b]) for a, b in edges])[1] == 1
     ]
-    return CumulantPolynomial.sum(parts)
+    return CumulantPolynomial.sum(_kept_products(model, word, summands, kept))
 
 
 def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -306,11 +356,10 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
     shape = comp.shape()
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
-    args = tuple((letter,) for letter in word)
     points = comp.boundary_points
-    records, _ = _psnc_plan(shape.p, shape.q)
-    parts = [_kappa_blocks(model, args, b) for b, labels in records if _separated(labels, points)]
-    return CumulantPolynomial.sum(parts)
+    summands = _nonzero_summands(model, word, shape.p, shape.q)
+    kept = [i for i, (_, labels) in enumerate(summands[0]) if _separated(labels, points)]
+    return CumulantPolynomial.sum(_kept_products(model, word, summands, kept))
 
 
 def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:

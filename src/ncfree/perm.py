@@ -410,7 +410,8 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #                          the annular generators (enumerate_snc, count_snc_pairings)
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
-#                          ks_product_cumulant, V (separation sweeps, order table and structure)
+#                          ks_product_cumulant on its memoised nonzero summands, V (separation
+#                          sweeps, order table and structure)
 # _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
 # _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
@@ -421,8 +422,8 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # _below0(la, a_inv, b, lb)  la + |a^-1 b| == lb: a on a geodesic from e to b; V (metric sweeps)
 #
 # Separation callers: separates_points, count_snc_pairings on its generated pairings,
-# main_summand_filter on kreweras_cycle_ids labels, main_product_cumulant on its plan's
-# complement labels.
+# main_summand_filter on kreweras_cycle_ids labels, main_product_cumulant on the complement
+# labels of its memoised nonzero summands.
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:

@@ -76,7 +76,7 @@ from .spaces import (
     x_word,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
+__all__ = ["CheckResult", "SQUARE_BOUND", "SUITES", "run_suite", "suite_names"]
 
 
 @dataclass(frozen=True)
@@ -985,8 +985,16 @@ def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[Chec
     return [check_fluctuations(max_total or 10)]
 
 
+# The cells count annular pairings of 2p + 2q points, held in one set per
+# cell: (6,6) holds 2 561 328 of them (73 s and 843 MB on a 2-CPU machine);
+# (7,7) would hold 41 225 184, some 13 GB.
+SQUARE_BOUND = 6
+
+
 def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
     bound = max_total or 4
+    if bound > SQUARE_BOUND:
+        raise ValueError(f"the squares suite runs to a bound of at most {SQUARE_BOUND}")
     cells = [(p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)]
     return _cells(_square_cell, cells, jobs)
 

@@ -183,7 +183,7 @@ def test_criterion_3_main_theorem():
     _run(
         3,
         "second order cumulants with products as entries, totals <= 8",
-        600,
+        120,
         lambda: _all_pass(suite_main_theorem(8, jobs=4)),
     )
 
@@ -194,7 +194,7 @@ def test_criterion_4_first_order_products():
     _run(
         4,
         "first order cumulants with products as entries, n <= 8",
-        120,
+        30,
         lambda: _all_pass(suite_ks(8)),
     )
 
@@ -232,7 +232,7 @@ def test_criterion_7_haar_unitary():
                 f"(m,n)=({m},{n}): got {got!r}, want {want}"
             )
 
-    _run(7, "unitary sign sweeps and the four frozen values", 600, body)
+    _run(7, "unitary sign sweeps and the four frozen values", 120, body)
 
 
 # -- criterion 8: the counting recurrence -----------------------------

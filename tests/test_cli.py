@@ -188,6 +188,21 @@ class TestVerify:
         assert res.exit_code == 0
         assert "3/3 checks passed" in res.output
 
+    def test_squares_suite_ceiling(self, monkeypatch):
+        # Refused before any cell runs: the (7,7) cell alone would need some 13 GB.
+        def no_run(*args):
+            raise AssertionError("a refused suite started")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("ncfree.cli.run_suite", no_run)
+            for suite in ("semicircular-square", "all"):
+                res = run("verify", suite, "--max", "7")
+                assert res.exit_code != 0
+                assert "--max 6 at most" in res.output
+        res = run("verify", "semicircular-square", "--max", "1")
+        assert res.exit_code == 0
+        assert "1/1 checks passed" in res.output
+
 
 class TestDraw:
     def test_writes_deterministic_svg(self, tmp_path):

@@ -1,6 +1,7 @@
 """First and second order cumulants: recursions, products, symbols."""
 
 import itertools
+import random
 
 import pytest
 
@@ -270,6 +271,41 @@ class TestProductsAsEntries:
                     want = CumulantPolynomial.sum(kappa_pi(model, args, s) for s in kept)
                     assert ks_product_cumulant(model, word, comp) == want, (model.name, comp.parts)
 
+    def test_product_formulas_are_brute_filtered_sums_in_any_order(self):
+        # Brute sums over the enumerated families with the public filters,
+        # against calls made in shuffled order with the memos emptied midway,
+        # so that no value rests on what an earlier call left in a memo.  The
+        # type must match too: dropping zero products must not turn an int
+        # sum into a polynomial or the reverse.
+        cases = []
+        for n in range(1, 7):
+            for comp in _compositions(n):
+                tau = orbit_partition(tau_of(comp))
+                kept = [
+                    sigma
+                    for sigma in enumerate_nc(n)
+                    if partition_join(orbit_partition(sigma), tau).block_count == 1
+                ]
+                for model, word in model_cases(n):
+                    want = CumulantPolynomial.sum([kappa_pi(model, letters(word), s) for s in kept])
+                    cases.append((ks_product_cumulant, model, word, comp, want))
+        for total in range(2, 7):
+            for comp in _split_compositions(total):
+                shape = comp.shape()
+                kept = [vp for vp in enumerate_psnc(shape) if main_summand_filter(shape, comp, vp)]
+                for model, word in model_cases(total):
+                    want = CumulantPolynomial.sum([kappa_vp(model, letters(word), vp) for vp in kept])
+                    cases.append((main_product_cumulant, model, word, comp, want))
+        random.Random(11).shuffle(cases)
+        clear_caches()
+        for i, (formula, model, word, comp, want) in enumerate(cases):
+            if i == len(cases) // 2:
+                clear_caches()
+            got = formula(model, word, comp)
+            where = (formula.__name__, model.name, word, comp.parts, comp.split)
+            assert got == want, where
+            assert type(got) is type(want), where
+
     def test_plans_leave_out_only_the_solved_for_element(self):
         for n in range(1, 8):
             records, top = _nc_plan(n)
@@ -362,12 +398,14 @@ class TestModelEvaluations:
         assert kappa_n(sc, args) == 1
 
     def test_clear_caches_empties_every_memo(self):
-        # The summation plans used by the product formula are emptied too.
+        # The summation plans and the product formula's summands are emptied too.
         clear_caches()
         main_product_cumulant(formal_moment_space(), a_word(4), Composition((1, 1, 2), split=2))
         info = memo_info()
-        assert set(info) == {"kappa_n", "kappa_pq", "nc_plan", "psnc_plan"}
+        assert set(info) == {"kappa_n", "kappa_pq", "nc_plan", "psnc_plan", "nonzero_summands"}
         assert all(memo["misses"] > 0 for memo in info.values()), info
+        # one entry per (model, word, shape): bounded, so a long-lived process stays flat
+        assert info["nonzero_summands"]["maxsize"] is not None
         clear_caches()
         assert all(memo["currsize"] == 0 for memo in memo_info().values())
 

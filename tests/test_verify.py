@@ -72,6 +72,8 @@ class TestReducedBounds:
 
     def test_semicircular_square(self):
         assert_all_pass(run_suite("semicircular-square", max_total=3))
+        with pytest.raises(ValueError):
+            run_suite("semicircular-square", max_total=7)
 
     def test_haar(self):
         assert_all_pass(run_suite("haar", max_total=4))
