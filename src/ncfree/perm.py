@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 __all__ = [
@@ -403,7 +404,7 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # tuples and only wrap results in Permutation.  One kernel per job; each
 # line gives the contract, then the callers (V = the verify sweeps):
 #
-# _cycle_count0(img)       number of cycles; _is_nc0, _below0, V
+# _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
 #                          _complement_labels, the disc plans of cumulants, V
 # _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, V,
@@ -417,9 +418,12 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
 #                          sweeps, fattening, order corollary), the tests
 # _inverse0, _compose0     inverse; composition, right factor first; everywhere
+# _composer0(b)            the map a -> _compose0(a, b) as one C call (an itemgetter); _is_nc0,
+#                          V wherever the right factor b stays fixed across an inner loop
 # _restrict0(img, pts0)    first-return map on pts0, relabelled by position in pts0; V
 #                          (restriction lemmas, order corollary)
-# _below0(la, a_inv, b, lb)  la + |a^-1 b| == lb: a on a geodesic from e to b; V (metric sweeps)
+#
+# The cycle scans mark visited points in a list, which indexes faster than a bytearray.
 #
 # Separation callers: separates_points, count_snc_pairings on its generated pairings,
 # main_summand_filter on kreweras_cycle_ids labels, main_product_cumulant on the complement
@@ -427,14 +431,14 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:
-    seen = bytearray(len(image0))
+    seen = [False] * len(image0)
     count = 0
     for i in range(len(image0)):
         if not seen[i]:
             count += 1
             j = i
             while not seen[j]:
-                seen[j] = 1
+                seen[j] = True
                 j = image0[j]
     return count
 
@@ -454,7 +458,7 @@ def _cycle_labels0(image0) -> tuple[list[int], int]:
 
 
 def _scan_cycles0(image0: tuple[int, ...], p: int) -> tuple[int, bool]:
-    seen = bytearray(len(image0))
+    seen = [False] * len(image0)
     count = 0
     through = False
     for i in range(len(image0)):
@@ -463,7 +467,7 @@ def _scan_cycles0(image0: tuple[int, ...], p: int) -> tuple[int, bool]:
             j = i
             low = high = False
             while not seen[j]:
-                seen[j] = 1
+                seen[j] = True
                 if j < p:
                     low = True
                 else:
@@ -475,14 +479,14 @@ def _scan_cycles0(image0: tuple[int, ...], p: int) -> tuple[int, bool]:
 
 
 def _cycles0(image0: tuple[int, ...]) -> list[tuple[int, ...]]:
-    seen = bytearray(len(image0))
+    seen = [False] * len(image0)
     cycles = []
     for i in range(len(image0)):
         if not seen[i]:
             cycle = []
             j = i
             while not seen[j]:
-                seen[j] = 1
+                seen[j] = True
                 cycle.append(j)
                 j = image0[j]
             cycles.append(tuple(cycle))
@@ -536,22 +540,23 @@ def _gamma0(*sizes: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=64)
-def _gamma_inverse0(*sizes: int) -> tuple[int, ...]:
-    return _inverse0(_gamma0(*sizes))
+def _times_gamma_inverse0(*sizes: int):
+    return _composer0(_inverse0(_gamma0(*sizes)))
 
 
 def _is_nc0(image0: tuple[int, ...], p: int) -> bool:
-    # gamma^-1 pi is the inverse of the complement pi^-1 gamma, so it has
-    # the same cycle count, and it needs no inverse of pi.
+    # The complement pi^-1 gamma is conjugate (by pi) to gamma pi^-1, the
+    # inverse of pi gamma^-1, so all three have the same cycle count; the
+    # last needs no inverse of pi, only the getter cached for the shape.
     n = len(image0)
     if p == n:
-        count, target, ginv = _cycle_count0(image0), n + 1, _gamma_inverse0(n)
+        count, target, sizes = _cycle_count0(image0), n + 1, (n,)
     else:
         count, through = _scan_cycles0(image0, p)
         if not through:
             return False
-        target, ginv = n, _gamma_inverse0(p, n - p)
-    return count + _cycle_count0(_compose0(ginv, image0)) == target
+        target, sizes = n, (p, n - p)
+    return count + _cycle_count0(_times_gamma_inverse0(*sizes)(image0)) == target
 
 
 def _inverse0(image0: tuple[int, ...]) -> tuple[int, ...]:
@@ -565,6 +570,11 @@ def _compose0(a0: tuple[int, ...], b0: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([a0[x] for x in b0])  # a list, not a generator: faster on short tuples
 
 
+def _composer0(b0: tuple[int, ...]):
+    # itemgetter with one index returns the item, not a 1-tuple; b0 = (0,) there
+    return itemgetter(*b0) if len(b0) > 1 else itemgetter(slice(0, 1))
+
+
 def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...]:
     rank = [-1] * len(image0)
     for i, pt in enumerate(pts0):
@@ -576,7 +586,3 @@ def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...
             j = image0[j]
         out.append(rank[j])
     return tuple(out)
-
-
-def _below0(length_a: int, a_inv: tuple[int, ...], b: tuple[int, ...], length_b: int) -> bool:
-    return length_a + len(b) - _cycle_count0(_compose0(a_inv, b)) == length_b

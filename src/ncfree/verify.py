@@ -10,8 +10,15 @@ can absorb it; checks built on a quadratic scan of a full symmetric
 group clamp the bound to a feasible ceiling instead.
 
 Suites built from independent cells (one per annulus shape, or one per
-check) fan out over a process pool when ``jobs > 1``.  Results are
-gathered in submission order, so the report is deterministic either way.
+check) fan out over a process pool when ``jobs > 1``.  The lemma and
+order checks are started slowest first, by a table of measured seconds;
+results are gathered in table order, so the report is the same either way.
+
+Three sweeps reuse work within one call, in tables local to it:
+``check_restriction_lemma`` the verdict per restricted image,
+``check_fattening`` the complements per small family and
+``check_order_structure`` the witness joins per partition of a cycle set.
+The one module-level memo is ``_sn_below``, an ``lru_cache`` of 8 entries.
 """
 
 from __future__ import annotations
@@ -49,8 +56,8 @@ from .cumulants import (
 )
 from .perm import (
     Permutation,
-    _below0,
     _compose0,
+    _composer0,
     _cycle_count0,
     _cycle_labels0,
     _cycles0,
@@ -126,7 +133,7 @@ def _perm1(image0) -> Permutation:
 
 
 def _images0(family) -> list[tuple[int, ...]]:
-    return [tuple(x - 1 for x in a.image) for a in family]
+    return [tuple([x - 1 for x in a.image]) for a in family]
 
 
 def _compositions(total: int) -> list[tuple[int, ...]]:
@@ -153,7 +160,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _sn_below(n: int):
     """For each permutation of [n], the bitmask of those on a geodesic below it.
 
@@ -161,12 +168,14 @@ def _sn_below(n: int):
     """
     perms = tuple(itertools.permutations(range(n)))
     invs = [_inverse0(p) for p in perms]
-    lengths = [n - _cycle_count0(p) for p in perms]
+    counts = [_cycle_count0(p) for p in perms]
     below = []
-    for sigma, ls in zip(perms, lengths):
+    for sigma, cs in zip(perms, counts):
+        # |pi_i| + |pi_i^-1 sigma| = |sigma| in cycle counts: c_i + c(pi_i^-1 sigma) = n + c_sigma
+        times_sigma, want = _composer0(sigma), n + cs
         mask = 0
-        for i, (li, inv) in enumerate(zip(lengths, invs)):
-            if _below0(li, inv, sigma, ls):
+        for i, (ci, inv) in enumerate(zip(counts, invs)):
+            if ci + _cycle_count0(times_sigma(inv)) == want:
                 mask |= 1 << i
         below.append(mask)
     return perms, tuple(below)
@@ -201,14 +210,14 @@ def _below_images0(image0) -> set[tuple[int, ...]]:
 
 def _complement_data(family, g0) -> list[tuple]:
     """Per permutation, 0-based: its length and inverse, then the right
-    complement pi^-1 gamma and the left complement gamma pi^-1, each
-    followed by its length."""
+    complement pi^-1 gamma and the left complement gamma pi^-1, each as
+    its ``_composer0`` getter followed by its length."""
     n = len(g0)
     out = []
     for inv in map(_inverse0, _images0(family)):
         right, left = _compose0(inv, g0), _compose0(g0, inv)
         lengths = [n - _cycle_count0(x) for x in (inv, right, left)]
-        out.append((lengths[0], inv, right, lengths[1], left, lengths[2]))
+        out.append((lengths[0], inv, _composer0(right), lengths[1], _composer0(left), lengths[2]))
     return out
 
 
@@ -287,12 +296,13 @@ def check_conjugation_invariance(max_n: int = 6):
             gens = perms
         else:  # the transposition (1,2) and the full cycle
             gens = [_gamma0(2, *[1] * (n - 2)), _gamma0(n)]
+        # g p g^-1 is times_ginv(times_p(g)): two getter calls per case
+        factors = [(p, _composer0(p), _cycle_count0(p)) for p in perms]
         for g in gens:
-            ginv = _inverse0(g)
-            for p in perms:
+            times_ginv = _composer0(_inverse0(g))
+            for p, times_p, count in factors:
                 cases += 1
-                conj = _compose0(g, _compose0(p, ginv))
-                if _cycle_count0(conj) != _cycle_count0(p) and fail is None:
+                if _cycle_count0(times_ginv(times_p(g))) != count and fail is None:
                     fail = f"n={n}: conjugating {_perm1(p)!r} by {_perm1(g)!r} changed the length"
     return cases, fail
 
@@ -305,16 +315,18 @@ def check_restriction_commutes(max_n: int = 6):
     for n in range(1, max_n + 1):
         perms = list(itertools.permutations(range(n)))
         for k in range(1, n + 1):
-            subs = list(itertools.permutations(range(k)))
+            subs = [(t, _composer0(t)) for t in itertools.permutations(range(k))]
             for pts in itertools.combinations(range(n), k):
+                # sigma pi is times_lift(sigma), pi = t moved onto pts
+                lifts = []
+                for t, times_t in subs:
+                    moved = dict(zip(pts, [pts[j] for j in t]))
+                    lifts.append((times_t, _composer0(tuple([moved.get(x, x) for x in range(n)]))))
                 for s in perms:
                     rs = _restrict0(s, pts)
-                    for t in subs:
+                    for times_t, times_lift in lifts:
                         cases += 1
-                        sp = list(s)
-                        for i0 in range(k):
-                            sp[pts[i0]] = s[pts[t[i0]]]
-                        if _restrict0(tuple(sp), pts) != _compose0(rs, t) and fail is None:
+                        if _restrict0(times_lift(s), pts) != times_t(rs) and fail is None:
                             fail = (
                                 f"n={n}, N={tuple(x + 1 for x in pts)}: restriction of the "
                                 f"product differs from the product of restrictions for "
@@ -437,7 +449,7 @@ def check_separates(max_total: int = 8):
             ends, edges = _interval_edges(comp)
             family = enumerate_nc(len(parts))
             for pi, pv0 in zip(family, _images0(fatten(pi, comp) for pi in family)):
-                target = _cycle_labels0(pv0)[0]
+                target, times_pv = _cycle_labels0(pv0)[0], _composer0(pv0)
                 for s0 in _below_images0(pv0):
                     cases += 1
                     # Both label lists are canonical: the join of sigma's
@@ -445,7 +457,7 @@ def check_separates(max_total: int = 8):
                     slab, scount = _cycle_labels0(s0)
                     joined, _ = _join0(scount, [(slab[a], slab[b]) for a, b in edges])
                     lhs = [joined[c] for c in slab] == target
-                    rhs = _separated(_cycle_labels0(_compose0(_inverse0(s0), pv0))[0], ends)
+                    rhs = _separated(_cycle_labels0(times_pv(_inverse0(s0)))[0], ends)
                     if lhs != rhs and fail is None:
                         fail = (
                             f"parts {parts}, pi={pi!r}, sigma={_perm1(s0)!r}: "
@@ -461,11 +473,11 @@ def check_tracial_inequality(max_n: int = 6):
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         data = _complement_data(enumerate_nc(n), _gamma0(n))
-        for lt, tinv, _tr, _tlr, tleft, tll in data:
-            for ls, sinv, sright, slr, _sl, _sll in data:
+        for lt, tinv, _tr, _tlr, times_tleft, tll in data:
+            for ls, sinv, times_sright, slr, _sl, _sll in data:
                 cases += 1
-                lhs = _below0(lt, tinv, sright, slr)
-                rhs = _below0(ls, sinv, tleft, tll)
+                lhs = lt + n - _cycle_count0(times_sright(tinv)) == slr
+                rhs = ls + n - _cycle_count0(times_tleft(sinv)) == tll
                 if lhs != rhs and fail is None:
                     fail = f"n={n}: one-sided complement order is not symmetric"
     return cases, fail
@@ -481,6 +493,9 @@ def check_restriction_lemma(max_total: int = 8):
     """
     max_total = min(max_total, 8)
     cases, fail = 0, None
+    # Verdicts of _restricted_member0 for this call only, one dict per k1 keyed
+    # by the restricted image: at bound 8, 38 463 keys serve 8 181 003 cases.
+    verdicts: dict[int, dict[tuple[int, ...], bool]] = {}
     for n in range(2, max_total + 1):
         for p in range(1, n):
             q = n - p
@@ -488,10 +503,14 @@ def check_restriction_lemma(max_total: int = 8):
             for k in range(1, n + 1):
                 for pts in itertools.combinations(range(n), k):
                     k1 = sum(pt < p for pt in pts)
+                    known = verdicts.setdefault(k1, {})
                     for s0 in snc0:
                         cases += 1
                         rimg = _restrict0(s0, pts)
-                        if not _restricted_member0(rimg, k1) and fail is None:
+                        member = known.get(rimg)
+                        if member is None:
+                            member = known[rimg] = _restricted_member0(rimg, k1)
+                        if not member and fail is None:
                             fail = (
                                 f"shape ({p},{q}), sigma={_perm1(s0)!r}, "
                                 f"N={tuple(x + 1 for x in pts)}: restriction "
@@ -523,30 +542,39 @@ def check_fattening(max_total: int = 9):
     """
     max_total = min(max_total, 9)
     cases, fail = 0, None
+    # Per small circle sizes, once per run: the family and each member's
+    # 0-based complement pi^-1 gamma_small, held as bytes (174 398 of them
+    # at bound 9) to keep the table small.
+    small = {}
+    for r in range(1, max_total + 1):
+        for sizes in [(r,), *((split, r - split) for split in range(1, r))]:
+            family = enumerate_nc(r) if len(sizes) == 1 else enumerate_snc(AnnulusShape(*sizes))
+            g0 = _gamma0(*sizes)
+            complements = [bytes(_compose0(_inverse0(pi0), g0)) for pi0 in _images0(family)]
+            small[sizes] = family, complements
     for total in range(1, max_total + 1):
         for parts in _compositions(total):
             r = len(parts)
             disc = Composition(parts)
             if fatten(Permutation.identity(r), disc) != tau_of(disc) and fail is None:
                 fail = f"parts {parts}: inflating the identity is not the interval permutation"
-            # (composition, small family, circle sizes before and after inflating)
-            settings = [(disc, enumerate_nc(r), (r,), (total,))]
+            # (composition, circle sizes before and after inflating)
+            settings = [(disc, (r,), (total,))]
             for split in range(1, r):
                 comp = Composition(parts, split=split)
-                small = enumerate_snc(AnnulusShape(split, r - split))
-                settings.append((comp, small, (split, r - split), (comp.p, comp.q)))
-            for comp, family, small_sizes, big_sizes in settings:
+                settings.append((comp, (split, r - split), (comp.p, comp.q)))
+            for comp, small_sizes, big_sizes in settings:
                 psi0 = [x - 1 for x in comp.boundary_points]
-                g_small, g_big = _gamma0(*small_sizes), _gamma0(*big_sizes)
-                for pi0, pv0 in zip(_images0(family), _images0(fatten(pi, comp) for pi in family)):
+                times_gbig = _composer0(_gamma0(*big_sizes))
+                for pi, z_small in zip(*small[small_sizes]):
                     cases += 1
+                    pv0 = tuple([x - 1 for x in fatten(pi, comp).image])
                     if not _is_nc0(pv0, big_sizes[0]) and fail is None:
-                        fail = f"{comp}, pi={_perm1(pi0)!r}: inflation left the family"
-                    z_small = _compose0(_inverse0(pi0), g_small)
-                    z_big = _compose0(_inverse0(pv0), g_big)
-                    if any(z_big[psi0[k]] != psi0[z_small[k]] for k in range(r)):
+                        fail = f"{comp}, pi={pi!r}: inflation left the family"
+                    z_big = times_gbig(_inverse0(pv0))
+                    if [z_big[x] for x in psi0] != [psi0[x] for x in z_small]:
                         if fail is None:
-                            fail = f"{comp}, pi={_perm1(pi0)!r}: exchange identity fails"
+                            fail = f"{comp}, pi={pi!r}: exchange identity fails"
     return cases, fail
 
 
@@ -567,11 +595,11 @@ def check_annular_order(max_total: int = 7):
             q = n - p
             snc = enumerate_snc(AnnulusShape(p, q))
             data = _complement_data(snc, _gamma0(p, q))
-            for j, (lj, invj, rightj, lrj, _lj, _llj) in enumerate(data):
-                for i, (li, invi, _ri, _lri, lefti, lli) in enumerate(data):
-                    if _below0(li, invi, rightj, lrj):
+            for j, (lj, invj, times_rightj, lrj, _lj, _llj) in enumerate(data):
+                for i, (li, invi, _ri, _lri, times_lefti, lli) in enumerate(data):
+                    if li + n - _cycle_count0(times_rightj(invi)) == lrj:
                         cases += 1
-                        if not _below0(lj, invj, lefti, lli):
+                        if lj + n - _cycle_count0(times_lefti(invj)) != lli:
                             if fail is None:
                                 fail = (
                                     f"shape ({p},{q}): pi={snc[i]!r} below the "
@@ -596,9 +624,9 @@ def _tunnel_hypotheses(max_total: int):
                     ncpairs.append((pi0, inv, n - _cycle_count0(pi0), _compose0(g0, inv)))
             for sigma0 in _images0(enumerate_snc(shape)):
                 right = _compose0(_inverse0(sigma0), g0)
-                lr = n - _cycle_count0(right)
+                times_right, lr = _composer0(right), n - _cycle_count0(right)
                 for pi0, inv, lp, gp0 in ncpairs:
-                    if _below0(lp, inv, right, lr):
+                    if lp + n - _cycle_count0(times_right(inv)) == lr:
                         yield shape, sigma0, pi0, gp0
 
 
@@ -705,10 +733,10 @@ def _order_table(shape: AnnulusShape):
     n = shape.total
     below = []
     for b_img, _inv, b_plab, _pairs, _len, _kind in raw:
-        b_metric = n - _cycle_count0(b_img)
+        b_metric, times_b = n - _cycle_count0(b_img), _composer0(b_img)
         mask = 0
         for i, (_img, a_inv, _plab, a_pairs, a_len, _kind) in enumerate(raw):
-            w0 = _compose0(a_inv, b_img)
+            w0 = times_b(a_inv)
             joined, blocks = _join0(n, [*a_pairs, *enumerate(w0)])
             if a_len + n - _cycle_count0(w0) == 2 * (n - blocks) - b_metric and joined == b_plab:
                 mask |= 1 << i
@@ -791,25 +819,34 @@ def check_order_structure(max_total: int = 6):
     """
     max_total = min(max_total, 6)
     cases, fail = 0, None
+    # The witnesses W of w = pi^-1 sigma are the set partitions of w's
+    # cycles, and the join U of V with W is read off the cycles.  Per V as
+    # seen on the cycles, _witness_joins tabulates every W once per call.
+    # Cycles are labelled in the order of their least points, so U's
+    # first-appearance labels on the cycles, read per point, are its
+    # first-appearance labels on the points.
+    joins: dict[tuple[int, ...], dict[int, list]] = {}
     for n in range(2, max_total + 1):
         for p in range(1, n):
             shape = AnnulusShape(p, n - p)
             els, raw = _psnc_raw(shape)
             index = {(img0, plab): k for k, (img0, _inv, plab, *_rest) in enumerate(raw)}
             sigmas = sorted({img0 for img0, *_ in raw})
-            sigma_cc = {s: _cycle_count0(s) for s in sigmas}
+            sigmas = [(s, _composer0(s), n - _cycle_count0(s)) for s in sigmas]
             for a_pos, (_img, a_inv, _plab, a_pairs, a_len, _kind) in enumerate(raw):
-                for s_img in sigmas:
-                    w0 = _compose0(a_inv, s_img)
-                    wcycles = _cycles0(w0)
-                    b_metric = n - sigma_cc[s_img]
-                    for wblocks in _set_partitions(wcycles):
-                        w_pp_len = 2 * (n - len(wblocks)) - (n - len(wcycles))
-                        labels, blocks = _join0(
-                            n, [*a_pairs, *((b[0][0], x) for b in wblocks for c in b for x in c)]
-                        )
-                        if a_len + w_pp_len != 2 * (n - blocks) - b_metric:
-                            continue
+                for s_img, times_s, b_metric in sigmas:
+                    w0 = times_s(a_inv)
+                    clab, m = _cycle_labels0(w0)
+                    # The lengths add, |(V, pi)| + |(W, w)| = |(U, sigma)|, exactly
+                    # when 2 (blocks(U) - blocks(W)) = n - m - |(V, pi)| - |sigma|.
+                    gap = n - m - a_len - b_metric
+                    if gap % 2:
+                        continue
+                    vlab = _join0(m, [(clab[a], clab[b]) for a, b in a_pairs])[0]
+                    if vlab not in joins:
+                        joins[vlab] = _witness_joins(vlab)
+                    for w_count, ujoin, blocks in joins[vlab].get(gap // 2, ()):
+                        labels = tuple([ujoin[c] for c in clab])
                         key = (s_img, labels)
                         if key not in index:
                             continue
@@ -819,7 +856,7 @@ def check_order_structure(max_total: int = 6):
                             _join0(n, [*a_pairs, *enumerate(x)])[0] for x in (w0, s_img, flip0)
                         )
                         problem = None
-                        if len(wblocks) != len(wcycles):
+                        if w_count != m:
                             problem = "a coarser witness partition also multiplies"
                         elif not u == v1 == v2 == labels:
                             problem = "join expressions disagree with the product partition"
@@ -831,6 +868,24 @@ def check_order_structure(max_total: int = 6):
                             b_el = els[index[key]]
                             fail = f"shape {shape}, a={els[a_pos]!r}, b={b_el!r}: {problem}"
     return cases, fail
+
+
+def _witness_joins(vlab: tuple[int, ...]) -> dict[int, list[tuple]]:
+    """The set partitions W of m items joined with the partition V whose
+    labels are ``vlab``, grouped by blocks(V v W) - blocks(W).
+
+    Each entry is (blocks(W), the first-appearance labels of V v W,
+    blocks(V v W)); within a group W runs in ``_set_partitions`` order.
+    """
+    m = len(vlab)
+    first: dict[int, int] = {}
+    v_pairs = [(first.setdefault(label, c), c) for c, label in enumerate(vlab)]
+    out: dict[int, list[tuple]] = {}
+    for wblocks in _set_partitions(tuple(range(m))):
+        w_pairs = [(b[0], x) for b in wblocks for x in b[1:]]
+        labels, blocks = _join0(m, v_pairs + w_pairs)
+        out.setdefault(blocks - len(wblocks), []).append((len(wblocks), labels, blocks))
+    return out
 
 
 # -- model suites ------------------------------------------------------
@@ -961,11 +1016,17 @@ def check_mobius_recurrence(max_total: int = 8):
 # -- suites ------------------------------------------------------------
 
 
-def _cells(fn, cells, jobs: int) -> list[CheckResult]:
+def _cells(fn, cells, jobs: int, costs=None) -> list[CheckResult]:
+    """``fn`` of every cell, in cell order; over a pool when ``jobs > 1``,
+    which starts the cells by decreasing ``costs`` when they are given."""
     if jobs <= 1:
         return [fn(c) for c in cells]
+    order = range(len(cells))
+    if costs is not None:
+        order = sorted(order, key=lambda i: -costs[i])
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
+        futures = {i: pool.submit(fn, cells[i]) for i in order}
+        return [futures[i].result() for i in range(len(cells))]
 
 
 def _shape_cells(max_total: int) -> list[tuple[int, int]]:
@@ -1008,28 +1069,30 @@ def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResul
     return [check_mobius_recurrence(max_total or 8)]
 
 
+# (check, default bound, seconds): the seconds are one serial run at the
+# default bound on a 2-CPU machine; a pool starts the slowest checks first.
 _LEMMA_CHECKS = (
-    (check_nc_counts, 9),
-    (check_metric_triangle, 6),
-    (check_metric_order, 6),
-    (check_conjugation_invariance, 6),
-    (check_restriction_commutes, 6),
-    (check_order_refinement, 6),
-    (check_snc_rotation, 6),
-    (check_first_sep, 8),
-    (check_separates, 8),
-    (check_tracial_inequality, 6),
-    (check_restriction_lemma, 8),
-    (check_fattening, 9),
-    (check_annular_order, 7),
-    (check_tunnel_product, 6),
-    (check_order_corollary, 6),
+    (check_nc_counts, 9, 0.01),
+    (check_metric_triangle, 6, 0.3),
+    (check_metric_order, 6, 0.3),
+    (check_conjugation_invariance, 6, 0.01),
+    (check_restriction_commutes, 6, 1.1),
+    (check_order_refinement, 6, 0.3),
+    (check_snc_rotation, 6, 0.04),
+    (check_first_sep, 8, 0.3),
+    (check_separates, 8, 4.9),
+    (check_tracial_inequality, 6, 0.02),
+    (check_restriction_lemma, 8, 4.9),
+    (check_fattening, 9, 5.6),
+    (check_annular_order, 7, 4.1),
+    (check_tunnel_product, 6, 0.4),
+    (check_order_corollary, 6, 0.1),
 )
 
 _ORDER_CHECKS = (
-    (check_order_axioms, 6),
-    (check_order_kinds, 5),
-    (check_order_structure, 6),
+    (check_order_axioms, 6, 1.7),
+    (check_order_kinds, 5, 0.1),
+    (check_order_structure, 6, 1.9),
 )
 
 
@@ -1039,8 +1102,11 @@ def _run_check(spec) -> CheckResult:
 
 
 def _check_suite(table, max_total: int | None, jobs: int) -> list[CheckResult]:
-    specs = [(check, default if max_total is None else min(default, max_total)) for check, default in table]
-    return _cells(_run_check, specs, jobs)
+    specs = [
+        (check, default if max_total is None else min(default, max_total))
+        for check, default, _seconds in table
+    ]
+    return _cells(_run_check, specs, jobs, [seconds for *_spec, seconds in table])
 
 
 def suite_lemmas(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:

@@ -9,7 +9,8 @@ from ncfree.annular import AnnulusShape, gamma_pq, has_through_cycle, is_nc_disc
 from ncfree.perm import (
     Permutation,
     SetPartition,
-    _below0,
+    _compose0,
+    _composer0,
     _cycle_count0,
     _cycle_labels0,
     _cycles0,
@@ -335,10 +336,21 @@ class TestRawKernels:
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(sized_perms(n), sized_perms(n))))
     def test_geodesic_order(self, pair):
         b, c = pair
+        times_b = _composer0(image0(b))
         # the identity and b itself always lie below b; a random c rarely does
         for a in (c, Permutation.identity(b.size), b):
             want = a.metric_length + (a.inverse() * b).metric_length == b.metric_length
-            assert _below0(a.metric_length, image0(a.inverse()), image0(b), b.metric_length) == want
+            got = a.metric_length + b.size - _cycle_count0(times_b(image0(a.inverse())))
+            assert (got == b.metric_length) == want
+
+    def test_composer_is_composition(self):
+        for n in range(1, 6):
+            group = list(itertools.permutations(range(n)))
+            for b in group:
+                times_b = _composer0(b)
+                for a in group:
+                    assert times_b(a) == _compose0(a, b)
+                    assert type(times_b(a)) is tuple
 
     @given(perms.flatmap(lambda a: st.tuples(st.just(a), st.sets(st.integers(1, a.size), min_size=1))))
     def test_restriction(self, case):

@@ -6,15 +6,19 @@ exercised at small bounds so failures localize quickly.  Tests marked
 with ``pytest -m extended``.
 """
 
+import itertools
+
 import pytest
 
-from ncfree.annular import AnnulusShape
-from ncfree.perm import _join0
+from ncfree import verify
+from ncfree.annular import AnnulusShape, enumerate_snc
+from ncfree.perm import Permutation, _join0, _restrict0
 from ncfree.verify import (
     CheckResult,
     _psnc_raw,
     check_fluctuations,
     check_mobius_recurrence,
+    check_restriction_lemma,
     run_suite,
     suite_ks,
     suite_main_theorem,
@@ -100,6 +104,50 @@ class TestReducedBounds:
         assert [(r.name, r.passed, r.cases) for r in serial] == [
             (r.name, r.passed, r.cases) for r in parallel
         ]
+
+    def test_parallel_order_matches_serial(self):
+        # the pool starts the checks slowest first but reports in table order
+        serial = run_suite("order", max_total=4, jobs=1)
+        parallel = run_suite("order", max_total=4, jobs=2)
+        assert [(r.name, r.passed, r.cases) for r in serial] == [
+            (r.name, r.passed, r.cases) for r in parallel
+        ]
+
+
+class TestRestrictionVerdicts:
+    """``check_restriction_lemma`` reuses verdicts within one call."""
+
+    def test_memo_reports_the_plain_scans_first_counterexample(self, monkeypatch):
+        member = verify._restricted_member0
+
+        def mutant(img, k1):
+            # (0,2,1) first meets the check with k1 = 2: a memo keyed on
+            # the image alone would answer this key from that verdict
+            return (img, k1) != ((0, 2, 1), 1) and member(img, k1)
+
+        monkeypatch.setattr(verify, "_restricted_member0", mutant)
+        got = check_restriction_lemma(5)
+        cases, detail = 0, None
+        for n in range(2, 6):
+            for p in range(1, n):
+                shape = AnnulusShape(p, n - p)
+                family = [tuple(x - 1 for x in s.image) for s in enumerate_snc(shape)]
+                for k in range(1, n + 1):
+                    for pts in itertools.combinations(range(n), k):
+                        k1 = sum(pt < p for pt in pts)
+                        for s0 in family:
+                            cases += 1
+                            rimg = _restrict0(s0, pts)
+                            if not mutant(rimg, k1) and detail is None:
+                                sigma = Permutation(x + 1 for x in s0)
+                                restricted = Permutation(x + 1 for x in rimg)
+                                detail = (
+                                    f"shape ({p},{n - p}), sigma={sigma!r}, "
+                                    f"N={tuple(x + 1 for x in pts)}: restriction "
+                                    f"{restricted!r} is not non-crossing for shape ({k1},{k - k1})"
+                                )
+        assert detail is not None
+        assert (got.passed, got.cases, got.detail) == (False, cases, detail)
 
 
 class TestRawRecords:
