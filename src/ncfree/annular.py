@@ -59,6 +59,7 @@ from .perm import (
 
 __all__ = [
     "ENUMERATION_BOUND",
+    "PAIRING_BOUND",
     "AnnulusShape",
     "Composition",
     "PartitionedPermutation",
@@ -87,6 +88,12 @@ __all__ = [
 # takes about 52 s and 1.9 GB peak RSS (snc alone 18 s and 0.4 GB), and
 # 84 s and 2.7 GB as ``ncfree enumerate``.
 ENUMERATION_BOUND = 12
+
+# ``count_snc_pairings`` refuses shapes of more points than this.  It holds
+# a shape's annular pairings in one set: (12, 12) holds 2 561 328 of them
+# (73 s and 843 MB on a 2-CPU machine); (14, 14) would hold 41 225 184,
+# some 13 GB.
+PAIRING_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -403,13 +410,15 @@ def count_snc_pairings(
 
     With ``separated_at`` given, only pairings pi whose complement
     pi^-1 gamma_pq puts the listed points into pairwise distinct cycles
-    are counted.  A circle with no point, or a point outside [1, p+q], is
-    a ValueError.  The pairings are generated as the rotation conjugates of
-    the disc non-crossing pairings with a through pair, the construction
-    of ``enumerate_snc``; the tests compare the counts with a filter over
-    all (p+q-1)!! pairings.
+    are counted.  A circle with no point, more than ``PAIRING_BOUND``
+    points, or a point outside [1, p+q], is a ValueError.  The pairings
+    are generated as the rotation conjugates of the disc non-crossing
+    pairings with a through pair, the construction of ``enumerate_snc``;
+    the tests compare the counts with a filter over all (p+q-1)!! pairings.
     """
     n = AnnulusShape(p, q).total
+    if n > PAIRING_BOUND:
+        raise ValueError(f"pairings are counted on at most {PAIRING_BOUND} points, not {n}")
     pts = None if separated_at is None else _points_in(separated_at, n)
     if n % 2:
         return 0

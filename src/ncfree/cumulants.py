@@ -47,14 +47,16 @@ lists, evaluates each distinct block once per call, and stops a product at
 its first zero factor.
 
 Memoised, each as an ``lru_cache``: the plans; the recursions ``_kappa_n``
-and ``_kappa_pq``, keyed by the model object and the words; and, at most
-128 (model, word, size or shape) entries, ``_nonzero_summands``: a plan's
-records not known to have a zero product, with their products as far as
-computed.  A product formula call filters those records for its
-composition and computes only the products still missing, so each product
-is computed once per shape and no call computes more than it sums.
-``oracle_product_cumulant`` never reads them.  ``clear_caches()`` empties
-all of these (``memo_info()`` shows them), not the enumerations.
+and ``_kappa_pq``, keyed by the model object and the words; and
+``_nonzero_summands``, at most 128 (model, word, size or shape) tables of
+the products that are not an int zero, each built in one walk and never
+changed.  A composition only selects summands, so a product formula call
+is one filtered sum over a table, and the first call at a size or shape
+pays for all of it.  On a 2-CPU machine a lone formal-model call at (5,5),
+plans built, took 28-35 s (23-24 s when only its kept products were
+computed) and the next composition there 0.4-0.5 s (5-7 s).
+``oracle_product_cumulant`` never reads the tables.  ``clear_caches()``
+empties all of these (``memo_info()`` shows them), not the enumerations.
 """
 
 from __future__ import annotations
@@ -205,37 +207,22 @@ def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
 
 
 @lru_cache(maxsize=128)
-def _nonzero_summands(model: MomentOracle, word: Word, p: int, q: int | None = None) -> list:
-    """``[records, products]``: the records of the plan of NC(p), or of
-    PS_NC(p, q), not known to have an int zero product on the letters of
-    ``word``, and their products, None until ``_kept_products`` needs them.
+def _nonzero_summands(model: MomentOracle, word: Word, p: int, q: int | None = None) -> tuple:
+    """The summands of NC(p), or of PS_NC(p, q), on the letters of ``word``:
+    per plan record whose product is not an int zero, the record without its
+    blocks (the labels a filter reads) and that product.  Built in one walk
+    and never changed; a composition only selects from it.
 
     An int zero adds nothing to a sum and leaves its type alone, unlike a
     Fraction or polynomial zero.  On the annulus a record whose complement
-    joins p and p + q is left out at once: every composition's endpoints
-    hold both.
+    joins p and p + q is left out: every composition's endpoints hold both.
     """
     records, _ = _nc_plan(p) if q is None else _psnc_plan(p, q)
     if q is not None:
         records = [rec for rec in records if _separated(rec[1], (p, p + q))]
-    return [list(records), [None] * len(records)]
-
-
-def _kept_products(model: MomentOracle, word: Word, summands: list, kept: list[int]) -> list:
-    """The products at the indices ``kept`` of ``summands``, the missing
-    ones computed in one walk; then the int zeros found leave ``summands``."""
-    records, products = summands
-    missing = [i for i in kept if products[i] is None]
-    if missing:
-        args = tuple([(letter,) for letter in word])
-        values = _kappa_blocks(model, args, [records[i][0] for i in missing])
-        for i, value in zip(missing, values):
-            products[i] = value
-    out = [products[i] for i in kept]
-    if missing and any(not value and type(value) is int for value in values):
-        live = [i for i, v in enumerate(products) if v or type(v) is not int]  # None stays
-        summands[:] = [records[i] for i in live], [products[i] for i in live]
-    return out
+    args = tuple([(letter,) for letter in word])
+    products = _kappa_blocks(model, args, [rec[0] for rec in records])
+    return tuple((rec[1:], v) for rec, v in zip(records, products) if v or type(v) is not int)
 
 
 _MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _nc_plan, _psnc_plan, _nonzero_summands)}
@@ -312,11 +299,7 @@ def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
 def _grouped_args(word: Word, comp: Composition) -> list[Word]:
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
-    out, pos = [], 0
-    for n in comp.parts:
-        out.append(tuple(word[pos : pos + n]))
-        pos += n
-    return out
+    return [tuple(word[end - n : end]) for n, end in zip(comp.parts, comp.boundary_points)]
 
 
 def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -334,13 +317,12 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
     _, edges = _interval_edges(comp)
-    summands = _nonzero_summands(model, word, len(word))
-    kept = [
-        i
-        for i, (_, labels, count) in enumerate(summands[0])
+    table = _nonzero_summands(model, word, len(word))
+    return CumulantPolynomial.sum(
+        v
+        for (labels, count), v in table
         if _join0(count, [(labels[a], labels[b]) for a, b in edges])[1] == 1
-    ]
-    return CumulantPolynomial.sum(_kept_products(model, word, summands, kept))
+    )
 
 
 def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -357,9 +339,8 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
     points = comp.boundary_points
-    summands = _nonzero_summands(model, word, shape.p, shape.q)
-    kept = [i for i, (_, labels) in enumerate(summands[0]) if _separated(labels, points)]
-    return CumulantPolynomial.sum(_kept_products(model, word, summands, kept))
+    table = _nonzero_summands(model, word, shape.p, shape.q)
+    return CumulantPolynomial.sum(v for (labels,), v in table if _separated(labels, points))
 
 
 def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -477,7 +458,8 @@ def semicircular_square_kappa(p: int, q: int) -> int:
     is the number of annular non-crossing pairings of (2p, 2q) whose
     complement separates the even points.  The closed forms
     sum_k k C(p,k) C(q,k) and p C(p+q-1, p) are verified against this
-    count by the suite.
+    count by the suite.  More than ``PAIRING_BOUND`` points, 2p + 2q, is a
+    ValueError.
     """
     evens = tuple(range(2, 2 * (p + q) + 1, 2))
     return count_snc_pairings(2 * p, 2 * q, separated_at=evens)

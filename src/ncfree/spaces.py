@@ -393,9 +393,7 @@ class CumulantPolynomial:
         return sorted(self.terms.items(), key=term_key)
 
     def __str__(self) -> str:
-        return self._render(
-            times="*", power="^", symbol=lambda s: s, plus=" + ", minus=" - "
-        )
+        return self._render("*", lambda s: s)
 
     __repr__ = __str__
 
@@ -407,9 +405,9 @@ class CumulantPolynomial:
                 return f"{name}_{orders[0]}"
             return f"{name}_{{{','.join(map(str, orders))}}}"
 
-        return self._render(times=" ", power="^", symbol=symbol, plus=" + ", minus=" - ")
+        return self._render(" ", symbol)
 
-    def _render(self, times, power, symbol, plus, minus) -> str:
+    def _render(self, times, symbol) -> str:
         if not self.terms:
             return "0"
         pieces = []
@@ -419,7 +417,7 @@ class CumulantPolynomial:
             for sym, group in itertools.groupby(ordered):
                 count = len(list(group))
                 rendered = symbol(sym)
-                factors.append(rendered if count == 1 else f"{rendered}{power}{count}")
+                factors.append(rendered if count == 1 else f"{rendered}^{count}")
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -431,7 +429,7 @@ class CumulantPolynomial:
         first_neg, first_body = pieces[0]
         text = ("-" + first_body) if first_neg else first_body
         for neg, body in pieces[1:]:
-            text += (minus if neg else plus) + body
+            text += (" - " if neg else " + ") + body
         return text
 
 

@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 from math import comb
 
 from .annular import (
+    PAIRING_BOUND,
     AnnulusShape,
     Composition,
     PartitionedPermutation,
@@ -140,16 +141,15 @@ def _compositions(total: int) -> list[tuple[int, ...]]:
     """All compositions of ``total``, in cut-mask order."""
     out = []
     for mask in range(1 << (total - 1)):
-        parts, run = [], 1
-        for i in range(total - 1):
-            if mask >> i & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(tuple(parts))
+        # bit i of the mask cuts after point i + 1
+        ends = [i + 1 for i in range(total - 1) if mask >> i & 1] + [total]
+        out.append(tuple(b - a for a, b in zip([0, *ends], ends)))
     return out
+
+
+def _shape_cells(max_total: int) -> list[tuple[int, int]]:
+    """The annulus shapes (p, q) of total 2 to ``max_total``, by total, then p."""
+    return [(p, t - p) for t in range(2, max_total + 1) for p in range(1, t)]
 
 
 def _bits(mask: int):
@@ -372,32 +372,31 @@ def check_snc_rotation(max_total: int = 6):
     """
     max_total = min(max_total, 7)
     cases, fail = 0, None
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            q = n - p
-            rotations = []
-            gp = _gamma0(p, *[1] * q)  # turns the outer circle only
-            gq = _gamma0(*[1] * p, q)  # turns the inner circle only
-            r = tuple(range(n))
-            for _u in range(p):
-                rv = r
-                for _v in range(q):
-                    rotations.append((rv, _inverse0(rv)))
-                    rv = _compose0(gq, rv)
-                r = _compose0(gp, r)
-            for s0 in itertools.permutations(range(n)):
-                if not _scan_cycles0(s0, p)[1]:
-                    continue
-                cases += 1
-                member = _is_nc0(s0, p)
-                rotated = any(
-                    _is_nc0(_compose0(rot, _compose0(s0, rinv)), n) for rot, rinv in rotations
+    for p, q in _shape_cells(max_total):
+        n = p + q
+        rotations = []
+        gp = _gamma0(p, *[1] * q)  # turns the outer circle only
+        gq = _gamma0(*[1] * p, q)  # turns the inner circle only
+        r = tuple(range(n))
+        for _u in range(p):
+            rv = r
+            for _v in range(q):
+                rotations.append((rv, _inverse0(rv)))
+                rv = _compose0(gq, rv)
+            r = _compose0(gp, r)
+        for s0 in itertools.permutations(range(n)):
+            if not _scan_cycles0(s0, p)[1]:
+                continue
+            cases += 1
+            member = _is_nc0(s0, p)
+            rotated = any(
+                _is_nc0(_compose0(rot, _compose0(s0, rinv)), n) for rot, rinv in rotations
+            )
+            if member != rotated and fail is None:
+                fail = (
+                    f"shape ({p},{q}): {_perm1(s0)!r} has membership {member} "
+                    f"but rotation criterion {rotated}"
                 )
-                if member != rotated and fail is None:
-                    fail = (
-                        f"shape ({p},{q}): {_perm1(s0)!r} has membership {member} "
-                        f"but rotation criterion {rotated}"
-                    )
     return cases, fail
 
 
@@ -496,27 +495,26 @@ def check_restriction_lemma(max_total: int = 8):
     # Verdicts of _restricted_member0 for this call only, one dict per k1 keyed
     # by the restricted image: at bound 8, 38 463 keys serve 8 181 003 cases.
     verdicts: dict[int, dict[tuple[int, ...], bool]] = {}
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            q = n - p
-            snc0 = _images0(enumerate_snc(AnnulusShape(p, q)))
-            for k in range(1, n + 1):
-                for pts in itertools.combinations(range(n), k):
-                    k1 = sum(pt < p for pt in pts)
-                    known = verdicts.setdefault(k1, {})
-                    for s0 in snc0:
-                        cases += 1
-                        rimg = _restrict0(s0, pts)
-                        member = known.get(rimg)
-                        if member is None:
-                            member = known[rimg] = _restricted_member0(rimg, k1)
-                        if not member and fail is None:
-                            fail = (
-                                f"shape ({p},{q}), sigma={_perm1(s0)!r}, "
-                                f"N={tuple(x + 1 for x in pts)}: restriction "
-                                f"{_perm1(rimg)!r} is not non-crossing for shape "
-                                f"({k1},{k - k1})"
-                            )
+    for p, q in _shape_cells(max_total):
+        n = p + q
+        snc0 = _images0(enumerate_snc(AnnulusShape(p, q)))
+        for k in range(1, n + 1):
+            for pts in itertools.combinations(range(n), k):
+                k1 = sum(pt < p for pt in pts)
+                known = verdicts.setdefault(k1, {})
+                for s0 in snc0:
+                    cases += 1
+                    rimg = _restrict0(s0, pts)
+                    member = known.get(rimg)
+                    if member is None:
+                        member = known[rimg] = _restricted_member0(rimg, k1)
+                    if not member and fail is None:
+                        fail = (
+                            f"shape ({p},{q}), sigma={_perm1(s0)!r}, "
+                            f"N={tuple(x + 1 for x in pts)}: restriction "
+                            f"{_perm1(rimg)!r} is not non-crossing for shape "
+                            f"({k1},{k - k1})"
+                        )
     return cases, fail
 
 
@@ -590,44 +588,41 @@ def check_annular_order(max_total: int = 7):
     """
     max_total = min(max_total, 7)
     cases, fail = 0, None
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            q = n - p
-            snc = enumerate_snc(AnnulusShape(p, q))
-            data = _complement_data(snc, _gamma0(p, q))
-            for j, (lj, invj, times_rightj, lrj, _lj, _llj) in enumerate(data):
-                for i, (li, invi, _ri, _lri, times_lefti, lli) in enumerate(data):
-                    if li + n - _cycle_count0(times_rightj(invi)) == lrj:
-                        cases += 1
-                        if lj + n - _cycle_count0(times_lefti(invj)) != lli:
-                            if fail is None:
-                                fail = (
-                                    f"shape ({p},{q}): pi={snc[i]!r} below the "
-                                    f"complement of sigma={snc[j]!r} but not "
-                                    f"conversely"
-                                )
+    for p, q in _shape_cells(max_total):
+        n = p + q
+        snc = enumerate_snc(AnnulusShape(p, q))
+        data = _complement_data(snc, _gamma0(p, q))
+        for j, (lj, invj, times_rightj, lrj, _lj, _llj) in enumerate(data):
+            for i, (li, invi, _ri, _lri, times_lefti, lli) in enumerate(data):
+                if li + n - _cycle_count0(times_rightj(invi)) == lrj:
+                    cases += 1
+                    if lj + n - _cycle_count0(times_lefti(invj)) != lli and fail is None:
+                        fail = (
+                            f"shape ({p},{q}): pi={snc[i]!r} below the complement of "
+                            f"sigma={snc[j]!r} but not conversely"
+                        )
     return cases, fail
 
 
 def _tunnel_hypotheses(max_total: int):
     """(shape, sigma, pi, gamma pi^-1), 0-based, for sigma annular
     non-crossing and pi a disc pair below sigma's complement."""
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            shape = AnnulusShape(p, n - p)
-            g0 = _gamma0(p, n - p)
-            ncpairs = []
-            for pi1 in _images0(enumerate_nc(p)):
-                for pi2 in _images0(enumerate_nc(n - p)):
-                    pi0 = pi1 + tuple(x + p for x in pi2)
-                    inv = _inverse0(pi0)
-                    ncpairs.append((pi0, inv, n - _cycle_count0(pi0), _compose0(g0, inv)))
-            for sigma0 in _images0(enumerate_snc(shape)):
-                right = _compose0(_inverse0(sigma0), g0)
-                times_right, lr = _composer0(right), n - _cycle_count0(right)
-                for pi0, inv, lp, gp0 in ncpairs:
-                    if lp + n - _cycle_count0(times_right(inv)) == lr:
-                        yield shape, sigma0, pi0, gp0
+    for p, q in _shape_cells(max_total):
+        n = p + q
+        shape = AnnulusShape(p, q)
+        g0 = _gamma0(p, q)
+        ncpairs = []
+        for pi1 in _images0(enumerate_nc(p)):
+            for pi2 in _images0(enumerate_nc(q)):
+                pi0 = pi1 + tuple(x + p for x in pi2)
+                inv = _inverse0(pi0)
+                ncpairs.append((pi0, inv, n - _cycle_count0(pi0), _compose0(g0, inv)))
+        for sigma0 in _images0(enumerate_snc(shape)):
+            right = _compose0(_inverse0(sigma0), g0)
+            times_right, lr = _composer0(right), n - _cycle_count0(right)
+            for pi0, inv, lp, gp0 in ncpairs:
+                if lp + n - _cycle_count0(times_right(inv)) == lr:
+                    yield shape, sigma0, pi0, gp0
 
 
 @_check("two-sided complement product reaches the glued element")
@@ -715,13 +710,13 @@ def _psnc_raw(shape: AnnulusShape):
 
     Per element: the 0-based image and its inverse, the block labels
     (``SetPartition.labels``, the first-appearance labels ``_join0`` gives
-    the pairs), the pairs joining each block, the length and the kind.
+    the pairs), the pairs joining each block and the length.
     """
     els = enumerate_psnc(shape)
     raw = []
     for el, img0 in zip(els, _images0(el.perm for el in els)):
         pairs = [(b[0] - 1, x - 1) for b in el.partition.blocks for x in b[1:]]
-        raw.append((img0, _inverse0(img0), el.partition.labels, pairs, el.length, el.kind))
+        raw.append((img0, _inverse0(img0), el.partition.labels, pairs, el.length))
     return els, raw
 
 
@@ -732,10 +727,10 @@ def _order_table(shape: AnnulusShape):
     els, raw = _psnc_raw(shape)
     n = shape.total
     below = []
-    for b_img, _inv, b_plab, _pairs, _len, _kind in raw:
+    for b_img, _inv, b_plab, _pairs, _len in raw:
         b_metric, times_b = n - _cycle_count0(b_img), _composer0(b_img)
         mask = 0
-        for i, (_img, a_inv, _plab, a_pairs, a_len, _kind) in enumerate(raw):
+        for i, (_img, a_inv, _plab, a_pairs, a_len) in enumerate(raw):
             w0 = times_b(a_inv)
             joined, blocks = _join0(n, [*a_pairs, *enumerate(w0)])
             if a_len + n - _cycle_count0(w0) == 2 * (n - blocks) - b_metric and joined == b_plab:
@@ -754,32 +749,30 @@ def check_order_axioms(max_total: int = 6):
     """
     max_total = min(max_total, 7)
     cases, fail = 0, None
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            shape = AnnulusShape(p, n - p)
-            els, below = _order_table(shape)
-            m = len(els)
-            if m <= 60:
-                for j in range(m):
-                    for i in range(m):
-                        cases += 1
-                        if pp_leq(els[i], els[j]) != bool(below[j] >> i & 1):
-                            if fail is None:
-                                fail = (
-                                    f"shape {shape}: fast scan and public comparison "
-                                    f"disagree on {els[i]!r} <= {els[j]!r}"
-                                )
+    for p, q in _shape_cells(max_total):
+        shape = AnnulusShape(p, q)
+        els, below = _order_table(shape)
+        m = len(els)
+        if m <= 60:
             for j in range(m):
-                cases += 1
-                if not below[j] >> j & 1 and fail is None:
-                    fail = f"shape {shape}: {els[j]!r} not below itself"
-            for j, mask in enumerate(below):
-                for i in _bits(mask):
+                for i in range(m):
                     cases += 1
-                    if i != j and below[i] >> j & 1 and fail is None:
-                        fail = f"shape {shape}: {els[i]!r} and {els[j]!r} below each other"
-                    if below[i] & ~mask and fail is None:
-                        fail = f"shape {shape}: transitivity fails through {els[i]!r}"
+                    if pp_leq(els[i], els[j]) != bool(below[j] >> i & 1) and fail is None:
+                        fail = (
+                            f"shape {shape}: fast scan and public comparison "
+                            f"disagree on {els[i]!r} <= {els[j]!r}"
+                        )
+        for j in range(m):
+            cases += 1
+            if not below[j] >> j & 1 and fail is None:
+                fail = f"shape {shape}: {els[j]!r} not below itself"
+        for j, mask in enumerate(below):
+            for i in _bits(mask):
+                cases += 1
+                if i != j and below[i] >> j & 1 and fail is None:
+                    fail = f"shape {shape}: {els[i]!r} and {els[j]!r} below each other"
+                if below[i] & ~mask and fail is None:
+                    fail = f"shape {shape}: transitivity fails through {els[i]!r}"
     return cases, fail
 
 
@@ -789,18 +782,17 @@ def check_order_kinds(max_total: int = 5):
     max_total = min(max_total, 6)
     cases, fail = 0, None
     seen = {("disc", "disc"): 0, ("disc", "tunnel"): 0, ("tunnel", "tunnel"): 0}
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            shape = AnnulusShape(p, n - p)
-            els, below = _order_table(shape)
-            for j, mask in enumerate(below):
-                for i in _bits(mask & ~(1 << j)):
-                    cases += 1
-                    pair = (els[i].kind, els[j].kind)
-                    if pair == ("tunnel", "disc") and fail is None:
-                        fail = f"shape {shape}: glued {els[i]!r} below disc {els[j]!r}"
-                    if pair in seen:
-                        seen[pair] += 1
+    for p, q in _shape_cells(max_total):
+        shape = AnnulusShape(p, q)
+        els, below = _order_table(shape)
+        for j, mask in enumerate(below):
+            for i in _bits(mask & ~(1 << j)):
+                cases += 1
+                pair = (els[i].kind, els[j].kind)
+                if pair == ("tunnel", "disc") and fail is None:
+                    fail = f"shape {shape}: glued {els[i]!r} below disc {els[j]!r}"
+                if pair in seen:
+                    seen[pair] += 1
     if fail is None:
         missing = [pair for pair, k in seen.items() if k == 0]
         if missing:
@@ -826,47 +818,47 @@ def check_order_structure(max_total: int = 6):
     # first-appearance labels on the cycles, read per point, are its
     # first-appearance labels on the points.
     joins: dict[tuple[int, ...], dict[int, list]] = {}
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            shape = AnnulusShape(p, n - p)
-            els, raw = _psnc_raw(shape)
-            index = {(img0, plab): k for k, (img0, _inv, plab, *_rest) in enumerate(raw)}
-            sigmas = sorted({img0 for img0, *_ in raw})
-            sigmas = [(s, _composer0(s), n - _cycle_count0(s)) for s in sigmas]
-            for a_pos, (_img, a_inv, _plab, a_pairs, a_len, _kind) in enumerate(raw):
-                for s_img, times_s, b_metric in sigmas:
-                    w0 = times_s(a_inv)
-                    clab, m = _cycle_labels0(w0)
-                    # The lengths add, |(V, pi)| + |(W, w)| = |(U, sigma)|, exactly
-                    # when 2 (blocks(U) - blocks(W)) = n - m - |(V, pi)| - |sigma|.
-                    gap = n - m - a_len - b_metric
-                    if gap % 2:
+    for p, q in _shape_cells(max_total):
+        n = p + q
+        shape = AnnulusShape(p, q)
+        els, raw = _psnc_raw(shape)
+        index = {(img0, plab): k for k, (img0, _inv, plab, *_rest) in enumerate(raw)}
+        sigmas = sorted({img0 for img0, *_ in raw})
+        sigmas = [(s, _composer0(s), n - _cycle_count0(s)) for s in sigmas]
+        for a_pos, (_img, a_inv, _plab, a_pairs, a_len) in enumerate(raw):
+            for s_img, times_s, b_metric in sigmas:
+                w0 = times_s(a_inv)
+                clab, m = _cycle_labels0(w0)
+                # The lengths add, |(V, pi)| + |(W, w)| = |(U, sigma)|, exactly
+                # when 2 (blocks(U) - blocks(W)) = n - m - |(V, pi)| - |sigma|.
+                gap = n - m - a_len - b_metric
+                if gap % 2:
+                    continue
+                vlab = _join0(m, [(clab[a], clab[b]) for a, b in a_pairs])[0]
+                if vlab not in joins:
+                    joins[vlab] = _witness_joins(vlab)
+                for w_count, ujoin, blocks in joins[vlab].get(gap // 2, ()):
+                    labels = tuple([ujoin[c] for c in clab])
+                    key = (s_img, labels)
+                    if key not in index:
                         continue
-                    vlab = _join0(m, [(clab[a], clab[b]) for a, b in a_pairs])[0]
-                    if vlab not in joins:
-                        joins[vlab] = _witness_joins(vlab)
-                    for w_count, ujoin, blocks in joins[vlab].get(gap // 2, ()):
-                        labels = tuple([ujoin[c] for c in clab])
-                        key = (s_img, labels)
-                        if key not in index:
-                            continue
-                        cases += 1
-                        flip0 = _compose0(s_img, a_inv)
-                        u, v1, v2 = (
-                            _join0(n, [*a_pairs, *enumerate(x)])[0] for x in (w0, s_img, flip0)
-                        )
-                        problem = None
-                        if w_count != m:
-                            problem = "a coarser witness partition also multiplies"
-                        elif not u == v1 == v2 == labels:
-                            problem = "join expressions disagree with the product partition"
-                        # (0_f, f)(V, pi) with f = sigma pi^-1 has partition v2 and
-                        # permutation sigma, so it is (U, sigma) when the lengths add.
-                        elif n - _cycle_count0(flip0) + a_len != 2 * (n - blocks) - b_metric:
-                            problem = "left multiplication by sigma pi^-1 misses"
-                        if problem is not None and fail is None:
-                            b_el = els[index[key]]
-                            fail = f"shape {shape}, a={els[a_pos]!r}, b={b_el!r}: {problem}"
+                    cases += 1
+                    flip0 = _compose0(s_img, a_inv)
+                    u, v1, v2 = (
+                        _join0(n, [*a_pairs, *enumerate(x)])[0] for x in (w0, s_img, flip0)
+                    )
+                    problem = None
+                    if w_count != m:
+                        problem = "a coarser witness partition also multiplies"
+                    elif not u == v1 == v2 == labels:
+                        problem = "join expressions disagree with the product partition"
+                    # (0_f, f)(V, pi) with f = sigma pi^-1 has partition v2 and
+                    # permutation sigma, so it is (U, sigma) when the lengths add.
+                    elif n - _cycle_count0(flip0) + a_len != 2 * (n - blocks) - b_metric:
+                        problem = "left multiplication by sigma pi^-1 misses"
+                    if problem is not None and fail is None:
+                        b_el = els[index[key]]
+                        fail = f"shape {shape}, a={els[a_pos]!r}, b={b_el!r}: {problem}"
     return cases, fail
 
 
@@ -933,11 +925,9 @@ def _product_cell(sizes: tuple[int, ...]):
 
 
 def _haar_predicted(p: int, q: int, signs) -> int:
-    if p % 2 or q % 2:
-        return 0
-    if any(signs[i] + signs[i + 1] for i in range(p - 1)):
-        return 0
-    if any(signs[i] + signs[i + 1] for i in range(p, p + q - 1)):
+    # zero unless both circles are even and alternate in sign
+    steps = [*range(p - 1), *range(p, p + q - 1)]
+    if p % 2 or q % 2 or any(signs[i] + signs[i + 1] for i in steps):
         return 0
     return (-1) ** ((p + q) // 2) * snc_count(p // 2, q // 2)
 
@@ -984,17 +974,15 @@ def check_fluctuations(max_total: int = 10):
     """Fluctuation moments three ways: cycle sum, closed form, pairing count."""
     max_total = min(max_total, 12)
     cases, fail = 0, None
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            q = n - p
-            cases += 1
-            a = semicircular_phi2(p, q)
-            b = semicircular_phi2_closed(p, q)
-            c = count_snc_pairings(p, q)
-            if not a == b == c and fail is None:
-                fail = f"(p,q)=({p},{q}): sum {a}, closed {b}, pairings {c}"
-            if n % 2 and a != 0 and fail is None:
-                fail = f"(p,q)=({p},{q}): odd total but value {a}"
+    for p, q in _shape_cells(max_total):
+        cases += 1
+        a = semicircular_phi2(p, q)
+        b = semicircular_phi2_closed(p, q)
+        c = count_snc_pairings(p, q)
+        if not a == b == c and fail is None:
+            fail = f"(p,q)=({p},{q}): sum {a}, closed {b}, pairings {c}"
+        if (p + q) % 2 and a != 0 and fail is None:
+            fail = f"(p,q)=({p},{q}): odd total but value {a}"
     return cases, fail
 
 
@@ -1003,13 +991,11 @@ def check_mobius_recurrence(max_total: int = 8):
     """The signed annular counts satisfy the convolution recurrence."""
     max_total = min(max_total, 9)
     cases, fail = 0, None
-    for n in range(2, max_total + 1):
-        for p in range(1, n):
-            q = n - p
-            cases += 1
-            res = mobius_recurrence_residual(p, q)
-            if res != 0 and fail is None:
-                fail = f"(p,q)=({p},{q}): residual {res}"
+    for p, q in _shape_cells(max_total):
+        cases += 1
+        res = mobius_recurrence_residual(p, q)
+        if res != 0 and fail is None:
+            fail = f"(p,q)=({p},{q}): residual {res}"
     return cases, fail
 
 
@@ -1029,10 +1015,6 @@ def _cells(fn, cells, jobs: int, costs=None) -> list[CheckResult]:
         return [futures[i].result() for i in range(len(cells))]
 
 
-def _shape_cells(max_total: int) -> list[tuple[int, int]]:
-    return [(p, t - p) for t in range(2, max_total + 1) for p in range(1, t)]
-
-
 def suite_main_theorem(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
     return _cells(_product_cell, _shape_cells(max_total or 8), jobs)
 
@@ -1046,10 +1028,8 @@ def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[Chec
     return [check_fluctuations(max_total or 10)]
 
 
-# The cells count annular pairings of 2p + 2q points, held in one set per
-# cell: (6,6) holds 2 561 328 of them (73 s and 843 MB on a 2-CPU machine);
-# (7,7) would hold 41 225 184, some 13 GB.
-SQUARE_BOUND = 6
+# The cells count annular pairings of 2p + 2q points.
+SQUARE_BOUND = PAIRING_BOUND // 4
 
 
 def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ncfree.annular import (
     ENUMERATION_BOUND,
+    PAIRING_BOUND,
     AnnulusShape,
     Composition,
     PartitionedPermutation,
@@ -473,6 +474,14 @@ class TestPairingCounts:
         for p, q in ((0, 2), (-1, 3), (2, 0)):
             with pytest.raises(ValueError):
                 count_snc_pairings(p, q)
+
+    def test_sizes_past_the_pairing_bound_are_refused(self):
+        # Refused before any pairing is generated, odd totals included.
+        assert PAIRING_BOUND == 24
+        with pytest.raises(ValueError):
+            count_snc_pairings(13, 12)
+        with pytest.raises(ValueError):
+            count_snc_pairings(1, 24, separated_at=(1,))
 
     def test_separation_filter_reduces_the_count(self):
         full = count_snc_pairings(2, 2)

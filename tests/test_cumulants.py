@@ -16,6 +16,7 @@ from ncfree.annular import (
 )
 from ncfree.cumulants import (
     _nc_plan,
+    _nonzero_summands,
     _psnc_plan,
     clear_caches,
     haar_kappa_pq,
@@ -306,6 +307,26 @@ class TestProductsAsEntries:
             assert got == want, where
             assert type(got) is type(want), where
 
+    def test_summand_tables_are_never_changed_by_the_formulas(self):
+        # A composition only selects summands, so every composition of a size
+        # or shape reads the same table, and nothing rewrites it after it is made.
+        clear_caches()
+        annulus = [c for c in _split_compositions(6) if c.shape() == AnnulusShape(3, 3)]
+        for sizes, formula, comps in (
+            ((5,), ks_product_cumulant, _compositions(5)),
+            ((3, 3), main_product_cumulant, annulus),
+        ):
+            for model, word in model_cases(sum(sizes)):
+                table = _nonzero_summands(model, word, *sizes)
+                before = list(table)
+                for comp in comps:
+                    formula(model, word, comp)
+                assert _nonzero_summands(model, word, *sizes) is table, (model.name, sizes)
+                assert len(table) == len(before)
+                assert all(now is then for now, then in zip(table, before))
+                assert isinstance(table, tuple)
+                assert all(product or type(product) is not int for _, product in table)
+
     def test_plans_leave_out_only_the_solved_for_element(self):
         for n in range(1, 8):
             records, top = _nc_plan(n)
@@ -373,6 +394,10 @@ class TestModelEvaluations:
         for p, q in ((0, 1), (-1, 2), (1, 0)):
             with pytest.raises(ValueError):
                 semicircular_square_kappa(p, q)
+
+    def test_square_past_the_pairing_bound_is_refused(self):
+        with pytest.raises(ValueError):
+            semicircular_square_kappa(7, 6)
 
     def test_square_symmetry(self):
         for p in range(1, 4):

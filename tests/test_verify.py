@@ -155,7 +155,7 @@ class TestRawRecords:
         for total in range(2, 7):
             for p in range(1, total):
                 _els, raw = _psnc_raw(AnnulusShape(p, total - p))
-                for _img, _inv, plab, pairs, _len, _kind in raw:
+                for _img, _inv, plab, pairs, _len in raw:
                     assert plab == _join0(total, pairs)[0]
 
 
