@@ -42,9 +42,10 @@ the test suite; neither is assumed.
 Every sum above walks a plan built once per size or shape, (records, top):
 per element, its blocks as 0-based index tuples and the labels its filter
 reads, and the index of the solved-for element.  ``_kappa_blocks`` is the
-only code that multiplies cumulants over blocks: it takes a walk's block
-lists, evaluates each distinct block once per call, and stops a product at
-its first zero factor.
+only code that multiplies cumulants over blocks: it reads a walk's records,
+evaluates each distinct block once per call, computes each distinct
+polynomial product once per call, and stops a product at its first zero
+factor.
 
 Memoised, each as an ``lru_cache``: the plans; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
@@ -52,9 +53,10 @@ and ``_kappa_pq``, keyed by the model object and the words; and
 the products that are not an int zero, each built in one walk and never
 changed.  A composition only selects summands, so a product formula call
 is one filtered sum over a table, and the first call at a size or shape
-pays for all of it.  On a 2-CPU machine a lone formal-model call at (5,5),
-plans built, took 28-35 s (23-24 s when only its kept products were
-computed) and the next composition there 0.4-0.5 s (5-7 s).
+pays for all of it.  Records whose factors agree share one product object,
+so a table holds far fewer distinct products than entries.  On a 2-CPU
+machine a lone formal-model call at (5 | 5), plans built, took about 2 s
+and peaked under 300 MB, and the next composition there under 0.1 s.
 ``oracle_product_cumulant`` never reads the tables.  ``clear_caches()``
 empties all of these (``memo_info()`` shows them), not the enumerations.
 """
@@ -161,16 +163,24 @@ def _blocks0(block_cycles, pool: dict) -> tuple[tuple[tuple[int, ...], ...], ...
     return tuple(out)
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, block_lists) -> list[Scalar]:
-    """Per list of 0-based blocks, the product of kappa_n of each one-cycle
-    block's arguments and kappa_{s,t} of each two-cycle one's, stopped at
-    its first zero factor.  A block object is evaluated once per call: in a
-    plan, ``_blocks0`` made equal blocks one object."""
+def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[Scalar]:
+    """Per record, its first item a list of 0-based blocks: the product of
+    kappa_n of each one-cycle block's arguments and kappa_{s,t} of each
+    two-cycle one's, left to right, stopped at its first zero factor.
+
+    A block object is evaluated once per call: in a plan, ``_blocks0`` made
+    equal blocks one object.  A polynomial times a polynomial is computed
+    once per pair of operands, by identity, so records whose factors agree
+    share every running product.  Only operands the call holds are keyed (a
+    factor, or a product it keeps): after any other step, such as a
+    Fraction times a polynomial, the record multiplies without the table."""
     factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
+    products: dict[tuple[int, int], CumulantPolynomial] = {}  # by ids: both operands are held
     out: list[Scalar] = []
-    for blocks in block_lists:
+    for rec in records:
         value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
-        for block in blocks:
+        held = True
+        for block in rec[0]:
             factor = factors.get(id(block))
             if factor is None:
                 if len(block) == 1:
@@ -181,7 +191,17 @@ def _kappa_blocks(model: MomentOracle, args: Args, block_lists) -> list[Scalar]:
                         model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
                     )
                 factors[id(block)] = factor
-            value = factor if value is None else value * factor
+            if value is None:
+                value = factor
+            elif held and type(value) is CumulantPolynomial and type(factor) is CumulantPolynomial:
+                key = (id(value), id(factor))
+                product = products.get(key)
+                if product is None:
+                    product = products[key] = value * factor
+                value = product
+            else:
+                value = value * factor
+                held = False
             if not value:
                 break
         out.append(value)
@@ -194,15 +214,14 @@ def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     if n == 1:
         return model.phi(args[0])
     records, top = _nc_plan(n)
-    parts = _kappa_blocks(model, args, [rec[0] for i, rec in enumerate(records) if i != top])
+    parts = _kappa_blocks(model, args, records[:top] + records[top + 1 :])
     return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
     records, top = _psnc_plan(len(args1), len(args2))
-    blocks = [rec[0] for i, rec in enumerate(records) if i != top]
-    parts = _kappa_blocks(model, args1 + args2, blocks)
+    parts = _kappa_blocks(model, args1 + args2, records[:top] + records[top + 1 :])
     return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
 
 
@@ -221,7 +240,7 @@ def _nonzero_summands(model: MomentOracle, word: Word, p: int, q: int | None = N
     if q is not None:
         records = [rec for rec in records if _separated(rec[1], (p, p + q))]
     args = tuple([(letter,) for letter in word])
-    products = _kappa_blocks(model, args, [rec[0] for rec in records])
+    products = _kappa_blocks(model, args, records)
     return tuple((rec[1:], v) for rec, v in zip(records, products) if v or type(v) is not int)
 
 
@@ -253,7 +272,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
         raise ValueError("permutation size does not match argument count")
     if not is_nc_disc(pi):
         raise ValueError(f"{pi!r} is not disc non-crossing")
-    return _kappa_blocks(model, args, [_blocks0(((c,) for c in pi.cycles), {})])[0]
+    return _kappa_blocks(model, args, [(_blocks0(((c,) for c in pi.cycles), {}),)])[0]
 
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
@@ -273,7 +292,7 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
     args = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
-    return _kappa_blocks(model, args, [_blocks0(vp.block_cycles(), {})])[0]
+    return _kappa_blocks(model, args, [(_blocks0(vp.block_cycles(), {}),)])[0]
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----
@@ -283,14 +302,14 @@ def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     args = _norm_args(args)
     records, _ = _nc_plan(len(args))
-    return CumulantPolynomial.sum(_kappa_blocks(model, args, [rec[0] for rec in records]))
+    return CumulantPolynomial.sum(_kappa_blocks(model, args, records))
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
     args1, args2 = _norm_args(args1), _norm_args(args2)
     records, _ = _psnc_plan(len(args1), len(args2))
-    return CumulantPolynomial.sum(_kappa_blocks(model, args1 + args2, [rec[0] for rec in records]))
+    return CumulantPolynomial.sum(_kappa_blocks(model, args1 + args2, records))
 
 
 # -- cumulants with products as arguments ------------------------------

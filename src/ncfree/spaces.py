@@ -269,19 +269,28 @@ class CumulantPolynomial:
 
     @classmethod
     def sum(cls, values: Iterable["Scalar"]) -> "Scalar":
-        """Sum a stream of scalars without quadratic dict copying."""
-        acc: dict[tuple[str, ...], Coeff] = {}
+        """Sum a stream of scalars without quadratic dict copying.
+
+        Each polynomial object is counted (and held, so its id stays its
+        own) and its terms are added once, times its count.  Value and type
+        are those of the left-to-right ``+`` fold from 0."""
+        counts: dict[int, list] = {}  # id -> [polynomial, count]
         plain: Coeff = 0
-        saw_poly = False
         for v in values:
             if isinstance(v, CumulantPolynomial):
-                saw_poly = True
-                for m, c in v.terms.items():
-                    acc[m] = acc.get(m, 0) + c
+                entry = counts.get(id(v))
+                if entry is None:
+                    counts[id(v)] = [v, 1]
+                else:
+                    entry[1] += 1
             else:
                 plain += v
-        if not saw_poly:
+        if not counts:
             return plain
+        acc: dict[tuple[str, ...], Coeff] = {}
+        for v, count in counts.values():
+            for m, c in v.terms.items():
+                acc[m] = acc.get(m, 0) + (c if count == 1 else c * count)
         if plain:
             acc[()] = acc.get((), 0) + plain
         return cls(acc)

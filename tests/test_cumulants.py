@@ -1,7 +1,9 @@
 """First and second order cumulants: recursions, products, symbols."""
 
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,7 @@ from ncfree.annular import (
     tau_of,
 )
 from ncfree.cumulants import (
+    _kappa_blocks,
     _nc_plan,
     _nonzero_summands,
     _psnc_plan,
@@ -44,6 +47,8 @@ from ncfree.spaces import (
     CumulantPolynomial,
     MomentOracle,
     a_word,
+    alpha2_symbol,
+    alpha_symbol,
     formal_moment_space,
     haar_unitary_space,
     semicircular_phi,
@@ -348,6 +353,81 @@ class TestProductsAsEntries:
             main_product_cumulant(semicircular_space(), x_word(3), Composition((3,)))
         with pytest.raises(ValueError):
             oracle_product_cumulant(semicircular_space(), x_word(3), Composition((2,)))
+
+
+def _mixed_phi(word):
+    n = len(word)
+    return sym(alpha_symbol(n)) if n % 2 == 0 else Fraction(n, 3)
+
+
+def _mixed_phi2(w1, w2):
+    s, t = len(w1), len(w2)
+    return sym(alpha2_symbol(s, t)) if (s + t) % 2 == 0 else Fraction(s + t, 3)
+
+
+# Polynomial moments at even lengths and Fractions at odd ones, so products
+# mix Fraction and polynomial factors and leave fresh temporaries behind.
+MIXED = MomentOracle("mixed-scalars", _mixed_phi, _mixed_phi2)
+
+# kappa_{p,q} of MIXED on single letters, p <= q <= 4: the first 16 hex
+# digits of the sha256 of repr(sorted_terms()); kappa_{q,p} is the same.
+MIXED_KAPPA_PQ = {
+    (1, 1): "f58105f89838f0dd",
+    (1, 2): "a615aaeeab7256d7",
+    (1, 3): "4f5b5e55ef1459e9",
+    (1, 4): "714e8f7b5a9febaa",
+    (2, 2): "9a29795af850431e",
+    (2, 3): "f2cec8c722fefb89",
+    (2, 4): "36abd0141b4142af",
+    (3, 3): "4d56b8b3a7451af5",
+    (3, 4): "9243c526e0c5309d",
+    (4, 4): "d5e8a1ac74684435",
+}
+
+
+def _plain_product(model, args, blocks):
+    """A record's product as written: left to right, stopped at a zero."""
+    value = None
+    for block in blocks:
+        if len(block) == 1:
+            factor = kappa_n(model, [args[i] for i in block[0]])
+        else:
+            first, second = block
+            factor = kappa_pq(model, [args[i] for i in first], [args[i] for i in second])
+        value = factor if value is None else value * factor
+        if not value:
+            break
+    return value
+
+
+class TestSharedWork:
+    def test_walk_matches_plain_products_on_mixed_scalars(self):
+        clear_caches()
+        plans = [(_nc_plan(n)[0], letters(a_word(n))) for n in range(1, 7)]
+        for p, q in itertools.product(range(1, 4), repeat=2):
+            plans.append((_psnc_plan(p, q)[0], letters(a_word(p + q))))
+        for records, args in plans:
+            got = _kappa_blocks(MIXED, args, records)
+            want = [_plain_product(MIXED, args, rec[0]) for rec in records]
+            assert got == want, len(args)
+            assert [type(v) for v in got] == [type(v) for v in want], len(args)
+
+    def test_mixed_scalar_cumulants_are_frozen(self):
+        clear_caches()
+        for (p, q), digest in MIXED_KAPPA_PQ.items():
+            for s, t in ((p, q), (q, p)):
+                value = kappa_pq(MIXED, letters(a_word(s)), letters(a_word(t)))
+                assert isinstance(value, CumulantPolynomial), (s, t)
+                text = repr(value.sorted_terms()).encode()
+                assert hashlib.sha256(text).hexdigest()[:16] == digest, (s, t)
+
+    def test_summand_tables_share_equal_products(self):
+        # Records whose factors agree hold one product object, so a formal
+        # table holds far fewer distinct products than entries.
+        for p in (3, 4):
+            table = _nonzero_summands(formal_moment_space(), a_word(2 * p), p, p)
+            distinct = {id(product) for _, product in table}
+            assert 4 * len(distinct) < len(table), (p, len(distinct), len(table))
 
 
 class TestCountsAndMobius:

@@ -152,6 +152,45 @@ class TestPolynomialRing:
         k1 = CumulantPolynomial.from_symbol("k1")
         assert CumulantPolynomial.sum([k1, 1, -k1]) == 1
 
+    def test_sum_of_repeated_objects_is_the_fold(self):
+        # sum counts each polynomial object and adds its terms once, times the
+        # count; the value, its type and every coefficient's type are the fold's.
+        k1 = CumulantPolynomial.from_symbol("k1")
+        k2 = CumulantPolynomial.from_symbol("k2")
+        p = k1 * k1 + Fraction(1, 2) * k2 - 3
+        minus_p = -p
+        cases = (
+            [p, p, p],
+            [p, 3, p, Fraction(1, 4), k2, p, -2],
+            [p, minus_p, p, Fraction(1, 2), minus_p, Fraction(-1, 2)],  # cancels to zero
+            [p, minus_p, p, minus_p],  # a zero polynomial, not 0
+            [k2, p, k2, Fraction(3, 2), k2, 7, p],
+            [1, 2, 3],  # stays an int
+            [Fraction(1, 2), 1, Fraction(1, 2)],
+            [],
+        )
+        for values in cases:
+            got = CumulantPolynomial.sum(iter(values))
+            want = 0
+            for v in values:
+                want = want + v
+            assert got == want, values
+            assert type(got) is type(want), values
+            if isinstance(want, CumulantPolynomial):
+                assert [type(c) for _, c in got.sorted_terms()] == [
+                    type(c) for _, c in want.sorted_terms()
+                ]
+
+    @given(st.lists(st.one_of(polynomials(), coeffs), min_size=1, max_size=4), st.data())
+    def test_sum_with_repeats_matches_the_fold(self, pool, data):
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+        values = [pool[i] for i in picks]
+        want = 0
+        for v in values:
+            want = want + v
+        got = CumulantPolynomial.sum(values)
+        assert got == want and type(got) is type(want)
+
     def test_substitute(self):
         k1 = CumulantPolynomial.from_symbol("k1")
         k2 = CumulantPolynomial.from_symbol("k2")
