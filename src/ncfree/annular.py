@@ -30,7 +30,7 @@ shape, up to p + q <= 12 by default, each in an ``lru_cache`` behind a public
 function that checks the arguments; ``cumulants.clear_caches()`` never
 empties them; every element passes its validating constructor.
 ``element_line`` formats the JSON Lines of ``ncfree enumerate`` without
-``json``.  The complement-separation test of the product formula runs on
+``json``.  The complement-separation test of the product formulas runs on
 the 0-based kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
 """
 
@@ -464,12 +464,6 @@ def tau_of(comp: Composition) -> Permutation:
     return fatten(Permutation.identity(comp.part_count), comp)
 
 
-def _interval_edges(comp: Composition) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The part endpoints (1-based) and the 0-based neighbour pairs inside parts."""
-    ends = comp.boundary_points
-    return ends, [(i, i + 1) for i in range(comp.total - 1) if i + 1 not in ends]
-
-
 # -- complements and the separation filter -----------------------------
 
 
@@ -485,11 +479,12 @@ def kreweras_cycle_ids(shape: AnnulusShape, a: Permutation) -> tuple[int, ...]:
     """
     if a.size != shape.total:
         raise ValueError(f"size {a.size} does not match shape {shape}")
-    return _complement_labels(shape.p, shape.q, a)
+    return _complement_labels((shape.p, shape.q), a)
 
 
-def _complement_labels(p: int, q: int, a: Permutation) -> tuple[int, ...]:
-    k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(p, q))
+def _complement_labels(sizes: tuple[int, ...], a: Permutation) -> tuple[int, ...]:
+    """Cycle labels of a^-1 gamma, gamma = _gamma0(*sizes): gamma_n or gamma_pq."""
+    k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(*sizes))
     return tuple(_cycle_labels0(k0)[0])
 
 

@@ -36,21 +36,25 @@ The product formulas: for grouped arguments A_i = a_{n_1+...+n_{i-1}+1}
                                   complement pi^-1 gamma_pq separates the
                                   group endpoints of kappa_(V,pi).
 
-Both are verified against the direct recursions on the grouped words by
-the test suite; neither is assumed.
+tau the interval partition of the groups.  That join is 1_n exactly when
+sigma^-1 gamma_n separates the group endpoints (the lemma that
+``verify.check_first_sep`` sweeps), so one separation test serves both sums.
+The test suite checks both against the direct recursions on the grouped
+words; neither is assumed.
 
-Every sum above walks a plan built once per size or shape, (records, top):
-per element, its blocks as 0-based index tuples and the labels its filter
-reads, and the index of the solved-for element.  ``_kappa_blocks`` is the
-only code that multiplies cumulants over blocks: it reads a walk's records,
-evaluates each distinct block once per call, computes each distinct
-polynomial product once per call, and stops a product at its first zero
-factor.
+Every sum above walks a plan built once per size (n,) or shape (p, q),
+``_plan(sizes) = (records, top)``: per element, its blocks as 0-based index
+tuples and the cycle labels of its complement pi^-1 gamma, and the index of
+the solved-for element, whose permutation is gamma.  ``_kappa_blocks`` is
+the only code that multiplies cumulants over blocks: it reads a walk's
+records, evaluates each distinct block once per call, computes each
+distinct polynomial product once per call, and stops a product at its
+first zero factor.
 
-Memoised, each as an ``lru_cache``: the plans; the recursions ``_kappa_n``
+Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
-``_nonzero_summands``, at most 128 (model, word, size or shape) tables of
-the products that are not an int zero, each built in one walk and never
+``_nonzero_summands``, at most 128 (model, word, sizes) tables of the
+products that are not an int zero, each built in one walk and never
 changed.  A composition only selects summands, so a product formula call
 is one filtered sum over a table, and the first call at a size or shape
 pays for all of it.  Records whose factors agree share one product object,
@@ -64,6 +68,7 @@ empties all of these (``memo_info()`` shows them), not the enumerations.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .annular import (
@@ -71,14 +76,13 @@ from .annular import (
     Composition,
     PartitionedPermutation,
     _complement_labels,
-    _interval_edges,
     count_snc_pairings,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
     is_nc_disc,
 )
-from .perm import Permutation, _cycle_labels0, _join0, _separated
+from .perm import Permutation, _separated
 from .spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -131,25 +135,18 @@ def _norm_args(args) -> Args:
 
 
 @lru_cache(maxsize=None)
-def _nc_plan(n: int):
-    """Per element of NC(n): its blocks, cycle labels and cycle count."""
-    records, pool = [], {}
-    for pi in enumerate_nc(n):
-        labels, count = _cycle_labels0([x - 1 for x in pi.image])
-        records.append((_blocks0(((c,) for c in pi.cycles), pool), tuple(labels), count))
-    return tuple(records), next(i for i, rec in enumerate(records) if rec[2] == 1)
-
-
-@lru_cache(maxsize=None)
-def _psnc_plan(p: int, q: int):
-    """Per element of PS_NC(p, q): its blocks and its complement's labels."""
-    shape = AnnulusShape(p, q)
-    gamma, elements, pool = shape.gamma(), enumerate_psnc(shape), {}
-    records = tuple(
-        (_blocks0(vp.block_cycles(), pool), _complement_labels(p, q, vp.perm)) for vp in elements
-    )
-    # gamma_pq has no through cycle, so only the top (1, gamma_pq) has it as perm
-    return records, next(i for i, vp in enumerate(elements) if vp.perm == gamma)
+def _plan(sizes: tuple[int, ...]):
+    """Per element of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q): its
+    blocks and its complement's cycle labels; and the index of the top, the
+    one element whose complement is the identity (gamma_pq has no through
+    cycle, so on the annulus only (1, gamma_pq) has it as its permutation)."""
+    if len(sizes) == 1:
+        elements = [(pi, ((c,) for c in pi.cycles)) for pi in enumerate_nc(*sizes)]
+    else:
+        elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
+    pool, identity = {}, tuple(range(sum(sizes)))
+    records = tuple((_blocks0(b, pool), _complement_labels(sizes, pi)) for pi, b in elements)
+    return records, next(i for i, rec in enumerate(records) if rec[1] == identity)
 
 
 def _blocks0(block_cycles, pool: dict) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -213,38 +210,36 @@ def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     n = len(args)
     if n == 1:
         return model.phi(args[0])
-    records, top = _nc_plan(n)
+    records, top = _plan((n,))
     parts = _kappa_blocks(model, args, records[:top] + records[top + 1 :])
     return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
-    records, top = _psnc_plan(len(args1), len(args2))
+    records, top = _plan((len(args1), len(args2)))
     parts = _kappa_blocks(model, args1 + args2, records[:top] + records[top + 1 :])
     return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=128)
-def _nonzero_summands(model: MomentOracle, word: Word, p: int, q: int | None = None) -> tuple:
-    """The summands of NC(p), or of PS_NC(p, q), on the letters of ``word``:
-    per plan record whose product is not an int zero, the record without its
-    blocks (the labels a filter reads) and that product.  Built in one walk
-    and never changed; a composition only selects from it.
+def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -> tuple:
+    """The summands of ``_plan(sizes)`` on the letters of ``word``: per record
+    whose product is not an int zero, its complement labels and that product.
+    Built in one walk and never changed; a composition only selects from it.
 
     An int zero adds nothing to a sum and leaves its type alone, unlike a
-    Fraction or polynomial zero.  On the annulus a record whose complement
-    joins p and p + q is left out: every composition's endpoints hold both.
+    Fraction or polynomial zero.  A record whose complement joins the ends
+    of the two circles is left out: every composition's endpoints hold both.
+    The disc has one end, so there every record stays.
     """
-    records, _ = _nc_plan(p) if q is None else _psnc_plan(p, q)
-    if q is not None:
-        records = [rec for rec in records if _separated(rec[1], (p, p + q))]
-    args = tuple([(letter,) for letter in word])
-    products = _kappa_blocks(model, args, records)
-    return tuple((rec[1:], v) for rec, v in zip(records, products) if v or type(v) is not int)
+    ends = tuple(accumulate(sizes))
+    records = [rec for rec in _plan(sizes)[0] if _separated(rec[1], ends)]
+    products = _kappa_blocks(model, tuple([(letter,) for letter in word]), records)
+    return tuple((rec[1], v) for rec, v in zip(records, products) if v or type(v) is not int)
 
 
-_MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _nc_plan, _psnc_plan, _nonzero_summands)}
+_MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _plan, _nonzero_summands)}
 
 
 def clear_caches() -> None:
@@ -301,14 +296,14 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
 def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     args = _norm_args(args)
-    records, _ = _nc_plan(len(args))
+    records, _ = _plan((len(args),))
     return CumulantPolynomial.sum(_kappa_blocks(model, args, records))
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
     args1, args2 = _norm_args(args1), _norm_args(args2)
-    records, _ = _psnc_plan(len(args1), len(args2))
+    records, _ = _plan((len(args1), len(args2)))
     return CumulantPolynomial.sum(_kappa_blocks(model, args1 + args2, records))
 
 
@@ -326,7 +321,8 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
 
     ``comp`` groups the letters of ``word`` into consecutive products; the
     value is the sum of kappa_sigma over disc non-crossing sigma whose
-    join with the interval partition of ``comp`` is everything.  The
+    join with the interval partition of ``comp`` is everything, that is,
+    whose complement sigma^-1 gamma_n separates the group endpoints.  The
     contract (checked by the suite, not assumed) is equality with
     kappa_r of the grouped words, r the number of parts.
     """
@@ -335,13 +331,7 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     word = tuple(word)
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
-    _, edges = _interval_edges(comp)
-    table = _nonzero_summands(model, word, len(word))
-    return CumulantPolynomial.sum(
-        v
-        for (labels, count), v in table
-        if _join0(count, [(labels[a], labels[b]) for a, b in edges])[1] == 1
-    )
+    return _separated_sum(model, word, (comp.total,), comp.boundary_points)
 
 
 def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -357,9 +347,13 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
     shape = comp.shape()
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
-    points = comp.boundary_points
-    table = _nonzero_summands(model, word, shape.p, shape.q)
-    return CumulantPolynomial.sum(v for (labels,), v in table if _separated(labels, points))
+    return _separated_sum(model, word, (shape.p, shape.q), comp.boundary_points)
+
+
+def _separated_sum(model: MomentOracle, word: Word, sizes: tuple[int, ...], points) -> Scalar:
+    """The sum of the summands at ``sizes`` whose complement separates ``points``."""
+    table = _nonzero_summands(model, word, sizes)
+    return CumulantPolynomial.sum(v for labels, v in table if _separated(labels, points))
 
 
 def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:

@@ -343,12 +343,10 @@ def restrict(a: Permutation, points: Iterable[int]) -> Permutation:
     >>> restrict(c, {2, 4, 5}).cycle_string()
     '(1,2,3)'
     """
-    pts = sorted(set(points))
+    pts = sorted(set(_points_in(points, a.size)))
     if not pts:
         raise ValueError("restriction to the empty set")
     rank = {pt: i + 1 for i, pt in enumerate(pts)}
-    if pts[-1] > a.size:
-        raise ValueError(f"point {pts[-1]} outside [{a.size}]")
     inside = set(pts)
     image = []
     for pt in pts:
@@ -406,13 +404,12 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
-#                          _complement_labels, the disc plans of cumulants, V
+#                          _complement_labels (the plans of cumulants), V
 # _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, V,
 #                          the annular generators (enumerate_snc, count_snc_pairings)
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
-#                          ks_product_cumulant on its memoised nonzero summands, V (separation
-#                          sweeps, order table and structure)
+#                          V (separation sweeps, order table and structure)
 # _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
 # _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
@@ -426,8 +423,8 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # The cycle scans mark visited points in a list, which indexes faster than a bytearray.
 #
 # Separation callers: separates_points, count_snc_pairings on its generated pairings,
-# main_summand_filter on kreweras_cycle_ids labels, main_product_cumulant on the complement
-# labels of its memoised nonzero summands.
+# main_summand_filter on kreweras_cycle_ids labels, ks_product_cumulant and
+# main_product_cumulant on the complement labels of their memoised nonzero summands.
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:

@@ -35,7 +35,6 @@ from .annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
-    _interval_edges,
     _set_partitions,
     count_snc_pairings,
     enumerate_nc,
@@ -145,6 +144,12 @@ def _compositions(total: int) -> list[tuple[int, ...]]:
         ends = [i + 1 for i in range(total - 1) if mask >> i & 1] + [total]
         out.append(tuple(b - a for a, b in zip([0, *ends], ends)))
     return out
+
+
+def _interval_edges(comp: Composition) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The part endpoints (1-based) and the 0-based neighbour pairs inside parts."""
+    ends = comp.boundary_points
+    return ends, [(i, i + 1) for i in range(comp.total - 1) if i + 1 not in ends]
 
 
 def _shape_cells(max_total: int) -> list[tuple[int, int]]:
@@ -1114,7 +1119,9 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    """Run one suite (or ``all``) and return its results in order."""
+    """Run one suite (or ``all``) and return its results in order; a bound below 1 is refused."""
+    if max_total is not None and max_total < 1:
+        raise ValueError(f"bound {max_total} is below 1")
     if name == "all":
         out: list[CheckResult] = []
         for key in SUITES:

@@ -194,7 +194,7 @@ def test_criterion_4_first_order_products():
     _run(
         4,
         "first order cumulants with products as entries, n <= 8",
-        30,
+        10,
         lambda: _all_pass(suite_ks(8)),
     )
 

@@ -13,14 +13,14 @@ from ncfree.annular import (
     PartitionedPermutation,
     enumerate_nc,
     enumerate_psnc,
+    kreweras,
     main_summand_filter,
     tau_of,
 )
 from ncfree.cumulants import (
     _kappa_blocks,
-    _nc_plan,
     _nonzero_summands,
-    _psnc_plan,
+    _plan,
     clear_caches,
     haar_kappa_pq,
     kappa_n,
@@ -42,7 +42,7 @@ from ncfree.cumulants import (
     symbolic_phi2_expansion,
     symbolic_phi_expansion,
 )
-from ncfree.perm import Permutation, SetPartition, orbit_partition, partition_join
+from ncfree.perm import Permutation, SetPartition, full_cycle, orbit_partition, partition_join
 from ncfree.spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -322,11 +322,11 @@ class TestProductsAsEntries:
             ((3, 3), main_product_cumulant, annulus),
         ):
             for model, word in model_cases(sum(sizes)):
-                table = _nonzero_summands(model, word, *sizes)
+                table = _nonzero_summands(model, word, sizes)
                 before = list(table)
                 for comp in comps:
                     formula(model, word, comp)
-                assert _nonzero_summands(model, word, *sizes) is table, (model.name, sizes)
+                assert _nonzero_summands(model, word, sizes) is table, (model.name, sizes)
                 assert len(table) == len(before)
                 assert all(now is then for now, then in zip(table, before))
                 assert isinstance(table, tuple)
@@ -334,17 +334,38 @@ class TestProductsAsEntries:
 
     def test_plans_leave_out_only_the_solved_for_element(self):
         for n in range(1, 8):
-            records, top = _nc_plan(n)
+            records, top = _plan((n,))
             assert len(records) == len(enumerate_nc(n))
             full = ((tuple(range(n)),),)
             assert [i for i, rec in enumerate(records) if rec[0] == full] == [top]
         for total in range(2, 7):
             for p in range(1, total):
                 q = total - p
-                records, top = _psnc_plan(p, q)
+                records, top = _plan((p, q))
                 assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
                 glued = ((tuple(range(p)), tuple(range(p, total))),)
                 assert [i for i, rec in enumerate(records) if rec[0] == glued] == [top]
+
+    def test_plan_labels_are_the_complement_cycles(self):
+        # Each record's labels index the cycles of its complement pi^-1 gamma,
+        # computed here by public Permutation arithmetic.
+        def cycle_labels(a):
+            out = [0] * a.size
+            for ci, cycle in enumerate(a.cycles):
+                for pt in cycle:
+                    out[pt - 1] = ci
+            return tuple(out)
+
+        for n in range(1, 8):
+            records, _ = _plan((n,))
+            want = [cycle_labels(pi.inverse() * full_cycle(n)) for pi in enumerate_nc(n)]
+            assert [labels for _, labels in records] == want, n
+        for total in range(2, 7):
+            for p in range(1, total):
+                shape = AnnulusShape(p, total - p)
+                records, _ = _plan((shape.p, shape.q))
+                want = [cycle_labels(kreweras(shape, vp.perm)) for vp in enumerate_psnc(shape)]
+                assert [labels for _, labels in records] == want, shape
 
     def test_part_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
@@ -403,9 +424,9 @@ def _plain_product(model, args, blocks):
 class TestSharedWork:
     def test_walk_matches_plain_products_on_mixed_scalars(self):
         clear_caches()
-        plans = [(_nc_plan(n)[0], letters(a_word(n))) for n in range(1, 7)]
+        plans = [(_plan((n,))[0], letters(a_word(n))) for n in range(1, 7)]
         for p, q in itertools.product(range(1, 4), repeat=2):
-            plans.append((_psnc_plan(p, q)[0], letters(a_word(p + q))))
+            plans.append((_plan((p, q))[0], letters(a_word(p + q))))
         for records, args in plans:
             got = _kappa_blocks(MIXED, args, records)
             want = [_plain_product(MIXED, args, rec[0]) for rec in records]
@@ -425,7 +446,7 @@ class TestSharedWork:
         # Records whose factors agree hold one product object, so a formal
         # table holds far fewer distinct products than entries.
         for p in (3, 4):
-            table = _nonzero_summands(formal_moment_space(), a_word(2 * p), p, p)
+            table = _nonzero_summands(formal_moment_space(), a_word(2 * p), (p, p))
             distinct = {id(product) for _, product in table}
             assert 4 * len(distinct) < len(table), (p, len(distinct), len(table))
 
@@ -507,7 +528,7 @@ class TestModelEvaluations:
         clear_caches()
         main_product_cumulant(formal_moment_space(), a_word(4), Composition((1, 1, 2), split=2))
         info = memo_info()
-        assert set(info) == {"kappa_n", "kappa_pq", "nc_plan", "psnc_plan", "nonzero_summands"}
+        assert set(info) == {"kappa_n", "kappa_pq", "plan", "nonzero_summands"}
         assert all(memo["misses"] > 0 for memo in info.values()), info
         # one entry per (model, word, shape): bounded, so a long-lived process stays flat
         assert info["nonzero_summands"]["maxsize"] is not None

@@ -169,6 +169,13 @@ class TestRestrictionAndSeparation:
         with pytest.raises(ValueError):
             restrict(a, (1, 7))
 
+    def test_restrict_rejects_non_positive_points(self):
+        # Point 0 would read image[-1] and send the first-return scan round forever.
+        a = Permutation.parse("(1,2)(3)")
+        for points in ((0, 1), (-1, 2), (0,), (-1,)):
+            with pytest.raises(ValueError, match="outside"):
+                restrict(a, points)
+
     def test_separates_points(self):
         a = Permutation.parse("(1,2)(3,4)")
         assert separates_points(a, (1, 3))

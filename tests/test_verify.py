@@ -63,6 +63,12 @@ class TestSuiteRegistry:
         with pytest.raises(KeyError):
             run_suite("nonsense")
 
+    def test_bound_below_one_is_refused(self):
+        # 0 must not read as "unset", nor run an empty sweep that passes
+        for name, bound in (("lemmas", 0), ("order", 0), ("ks", 0), ("ks", -3), ("all", 0)):
+            with pytest.raises(ValueError, match="below 1"):
+                run_suite(name, bound)
+
 
 class TestReducedBounds:
     def test_main_theorem(self):
