@@ -85,8 +85,8 @@ __all__ = [
 # Enumerators, and the CLI by default, refuse sizes above this unless the
 # caller raises it explicitly.  Every family of total 12 finishes: on a
 # 2-CPU Xeon VM under Python 3.11 the largest, psnc of the (6,6) shape,
-# takes about 52 s and 1.9 GB peak RSS (snc alone 18 s and 0.4 GB), and
-# 84 s and 2.7 GB as ``ncfree enumerate``.
+# takes about 52 s and 1.85 GB peak RSS (snc alone 19 s and 0.3 GB), and
+# 76 s and 1.86 GB as ``ncfree enumerate``, one run each.
 ENUMERATION_BOUND = 12
 
 # ``count_snc_pairings`` refuses shapes of more points than this.  It holds
@@ -310,7 +310,7 @@ class PartitionedPermutation:
     "disc" when V = 0_pi (each block a single cycle) and "tunnel" otherwise.
     """
 
-    __slots__ = ("partition", "perm", "_hash")
+    __slots__ = ("partition", "perm")
 
     def __init__(self, partition: SetPartition, perm: Permutation):
         if partition.size != perm.size:
@@ -322,7 +322,6 @@ class PartitionedPermutation:
             raise ValueError(f"cycle {cycle} is not contained in a block of {partition!r}")
         self.partition = partition
         self.perm = perm
-        self._hash: int | None = None
 
     @classmethod
     def disc(cls, perm: Permutation) -> "PartitionedPermutation":
@@ -361,9 +360,7 @@ class PartitionedPermutation:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.partition, self.perm))
-        return self._hash
+        return hash((self.partition, self.perm))
 
     def __repr__(self) -> str:
         return f"PartitionedPermutation[{self.partition!r}, {self.perm!r}]"
@@ -450,8 +447,8 @@ def fatten(a: Permutation, comp: Composition) -> Permutation:
     partial = [0, *itertools.accumulate(comp.parts)]
     total = partial[-1]
     image = [i + 2 for i in range(total)]
-    for k in range(1, comp.part_count + 1):
-        image[partial[k] - 1] = partial[a(k) - 1] + 1
+    for k, ak in enumerate(a.image, 1):
+        image[partial[k] - 1] = partial[ak - 1] + 1
     return Permutation(image)
 
 

@@ -51,7 +51,7 @@ class Permutation:
     True
     """
 
-    __slots__ = ("image", "_cycles", "_inverse", "_hash")
+    __slots__ = ("image", "_cycles")
 
     image: tuple[int, ...]
 
@@ -67,8 +67,6 @@ class Permutation:
             seen[v - 1] = True
         self.image = image
         self._cycles: tuple[tuple[int, ...], ...] | None = None
-        self._inverse: Permutation | None = None
-        self._hash: int | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -129,6 +127,8 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.image):
+            raise ValueError(f"point {i} outside [{len(self.image)}]")
         return self.image[i - 1]
 
     @property
@@ -162,15 +162,10 @@ class Permutation:
         return len(self.image) - len(self.cycles)
 
     def inverse(self) -> "Permutation":
-        if self._inverse is None:
-            image = self.image
-            inv = [0] * len(image)
-            for i, v in enumerate(image):
-                inv[v - 1] = i + 1
-            result = Permutation(inv)
-            result._inverse = self
-            self._inverse = result
-        return self._inverse
+        inv = [0] * len(self.image)
+        for i, v in enumerate(self.image, 1):
+            inv[v - 1] = i
+        return Permutation(inv)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition, right factor first: ``(a * b)(i) == a(b(i))``."""
@@ -198,9 +193,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.image == other.image
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.image)
-        return self._hash
+        return hash(self.image)
 
     def __lt__(self, other: "Permutation") -> bool:
         # lexicographic order on one-line images; used for deterministic sorts
@@ -219,7 +212,7 @@ class SetPartition:
     1
     """
 
-    __slots__ = ("size", "blocks", "_index", "_hash")
+    __slots__ = ("size", "blocks", "_index")
 
     def __init__(self, size: int, blocks: Iterable[Iterable[int]]):
         if size < 1:
@@ -243,7 +236,6 @@ class SetPartition:
         self.size = size
         self.blocks = tuple(canon)
         self._index: tuple[int, ...] | None = None
-        self._hash: int | None = None
 
     @classmethod
     def of_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -304,9 +296,7 @@ class SetPartition:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.size, self.blocks))
-        return self._hash
+        return hash((self.size, self.blocks))
 
     def __repr__(self) -> str:
         body = "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -350,9 +340,9 @@ def restrict(a: Permutation, points: Iterable[int]) -> Permutation:
     inside = set(pts)
     image = []
     for pt in pts:
-        j = a(pt)
+        j = a.image[pt - 1]
         while j not in inside:
-            j = a(j)
+            j = a.image[j - 1]
         image.append(rank[j])
     return Permutation(image)
 

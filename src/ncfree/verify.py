@@ -103,17 +103,22 @@ class CheckResult:
         return asdict(self)
 
 
-def _check(title):
+def _check(title, ceiling: int | None = None):
     """Turn a sweep returning ``(cases, fail)`` into a timed check.
 
     ``title`` names the result: a string, formatted with the call's
     arguments (so cells can carry their shape), or a function of them.
     ``fail`` is the first counterexample, or None when every case passed.
+    A sweep with a ``ceiling`` takes one argument, its bound, and runs at
+    no more than the ceiling, however it is called.
     """
 
     def decorate(sweep):
         @functools.wraps(sweep)
         def check(*args, **kwargs) -> CheckResult:
+            if ceiling is not None:
+                args = tuple(min(bound, ceiling) for bound in args)
+                kwargs = {key: min(bound, ceiling) for key, bound in kwargs.items()}
             t0 = time.perf_counter()
             cases, fail = sweep(*args, **kwargs)
             label = title.format if isinstance(title, str) else title
@@ -229,10 +234,9 @@ def _complement_data(family, g0) -> list[tuple]:
 # -- permutation kernel checks -----------------------------------------
 
 
-@_check("disc enumeration count is Catalan")
+@_check("disc enumeration count is Catalan", ceiling=10)
 def check_nc_counts(max_n: int = 9):
     """Disc enumeration sizes against the Catalan numbers."""
-    max_n = min(max_n, 10)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         got, want = len(enumerate_nc(n)), catalan(n)
@@ -242,10 +246,9 @@ def check_nc_counts(max_n: int = 9):
     return cases, fail
 
 
-@_check("geodesic order is transitive")
+@_check("geodesic order is transitive", ceiling=7)
 def check_metric_triangle(max_n: int = 6):
     """If pi is on a geodesic to sigma and sigma on one to tau, so is pi to tau."""
-    max_n = min(max_n, 7)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         perms, below = _sn_below(n)
@@ -262,10 +265,9 @@ def check_metric_triangle(max_n: int = 6):
     return cases, fail
 
 
-@_check("geodesic order implies cycle containment")
+@_check("geodesic order implies cycle containment", ceiling=7)
 def check_metric_order(max_n: int = 6):
     """On a geodesic below sigma, every cycle sits inside a cycle of sigma."""
-    max_n = min(max_n, 7)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         perms, below = _sn_below(n)
@@ -285,7 +287,7 @@ def check_metric_order(max_n: int = 6):
     return cases, fail
 
 
-@_check("metric length is conjugation invariant")
+@_check("metric length is conjugation invariant", ceiling=8)
 def check_conjugation_invariance(max_n: int = 6):
     """Metric length is a class function.
 
@@ -293,7 +295,6 @@ def check_conjugation_invariance(max_n: int = 6):
     conjugators run over a generating set, which settles the general
     case by composing conjugations.
     """
-    max_n = min(max_n, 8)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         perms = list(itertools.permutations(range(n)))
@@ -312,10 +313,9 @@ def check_conjugation_invariance(max_n: int = 6):
     return cases, fail
 
 
-@_check("restriction is multiplicative over an invariant set")
+@_check("restriction is multiplicative over an invariant set", ceiling=7)
 def check_restriction_commutes(max_n: int = 6):
     """restrict(sigma pi, N) = restrict(sigma, N) restrict(pi, N) for pi supported in N."""
-    max_n = min(max_n, 7)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         perms = list(itertools.permutations(range(n)))
@@ -340,7 +340,7 @@ def check_restriction_commutes(max_n: int = 6):
     return cases, fail
 
 
-@_check("geodesic order matches per-cycle non-crossing refinement")
+@_check("geodesic order matches per-cycle non-crossing refinement", ceiling=7)
 def check_order_refinement(max_total: int = 6):
     """The metric order below a fixed permutation equals blockwise refinement.
 
@@ -349,7 +349,6 @@ def check_order_refinement(max_total: int = 6):
     non-crossing permutations of the individual cycles of sigma.  This
     also certifies the generator used by ``check_separates``.
     """
-    max_total = min(max_total, 7)
     cases, fail = 0, None
     for n in range(1, max_total + 1):
         perms, below = _sn_below(n)
@@ -367,7 +366,7 @@ def check_order_refinement(max_total: int = 6):
     return cases, fail
 
 
-@_check("annular membership via rotations to the disc")
+@_check("annular membership via rotations to the disc", ceiling=7)
 def check_snc_rotation(max_total: int = 6):
     """Annular membership equals disc membership after some circle rotations.
 
@@ -375,7 +374,6 @@ def check_snc_rotation(max_total: int = 6):
     when some pair of rotations of the two circles conjugates it to a
     disc non-crossing permutation.
     """
-    max_total = min(max_total, 7)
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
         n = p + q
@@ -408,7 +406,7 @@ def check_snc_rotation(max_total: int = 6):
 # -- separation and fattening ------------------------------------------
 
 
-@_check("interval connectedness equals endpoint separation")
+@_check("interval connectedness equals endpoint separation", ceiling=9)
 def check_first_sep(max_n: int = 8):
     """Connectedness with the interval partition equals endpoint separation.
 
@@ -416,7 +414,6 @@ def check_first_sep(max_n: int = 8):
     the join of the cycles of sigma with the intervals is everything if
     and only if sigma^-1 gamma puts the points of N into distinct cycles.
     """
-    max_n = min(max_n, 9)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         g0 = _gamma0(n)
@@ -436,7 +433,7 @@ def check_first_sep(max_n: int = 8):
     return cases, fail
 
 
-@_check("join reaching the fattened cycles equals separation")
+@_check("join reaching the fattened cycles equals separation", ceiling=9)
 def check_separates(max_total: int = 8):
     """Join against intervals reaching the fattened cycles equals separation.
 
@@ -445,7 +442,6 @@ def check_separates(max_total: int = 8):
     equals the cycle partition of the fattened pi if and only if
     sigma^-1 (fattened pi) separates the part endpoints.
     """
-    max_total = min(max_total, 9)
     cases, fail = 0, None
     for total in range(1, max_total + 1):
         for parts in _compositions(total):
@@ -470,10 +466,9 @@ def check_separates(max_total: int = 8):
     return cases, fail
 
 
-@_check("complement order swaps sides on the disc")
+@_check("complement order swaps sides on the disc", ceiling=8)
 def check_tracial_inequality(max_n: int = 6):
     """Complementation swaps sides: tau below sigma^-1 gamma iff sigma below gamma tau^-1."""
-    max_n = min(max_n, 8)
     cases, fail = 0, None
     for n in range(1, max_n + 1):
         data = _complement_data(enumerate_nc(n), _gamma0(n))
@@ -487,7 +482,7 @@ def check_tracial_inequality(max_n: int = 6):
     return cases, fail
 
 
-@_check("restriction of annular permutations stays non-crossing")
+@_check("restriction of annular permutations stays non-crossing", ceiling=8)
 def check_restriction_lemma(max_total: int = 8):
     """Restricting an annular non-crossing permutation stays non-crossing.
 
@@ -495,7 +490,6 @@ def check_restriction_lemma(max_total: int = 8):
     non-crossing for the induced shape or a pair of disc non-crossing
     permutations, one per circle.
     """
-    max_total = min(max_total, 8)
     cases, fail = 0, None
     # Verdicts of _restricted_member0 for this call only, one dict per k1 keyed
     # by the restricted image: at bound 8, 38 463 keys serve 8 181 003 cases.
@@ -534,7 +528,7 @@ def _restricted_member0(img, k1: int) -> bool:
     return _is_nc0(img[:k1], k1) and _is_nc0(tuple(x - k1 for x in img[k1:]), k - k1)
 
 
-@_check("inflation preserves non-crossing membership")
+@_check("inflation preserves non-crossing membership", ceiling=9)
 def check_fattening(max_total: int = 9):
     """Inflating parts preserves non-crossing membership, disc and annular.
 
@@ -543,7 +537,6 @@ def check_fattening(max_total: int = 9):
     last letter, and that inflating the identity gives the interval
     permutation.
     """
-    max_total = min(max_total, 9)
     cases, fail = 0, None
     # Per small circle sizes, once per run: the family and each member's
     # 0-based complement pi^-1 gamma_small, held as bytes (174 398 of them
@@ -584,14 +577,13 @@ def check_fattening(max_total: int = 9):
 # -- annular order lemmas ----------------------------------------------
 
 
-@_check("one-sided complement order transfers across the annulus")
+@_check("one-sided complement order transfers across the annulus", ceiling=7)
 def check_annular_order(max_total: int = 7):
     """Below the complement on one side implies below it on the other.
 
     For annular non-crossing pi, sigma: if pi lies on a geodesic below
     sigma^-1 gamma then sigma lies on a geodesic below gamma pi^-1.
     """
-    max_total = min(max_total, 7)
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
         n = p + q
@@ -630,7 +622,7 @@ def _tunnel_hypotheses(max_total: int):
                     yield shape, sigma0, pi0, gp0
 
 
-@_check("two-sided complement product reaches the glued element")
+@_check("two-sided complement product reaches the glued element", ceiling=7)
 def check_tunnel_product(max_total: int = 6):
     """The two-sided complement product lands on the glued element.
 
@@ -638,7 +630,6 @@ def check_tunnel_product(max_total: int = 6):
     sigma^-1 gamma pi^-1 is defined and produces gamma pi^-1 carrying
     the join of sigma with it as its partition.
     """
-    max_total = min(max_total, 7)
     cases, fail = 0, None
     for shape, sigma0, pi0, gp0 in _tunnel_hypotheses(max_total):
         cases += 1
@@ -654,7 +645,7 @@ def check_tunnel_product(max_total: int = 6):
     return cases, fail
 
 
-@_check("complement cycles organize the connecting structure")
+@_check("complement cycles organize the connecting structure", ceiling=7)
 def check_order_corollary(max_total: int = 6):
     """Structure of sigma relative to gamma pi^-1 under the tunnel hypothesis.
 
@@ -664,7 +655,6 @@ def check_order_corollary(max_total: int = 6):
     enclosed cycles are disc non-crossing along each cycle; (iv) on the
     union the connecting cycles form an annular non-crossing permutation.
     """
-    max_total = min(max_total, 7)
     cases, fail = 0, None
     for shape, s0, pi0, gp0 in _tunnel_hypotheses(max_total):
         cases += 1
@@ -744,7 +734,7 @@ def _order_table(shape: AnnulusShape):
     return els, below
 
 
-@_check("the annular order is a partial order")
+@_check("the annular order is a partial order", ceiling=7)
 def check_order_axioms(max_total: int = 6):
     """The witnessed-product relation is a partial order on each shape.
 
@@ -752,7 +742,6 @@ def check_order_axioms(max_total: int = 6):
     fast pairwise scan is cross-checked against the public comparison
     on the smaller shapes.
     """
-    max_total = min(max_total, 7)
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
         shape = AnnulusShape(p, q)
@@ -781,10 +770,9 @@ def check_order_axioms(max_total: int = 6):
     return cases, fail
 
 
-@_check("glued elements never drop to disc elements")
+@_check("glued elements never drop to disc elements", ceiling=6)
 def check_order_kinds(max_total: int = 5):
     """Glued elements never sit below disc elements; other mixes occur."""
-    max_total = min(max_total, 6)
     cases, fail = 0, None
     seen = {("disc", "disc"): 0, ("disc", "tunnel"): 0, ("tunnel", "tunnel"): 0}
     for p, q in _shape_cells(max_total):
@@ -805,7 +793,7 @@ def check_order_kinds(max_total: int = 5):
     return cases, fail
 
 
-@_check("witnessed products force the zero witness")
+@_check("witnessed products force the zero witness", ceiling=6)
 def check_order_structure(max_total: int = 6):
     """Any witnessed product within the family forces the zero witness.
 
@@ -814,7 +802,6 @@ def check_order_structure(max_total: int = 6):
     with it (equivalently with sigma, or with sigma pi^-1), and
     multiplying by sigma pi^-1 on the other side reaches (U, sigma) too.
     """
-    max_total = min(max_total, 6)
     cases, fail = 0, None
     # The witnesses W of w = pi^-1 sigma are the set partitions of w's
     # cycles, and the join U of V with W is read off the cycles.  Per V as
@@ -974,10 +961,9 @@ def _square_cell(pq: tuple[int, int]):
     return cases, fail
 
 
-@_check("semicircular fluctuation moments agree three ways")
+@_check("semicircular fluctuation moments agree three ways", ceiling=12)
 def check_fluctuations(max_total: int = 10):
     """Fluctuation moments three ways: cycle sum, closed form, pairing count."""
-    max_total = min(max_total, 12)
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
         cases += 1
@@ -991,10 +977,9 @@ def check_fluctuations(max_total: int = 10):
     return cases, fail
 
 
-@_check("signed annular counts satisfy the recurrence")
+@_check("signed annular counts satisfy the recurrence", ceiling=9)
 def check_mobius_recurrence(max_total: int = 8):
     """The signed annular counts satisfy the convolution recurrence."""
-    max_total = min(max_total, 9)
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
         cases += 1
@@ -1020,17 +1005,26 @@ def _cells(fn, cells, jobs: int, costs=None) -> list[CheckResult]:
         return [futures[i].result() for i in range(len(cells))]
 
 
+def _bound(max_total: int | None, default: int) -> int:
+    """A suite's bound: ``default`` when unset, else ``max_total``, refused below 1."""
+    if max_total is None:
+        return default
+    if max_total < 1:
+        raise ValueError(f"bound {max_total} is below 1")
+    return max_total
+
+
 def suite_main_theorem(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_product_cell, _shape_cells(max_total or 8), jobs)
+    return _cells(_product_cell, _shape_cells(_bound(max_total, 8)), jobs)
 
 
 def suite_ks(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_product_cell, [(n,) for n in range(1, (max_total or 8) + 1)], jobs)
+    return _cells(_product_cell, [(n,) for n in range(1, _bound(max_total, 8) + 1)], jobs)
 
 
 def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
     del jobs
-    return [check_fluctuations(max_total or 10)]
+    return [check_fluctuations(_bound(max_total, 10))]
 
 
 # The cells count annular pairings of 2p + 2q points.
@@ -1038,7 +1032,7 @@ SQUARE_BOUND = PAIRING_BOUND // 4
 
 
 def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    bound = max_total or 4
+    bound = _bound(max_total, 4)
     if bound > SQUARE_BOUND:
         raise ValueError(f"the squares suite runs to a bound of at most {SQUARE_BOUND}")
     cells = [(p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)]
@@ -1046,12 +1040,12 @@ def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> li
 
 
 def suite_haar(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_haar_cell, _shape_cells(max_total or 8), jobs)
+    return _cells(_haar_cell, _shape_cells(_bound(max_total, 8)), jobs)
 
 
 def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
     del jobs
-    return [check_mobius_recurrence(max_total or 8)]
+    return [check_mobius_recurrence(_bound(max_total, 8))]
 
 
 # (check, default bound, seconds): the seconds are one serial run at the
@@ -1088,7 +1082,7 @@ def _run_check(spec) -> CheckResult:
 
 def _check_suite(table, max_total: int | None, jobs: int) -> list[CheckResult]:
     specs = [
-        (check, default if max_total is None else min(default, max_total))
+        (check, min(default, _bound(max_total, default)))
         for check, default, _seconds in table
     ]
     return _cells(_run_check, specs, jobs, [seconds for *_spec, seconds in table])
@@ -1120,8 +1114,6 @@ def suite_names() -> list[str]:
 
 def run_suite(name: str, max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in order; a bound below 1 is refused."""
-    if max_total is not None and max_total < 1:
-        raise ValueError(f"bound {max_total} is below 1")
     if name == "all":
         out: list[CheckResult] = []
         for key in SUITES:

@@ -5,7 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ncfree.annular import AnnulusShape, gamma_pq, has_through_cycle, is_nc_disc, is_snc
+from ncfree.annular import (
+    AnnulusShape,
+    PartitionedPermutation,
+    gamma_pq,
+    has_through_cycle,
+    is_nc_disc,
+    is_snc,
+)
 from ncfree.perm import (
     Permutation,
     SetPartition,
@@ -48,6 +55,13 @@ class TestPermutationBasics:
     def test_call_and_image(self):
         a = Permutation((2, 3, 1))
         assert (a(1), a(2), a(3)) == (2, 3, 1)
+
+    def test_call_rejects_points_outside_the_ground_set(self):
+        # 0 and -1 used to read the image from its end: 3 and 1 here
+        a = Permutation.parse("(1,2)(3)")
+        for point in (0, -1, 4):
+            with pytest.raises(ValueError, match="outside"):
+                a(point)
 
     def test_from_cycles(self):
         a = Permutation.from_cycles(5, [(1, 3), (2, 5, 4)])
@@ -95,6 +109,36 @@ class TestPermutationBasics:
         a = Permutation((1, 2, 3))
         b = Permutation((1, 3, 2))
         assert a < b and not b < a
+
+
+class TestValueSemantics:
+    """Equal values built apart compare and hash alike, so sets and dicts collapse them."""
+
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            ((lambda: Permutation.parse("(1,3)(2,4)"), lambda: Permutation((3, 4, 1, 2))),
+             lambda a: a.image),
+            ((lambda: SetPartition(4, [(3, 1), (4, 2)]), lambda: SetPartition.of_blocks(4, [(2, 4), (1, 3)])),
+             lambda v: (v.size, v.blocks)),
+            ((lambda: PartitionedPermutation(SetPartition(3, [(1, 2, 3)]), Permutation.parse("(1,3)(2)")),
+              lambda: PartitionedPermutation(SetPartition.full(3), Permutation((3, 2, 1)))),
+             lambda vp: (vp.partition, vp.perm)),
+        ],
+        ids=["Permutation", "SetPartition", "PartitionedPermutation"],
+    )
+    def test_equal_values_hash_equal(self, build, key):
+        a, b = build[0](), build[1]()
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(key(a))
+        assert len({a, b}) == 1
+        assert {a: "first", b: "second"} == {a: "second"}
+
+    def test_inverse_is_a_value(self):
+        a = Permutation.parse("(1,4,2)(3)")
+        first, second = a.inverse(), a.inverse()
+        assert first == second and hash(first) == hash(second)
+        assert first.image == (2, 4, 3, 1)
 
 
 class TestComposition:

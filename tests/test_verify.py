@@ -18,6 +18,7 @@ from ncfree.verify import (
     _psnc_raw,
     check_fluctuations,
     check_mobius_recurrence,
+    check_nc_counts,
     check_restriction_lemma,
     run_suite,
     suite_ks,
@@ -68,6 +69,15 @@ class TestSuiteRegistry:
         for name, bound in (("lemmas", 0), ("order", 0), ("ks", 0), ("ks", -3), ("all", 0)):
             with pytest.raises(ValueError, match="below 1"):
                 run_suite(name, bound)
+        # the public registry refuses it too, without run_suite in front
+        for name, suite in verify.SUITES.items():
+            with pytest.raises(ValueError, match="below 1"):
+                suite(0)
+
+    @pytest.mark.parametrize("check, ceiling", [(check_nc_counts, 10), (check_fluctuations, 12)])
+    def test_bounds_past_the_ceiling_run_at_the_ceiling(self, check, ceiling):
+        above, at = check(ceiling + 1), check(ceiling)
+        assert (above.name, above.passed, above.cases) == (at.name, at.passed, at.cases)
 
 
 class TestReducedBounds:
