@@ -50,8 +50,8 @@ from .perm import (
     _gamma0,
     _inverse0,
     _points_in,
-    _scan_cycles0,
     _separated,
+    _through0,
     full_cycle,
     orbit_partition,
     partition_join,
@@ -271,7 +271,7 @@ def _rotation_conjugates(discs0: list[tuple[int, ...]], p: int, q: int) -> set[t
     images with a through cycle.  When ``discs0`` holds every disc
     non-crossing image of some cycle types, these are the annular
     non-crossing permutations of those types (``verify.check_snc_rotation``)."""
-    discs = [img for img in discs0 if _scan_cycles0(img, p)[1]]
+    discs = [img for img in discs0 if _through0(img, p)]
     found: set[tuple[int, ...]] = set()
     for a in range(p):
         for b in range(q):
@@ -440,15 +440,14 @@ def fatten(a: Permutation, comp: Composition) -> Permutation:
     >>> fatten(Permutation.parse("(1,3)(2)"), Composition((2, 3, 4))).cycle_string()
     '(1,2,6,7,8,9)(3,4,5)'
     """
-    if a.size != comp.part_count:
-        raise ValueError(
-            f"permutation of size {a.size} does not match {comp.part_count} parts"
-        )
-    partial = [0, *itertools.accumulate(comp.parts)]
-    total = partial[-1]
-    image = [i + 2 for i in range(total)]
-    for k, ak in enumerate(a.image, 1):
-        image[partial[k] - 1] = partial[ak - 1] + 1
+    parts = comp.parts
+    if len(a.image) != len(parts):
+        raise ValueError(f"permutation of size {a.size} does not match {len(parts)} parts")
+    # firsts[k] is the first point of part k + 1; the last entry is total + 1
+    firsts = list(itertools.accumulate(parts, initial=1))
+    image = list(range(2, firsts[-1] + 1))
+    for first, ak in zip(firsts[1:], a.image):
+        image[first - 2] = firsts[ak - 1]
     return Permutation(image)
 
 

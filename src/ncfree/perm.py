@@ -395,8 +395,9 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
 #                          _complement_labels (the plans of cumulants), V
-# _scan_cycles0(img, p)    (count, some cycle meets [0, p) and [p, n)); _is_nc0, V,
-#                          the annular generators (enumerate_snc, count_snc_pairings)
+# _through0(img, p)        0 < p: some cycle meets [0, p) and [p, n), i.e. some point below p
+#                          maps to p or above; _is_nc0, V, the annular generators
+#                          (enumerate_snc, count_snc_pairings)
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
 #                          V (separation sweeps, order table and structure)
@@ -407,10 +408,12 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # _inverse0, _compose0     inverse; composition, right factor first; everywhere
 # _composer0(b)            the map a -> _compose0(a, b) as one C call (an itemgetter); _is_nc0,
 #                          V wherever the right factor b stays fixed across an inner loop
-# _restrict0(img, pts0)    first-return map on pts0, relabelled by position in pts0; V
+# _restricter0(pts0, n)    the map img -> first-return map of img on pts0, relabelled by
+#                          position in pts0, positions tabulated once per point set; V
 #                          (restriction lemmas, order corollary)
 #
-# The cycle scans mark visited points in a list, which indexes faster than a bytearray.
+# _cycle_count0 counts each cycle at its least point and marks nothing; the other cycle
+# scans mark visited points in a list, which indexes faster than a bytearray.
 #
 # Separation callers: separates_points, count_snc_pairings on its generated pairings,
 # main_summand_filter on kreweras_cycle_ids labels, ks_product_cumulant and
@@ -418,15 +421,14 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:
-    seen = [False] * len(image0)
+    # i is the least point of its cycle exactly when the walk from it meets
+    # only larger points before coming back
     count = 0
-    for i in range(len(image0)):
-        if not seen[i]:
+    for i, j in enumerate(image0):
+        while j > i:
+            j = image0[j]
+        if j == i:
             count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = image0[j]
     return count
 
 
@@ -444,25 +446,8 @@ def _cycle_labels0(image0) -> tuple[list[int], int]:
     return lab, c
 
 
-def _scan_cycles0(image0: tuple[int, ...], p: int) -> tuple[int, bool]:
-    seen = [False] * len(image0)
-    count = 0
-    through = False
-    for i in range(len(image0)):
-        if not seen[i]:
-            count += 1
-            j = i
-            low = high = False
-            while not seen[j]:
-                seen[j] = True
-                if j < p:
-                    low = True
-                else:
-                    high = True
-                j = image0[j]
-            if low and high:
-                through = True
-    return count, through
+def _through0(image0: tuple[int, ...], p: int) -> bool:
+    return max(image0[:p]) >= p
 
 
 def _cycles0(image0: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -537,13 +522,12 @@ def _is_nc0(image0: tuple[int, ...], p: int) -> bool:
     # last needs no inverse of pi, only the getter cached for the shape.
     n = len(image0)
     if p == n:
-        count, target, sizes = _cycle_count0(image0), n + 1, (n,)
-    else:
-        count, through = _scan_cycles0(image0, p)
-        if not through:
-            return False
+        target, sizes = n + 1, (n,)
+    elif _through0(image0, p):
         target, sizes = n, (p, n - p)
-    return count + _cycle_count0(_times_gamma_inverse0(*sizes)(image0)) == target
+    else:
+        return False
+    return _cycle_count0(image0) + _cycle_count0(_times_gamma_inverse0(*sizes)(image0)) == target
 
 
 def _inverse0(image0: tuple[int, ...]) -> tuple[int, ...]:
@@ -562,14 +546,18 @@ def _composer0(b0: tuple[int, ...]):
     return itemgetter(*b0) if len(b0) > 1 else itemgetter(slice(0, 1))
 
 
-def _restrict0(image0: tuple[int, ...], pts0: tuple[int, ...]) -> tuple[int, ...]:
-    rank = [-1] * len(image0)
+def _restricter0(pts0: tuple[int, ...], n: int):
+    rank = [-1] * n
     for i, pt in enumerate(pts0):
         rank[pt] = i
-    out = []
-    for pt in pts0:
-        j = image0[pt]
-        while rank[j] < 0:
-            j = image0[j]
-        out.append(rank[j])
-    return tuple(out)
+
+    def restrict0(image0: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for pt in pts0:
+            j = image0[pt]
+            while rank[j] < 0:
+                j = image0[j]
+            out.append(rank[j])
+        return tuple(out)
+
+    return restrict0

@@ -10,14 +10,19 @@ can absorb it; checks built on a quadratic scan of a full symmetric
 group clamp the bound to a feasible ceiling instead.
 
 Suites built from independent cells (one per annulus shape, or one per
-check) fan out over a process pool when ``jobs > 1``.  The lemma and
+check) fan out over a process pool when ``jobs > 1``, with never more
+workers than cells.  The lemma and
 order checks are started slowest first, by a table of measured seconds;
 results are gathered in table order, so the report is the same either way.
 
-Three sweeps reuse work within one call, in tables local to it:
+Sweeps reuse work within one call, in tables local to it:
 ``check_restriction_lemma`` the verdict per restricted image,
-``check_fattening`` the complements per small family and
-``check_order_structure`` the witness joins per partition of a cycle set.
+``check_fattening`` the complements per small family, ``check_separates``
+the verdicts per cycle shape, ``check_tunnel_product`` the objects per
+gamma pi^-1 and ``check_order_structure`` the witness joins per
+partition of a cycle set.  The restriction sweeps build one
+``perm._restricter0`` getter per point set; ``check_annular_order``
+looks the members of each complement's geodesic interval up in the family.
 The one module-level memo is ``_sn_below``, an ``lru_cache`` of 8 entries.
 """
 
@@ -29,6 +34,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from math import comb
+from operator import itemgetter
 
 from .annular import (
     PAIRING_BOUND,
@@ -65,9 +71,9 @@ from .perm import (
     _inverse0,
     _is_nc0,
     _join0,
-    _restrict0,
-    _scan_cycles0,
+    _restricter0,
     _separated,
+    _through0,
     orbit_partition,
     partition_join,
 )
@@ -197,7 +203,8 @@ def _below_images0(image0) -> set[tuple[int, ...]]:
     Generated structurally: independently on each cycle, place a
     non-crossing permutation of the cycle's traversal order.  The
     equivalence with the metric condition is itself verified by
-    ``check_order_refinement``.
+    ``check_order_refinement``, and below the complements that
+    ``check_annular_order`` reads by the tests, against a scan of all pairs.
     """
     n = len(image0)
     per_cycle = []
@@ -322,16 +329,17 @@ def check_restriction_commutes(max_n: int = 6):
         for k in range(1, n + 1):
             subs = [(t, _composer0(t)) for t in itertools.permutations(range(k))]
             for pts in itertools.combinations(range(n), k):
+                restrict0 = _restricter0(pts, n)
                 # sigma pi is times_lift(sigma), pi = t moved onto pts
                 lifts = []
                 for t, times_t in subs:
                     moved = dict(zip(pts, [pts[j] for j in t]))
                     lifts.append((times_t, _composer0(tuple([moved.get(x, x) for x in range(n)]))))
                 for s in perms:
-                    rs = _restrict0(s, pts)
+                    rs = restrict0(s)
                     for times_t, times_lift in lifts:
                         cases += 1
-                        if _restrict0(times_lift(s), pts) != times_t(rs) and fail is None:
+                        if restrict0(times_lift(s)) != times_t(rs) and fail is None:
                             fail = (
                                 f"n={n}, N={tuple(x + 1 for x in pts)}: restriction of the "
                                 f"product differs from the product of restrictions for "
@@ -347,7 +355,8 @@ def check_order_refinement(max_total: int = 6):
     For sigma disc non-crossing or annular non-crossing, the set of pi
     with |pi| + |pi^-1 sigma| = |sigma| is exactly the set of products of
     non-crossing permutations of the individual cycles of sigma.  This
-    also certifies the generator used by ``check_separates``.
+    also certifies ``_below_images0``, and the reading of sigma cycle by
+    cycle in ``check_separates``.
     """
     cases, fail = 0, None
     for n in range(1, max_total + 1):
@@ -388,7 +397,7 @@ def check_snc_rotation(max_total: int = 6):
                 rv = _compose0(gq, rv)
             r = _compose0(gp, r)
         for s0 in itertools.permutations(range(n)):
-            if not _scan_cycles0(s0, p)[1]:
+            if not _through0(s0, p):
                 continue
             cases += 1
             member = _is_nc0(s0, p)
@@ -441,27 +450,65 @@ def check_separates(max_total: int = 8):
     the fattened pi: the join of sigma's cycles with the part intervals
     equals the cycle partition of the fattened pi if and only if
     sigma^-1 (fattened pi) separates the part endpoints.
+
+    Both sides are decided on each cycle c of the fattened pi, which
+    holds whole cycles of sigma and of sigma^-1 (fattened pi).  Read
+    along c, of length k, the fattened pi is gamma_k and sigma is a disc
+    non-crossing nu, one per cycle (``_below_images0``): the join side
+    holds on c when nu's cycles and the intervals inside c connect it,
+    the separation side when nu^-1 gamma_k separates the endpoints in c.
+    A case is one sigma; its join side also needs no interval to cross
+    two cycles.
     """
     cases, fail = 0, None
+    # Per k, for each nu of enumerate_nc(k): nu's cycle labels and count, and
+    # the cycle labels of nu^-1 gamma_k.
+    labels = {}
+    for k in range(1, max_total + 1):
+        nus = _images0(enumerate_nc(k))
+        z0s = (_compose0(_inverse0(nu0), _gamma0(k)) for nu0 in nus)
+        labels[k] = [(*_cycle_labels0(nu0), _cycle_labels0(z0)[0]) for nu0, z0 in zip(nus, z0s)]
+    # Per (k, intervals, endpoints) seen on one cycle, for each nu of
+    # enumerate_nc(k): 1 when the join side holds, plus 2 when separation does.
+    codes: dict[tuple, list[int]] = {}
     for total in range(1, max_total + 1):
         for parts in _compositions(total):
             comp = Composition(parts)
             ends, edges = _interval_edges(comp)
             family = enumerate_nc(len(parts))
             for pi, pv0 in zip(family, _images0(fatten(pi, comp) for pi in family)):
-                target, times_pv = _cycle_labels0(pv0)[0], _composer0(pv0)
-                for s0 in _below_images0(pv0):
+                target = _cycle_labels0(pv0)[0]
+                start = 3 if all(target[a] == target[b] for a, b in edges) else 2
+                cycles = _cycles0(pv0)
+                per_cycle = []
+                for c in cycles:
+                    at = {x: i for i, x in enumerate(c)}
+                    key = (
+                        len(c),
+                        tuple((at[a], at[b]) for a, b in edges if a in at and b in at),
+                        tuple(at[e - 1] + 1 for e in ends if e - 1 in at),
+                    )
+                    if key not in codes:
+                        k, c_edges, c_ends = key
+                        codes[key] = [
+                            (_join0(m, [(lab[a], lab[b]) for a, b in c_edges])[1] == 1)
+                            | _separated(zlab, c_ends) << 1
+                            for lab, m, zlab in labels[k]
+                        ]
+                    per_cycle.append(enumerate(codes[key]))
+                for picks in itertools.product(*per_cycle):
                     cases += 1
-                    # Both label lists are canonical: the join of sigma's
-                    # cycles, read per point, against the fattened cycles.
-                    slab, scount = _cycle_labels0(s0)
-                    joined, _ = _join0(scount, [(slab[a], slab[b]) for a, b in edges])
-                    lhs = [joined[c] for c in slab] == target
-                    rhs = _separated(_cycle_labels0(times_pv(_inverse0(s0)))[0], ends)
-                    if lhs != rhs and fail is None:
+                    both = start
+                    for _nu, code in picks:
+                        both &= code
+                    if both in (1, 2) and fail is None:
+                        s0 = [0] * total
+                        for c, (nu, _code) in zip(cycles, picks):
+                            for x, y in zip(c, enumerate_nc(len(c))[nu].image):
+                                s0[x] = c[y - 1]
                         fail = (
                             f"parts {parts}, pi={pi!r}, sigma={_perm1(s0)!r}: "
-                            f"join test {lhs}, separation {rhs}"
+                            f"join test {both == 1}, separation {both == 2}"
                         )
     return cases, fail
 
@@ -501,19 +548,19 @@ def check_restriction_lemma(max_total: int = 8):
             for pts in itertools.combinations(range(n), k):
                 k1 = sum(pt < p for pt in pts)
                 known = verdicts.setdefault(k1, {})
-                for s0 in snc0:
-                    cases += 1
-                    rimg = _restrict0(s0, pts)
-                    member = known.get(rimg)
-                    if member is None:
-                        member = known[rimg] = _restricted_member0(rimg, k1)
-                    if not member and fail is None:
-                        fail = (
-                            f"shape ({p},{q}), sigma={_perm1(s0)!r}, "
-                            f"N={tuple(x + 1 for x in pts)}: restriction "
-                            f"{_perm1(rimg)!r} is not non-crossing for shape "
-                            f"({k1},{k - k1})"
-                        )
+                rimgs = list(map(_restricter0(pts, n), snc0))
+                cases += len(rimgs)
+                distinct = set(rimgs)
+                for rimg in distinct.difference(known):
+                    known[rimg] = _restricted_member0(rimg, k1)
+                if fail is None and not all(map(known.__getitem__, distinct)):
+                    s0, rimg = next(pair for pair in zip(snc0, rimgs) if not known[pair[1]])
+                    fail = (
+                        f"shape ({p},{q}), sigma={_perm1(s0)!r}, "
+                        f"N={tuple(x + 1 for x in pts)}: restriction "
+                        f"{_perm1(rimg)!r} is not non-crossing for shape "
+                        f"({k1},{k - k1})"
+                    )
     return cases, fail
 
 
@@ -523,7 +570,7 @@ def _restricted_member0(img, k1: int) -> bool:
     k = len(img)
     if k1 in (0, k):
         return _is_nc0(img, k)
-    if _scan_cycles0(img, k1)[1]:
+    if _through0(img, k1):
         return _is_nc0(img, k1)
     return _is_nc0(img[:k1], k1) and _is_nc0(tuple(x - k1 for x in img[k1:]), k - k1)
 
@@ -534,8 +581,9 @@ def check_fattening(max_total: int = 9):
 
     Also checks the exchange identity psi pi^-1 gamma_small =
     (fattened pi)^-1 gamma_big psi, where psi sends the k-th part to its
-    last letter, and that inflating the identity gives the interval
-    permutation.
+    last letter, in the inverse-free form (fattened pi) psi pi^-1
+    gamma_small = gamma_big psi, and that inflating the identity gives
+    the interval permutation.
     """
     cases, fail = 0, None
     # Per small circle sizes, once per run: the family and each member's
@@ -561,16 +609,15 @@ def check_fattening(max_total: int = 9):
                 settings.append((comp, (split, r - split), (comp.p, comp.q)))
             for comp, small_sizes, big_sizes in settings:
                 psi0 = [x - 1 for x in comp.boundary_points]
-                times_gbig = _composer0(_gamma0(*big_sizes))
+                gbig0 = _gamma0(*big_sizes)
+                gbig_psi = [gbig0[x] for x in psi0]
                 for pi, z_small in zip(*small[small_sizes]):
                     cases += 1
                     pv0 = tuple([x - 1 for x in fatten(pi, comp).image])
                     if not _is_nc0(pv0, big_sizes[0]) and fail is None:
                         fail = f"{comp}, pi={pi!r}: inflation left the family"
-                    z_big = times_gbig(_inverse0(pv0))
-                    if [z_big[x] for x in psi0] != [psi0[x] for x in z_small]:
-                        if fail is None:
-                            fail = f"{comp}, pi={pi!r}: exchange identity fails"
+                    if [pv0[psi0[x]] for x in z_small] != gbig_psi and fail is None:
+                        fail = f"{comp}, pi={pi!r}: exchange identity fails"
     return cases, fail
 
 
@@ -582,23 +629,38 @@ def check_annular_order(max_total: int = 7):
     """Below the complement on one side implies below it on the other.
 
     For annular non-crossing pi, sigma: if pi lies on a geodesic below
-    sigma^-1 gamma then sigma lies on a geodesic below gamma pi^-1.
+    sigma^-1 gamma then sigma lies on a geodesic below gamma pi^-1.  The
+    pi meeting the hypothesis are the members of the family among
+    ``_below_images0`` of sigma^-1 gamma; the tests compare them with a
+    scan of all pairs.
     """
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
         n = p + q
+        g0 = _gamma0(p, q)
         snc = enumerate_snc(AnnulusShape(p, q))
-        data = _complement_data(snc, _gamma0(p, q))
-        for j, (lj, invj, times_rightj, lrj, _lj, _llj) in enumerate(data):
-            for i, (li, invi, _ri, _lri, times_lefti, lli) in enumerate(data):
-                if li + n - _cycle_count0(times_rightj(invi)) == lrj:
-                    cases += 1
-                    if lj + n - _cycle_count0(times_lefti(invj)) != lli and fail is None:
-                        fail = (
-                            f"shape ({p},{q}): pi={snc[i]!r} below the complement of "
-                            f"sigma={snc[j]!r} but not conversely"
-                        )
+        data = _complement_data(snc, g0)
+        for j, below in enumerate(_below_complements(snc, g0)):
+            lj, invj, *_rest = data[j]
+            for i in below:
+                cases += 1
+                *_rest, times_lefti, lli = data[i]
+                if lj + n - _cycle_count0(times_lefti(invj)) != lli and fail is None:
+                    fail = (
+                        f"shape ({p},{q}): pi={snc[i]!r} below the complement of "
+                        f"sigma={snc[j]!r} but not conversely"
+                    )
     return cases, fail
+
+
+def _below_complements(family, g0) -> list[list[int]]:
+    """Per member sigma, the indices of the members on a geodesic below its
+    complement sigma^-1 gamma, gamma = ``g0``, in increasing order."""
+    index = {img0: i for i, img0 in enumerate(_images0(family))}
+    return [
+        sorted(index[x] for x in _below_images0(_compose0(inv, g0)) if x in index)
+        for inv in map(_inverse0, _images0(family))
+    ]
 
 
 def _tunnel_hypotheses(max_total: int):
@@ -631,17 +693,21 @@ def check_tunnel_product(max_total: int = 6):
     the join of sigma with it as its partition.
     """
     cases, fail = 0, None
-    for shape, sigma0, pi0, gp0 in _tunnel_hypotheses(max_total):
-        cases += 1
-        sigma, gp = _perm1(sigma0), _perm1(gp0)
-        got = pp_product(
-            PartitionedPermutation.disc(sigma), PartitionedPermutation.disc(sigma.inverse() * gp)
-        )
-        want = PartitionedPermutation(
-            partition_join(orbit_partition(sigma), orbit_partition(gp)), gp
-        )
-        if got != want and fail is None:
-            fail = f"shape {shape}, sigma={sigma!r}, pi={_perm1(pi0)!r}: product gave {got!r}"
+    complements = {}  # gamma pi^-1, 0-based -> its Permutation and orbit partition
+    by_sigma = itertools.groupby(_tunnel_hypotheses(max_total), itemgetter(0, 1))
+    for (shape, sigma0), group in by_sigma:
+        sigma = _perm1(sigma0)
+        left, sigma_inv = PartitionedPermutation.disc(sigma), sigma.inverse()
+        for _shape, _sigma0, pi0, gp0 in group:
+            cases += 1
+            if gp0 not in complements:
+                gp = _perm1(gp0)
+                complements[gp0] = gp, orbit_partition(gp)
+            gp, gp_orbits = complements[gp0]
+            got = pp_product(left, PartitionedPermutation.disc(sigma_inv * gp))
+            want = PartitionedPermutation(partition_join(left.partition, gp_orbits), gp)
+            if got != want and fail is None:
+                fail = f"shape {shape}, sigma={sigma!r}, pi={_perm1(pi0)!r}: product gave {got!r}"
     return cases, fail
 
 
@@ -681,7 +747,7 @@ def check_order_corollary(max_total: int = 6):
         # restricting to one, read along the cycle, is sigma there.
         if problem is None:
             for t, c in enumerate(gcycles):
-                if t not in tlabels and not _is_nc0(_restrict0(s0, c), len(c)):
+                if t not in tlabels and not _is_nc0(_restricter0(c, len(s0))(s0), len(c)):
                     c1 = tuple(x + 1 for x in c)
                     problem = f"enclosed cycles crossing along complement cycle {c1}"
                     break
@@ -690,7 +756,7 @@ def check_order_corollary(max_total: int = 6):
             inner = next(gcycles[t] for t in tlabels if gcycles[t][0] >= p)
             tpoints = {x for tc in through for x in tc}
             connecting = tuple(s0[x] if x in tpoints else x for x in range(len(s0)))
-            if not _is_nc0(_restrict0(connecting, outer + inner), len(outer)):
+            if not _is_nc0(_restricter0(outer + inner, len(s0))(connecting), len(outer)):
                 problem = "connecting cycles not annular non-crossing on the union"
         if problem is not None and fail is None:
             fail = f"shape {shape}, sigma={_perm1(s0)!r}, pi={_perm1(pi0)!r}: {problem}"
@@ -993,14 +1059,16 @@ def check_mobius_recurrence(max_total: int = 8):
 
 
 def _cells(fn, cells, jobs: int, costs=None) -> list[CheckResult]:
-    """``fn`` of every cell, in cell order; over a pool when ``jobs > 1``,
-    which starts the cells by decreasing ``costs`` when they are given."""
-    if jobs <= 1:
+    """``fn`` of every cell, in cell order; over a pool of ``jobs`` workers,
+    but never more than there are cells, when that is more than one.  The
+    pool starts the cells by decreasing ``costs`` when they are given."""
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         return [fn(c) for c in cells]
     order = range(len(cells))
     if costs is not None:
         order = sorted(order, key=lambda i: -costs[i])
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {i: pool.submit(fn, cells[i]) for i in order}
         return [futures[i].result() for i in range(len(cells))]
 
@@ -1051,21 +1119,21 @@ def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResul
 # (check, default bound, seconds): the seconds are one serial run at the
 # default bound on a 2-CPU machine; a pool starts the slowest checks first.
 _LEMMA_CHECKS = (
-    (check_nc_counts, 9, 0.01),
-    (check_metric_triangle, 6, 0.3),
-    (check_metric_order, 6, 0.3),
-    (check_conjugation_invariance, 6, 0.01),
-    (check_restriction_commutes, 6, 1.1),
-    (check_order_refinement, 6, 0.3),
-    (check_snc_rotation, 6, 0.04),
-    (check_first_sep, 8, 0.3),
-    (check_separates, 8, 4.9),
-    (check_tracial_inequality, 6, 0.02),
-    (check_restriction_lemma, 8, 4.9),
-    (check_fattening, 9, 5.6),
-    (check_annular_order, 7, 4.1),
-    (check_tunnel_product, 6, 0.4),
-    (check_order_corollary, 6, 0.1),
+    (check_nc_counts, 9, 0.04),
+    (check_metric_triangle, 6, 0.7),
+    (check_metric_order, 6, 0.09),
+    (check_conjugation_invariance, 6, 0.02),
+    (check_restriction_commutes, 6, 1.9),
+    (check_order_refinement, 6, 0.1),
+    (check_snc_rotation, 6, 0.1),
+    (check_first_sep, 8, 0.9),
+    (check_separates, 8, 1.1),
+    (check_tracial_inequality, 6, 0.03),
+    (check_restriction_lemma, 8, 5.7),
+    (check_fattening, 9, 7.2),
+    (check_annular_order, 7, 0.9),
+    (check_tunnel_product, 6, 0.7),
+    (check_order_corollary, 6, 0.3),
 )
 
 _ORDER_CHECKS = (

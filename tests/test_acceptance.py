@@ -250,4 +250,4 @@ def test_criterion_9_lemma_suite():
     def body():
         _all_pass(suite_lemmas(jobs=4) + suite_order(jobs=2))
 
-    _run(9, "exhaustive structural lemmas at full bounds", 45, body)
+    _run(9, "exhaustive structural lemmas at full bounds", 35, body)

@@ -24,9 +24,9 @@ from ncfree.perm import (
     _gamma0,
     _is_nc0,
     _join0,
-    _restrict0,
-    _scan_cycles0,
+    _restricter0,
     _separated,
+    _through0,
     compose,
     full_cycle,
     metric_length,
@@ -339,7 +339,7 @@ class TestRawKernels:
         a, p = case
         shape = AnnulusShape(p, a.size - p)
         assert _cycle_count0(image0(a)) == a.cycle_count
-        assert _scan_cycles0(image0(a), p) == (a.cycle_count, has_through_cycle(a, shape))
+        assert _through0(image0(a), p) == has_through_cycle(a, shape)
 
     @given(
         st.integers(1, 6).flatmap(
@@ -406,4 +406,20 @@ class TestRawKernels:
     @given(perms.flatmap(lambda a: st.tuples(st.just(a), st.sets(st.integers(1, a.size), min_size=1))))
     def test_restriction(self, case):
         a, pts = case
-        assert _restrict0(image0(a), tuple(sorted(x - 1 for x in pts))) == image0(restrict(a, pts))
+        restrict0 = _restricter0(tuple(sorted(x - 1 for x in pts)), a.size)
+        assert restrict0(image0(a)) == image0(restrict(a, pts))
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.sets(st.integers(1, n), min_size=1),
+                st.lists(st.permutations(range(1, n + 1)).map(Permutation), min_size=1),
+            )
+        )
+    )
+    def test_one_restricter_serves_many_images(self, case):
+        # the getter tabulates the point set once; no image may leave a trace in it
+        pts, family = case
+        restrict0 = _restricter0(tuple(sorted(x - 1 for x in pts)), family[0].size)
+        for a in family:
+            assert restrict0(image0(a)) == image0(restrict(a, pts))

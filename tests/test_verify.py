@@ -7,15 +7,26 @@ with ``pytest -m extended``.
 """
 
 import itertools
+from concurrent.futures import Future
 
 import pytest
 
 from ncfree import verify
 from ncfree.annular import AnnulusShape, enumerate_snc
-from ncfree.perm import Permutation, _join0, _restrict0
+from ncfree.perm import (
+    Permutation,
+    _compose0,
+    _cycle_count0,
+    _gamma0,
+    _inverse0,
+    _join0,
+    _restricter0,
+)
 from ncfree.verify import (
     CheckResult,
+    _below_complements,
     _psnc_raw,
+    check_annular_order,
     check_fluctuations,
     check_mobius_recurrence,
     check_nc_counts,
@@ -130,6 +141,83 @@ class TestReducedBounds:
         ]
 
 
+class TestPoolSize:
+    """A pool never has more workers than cells: under ``fork`` every worker starts at once."""
+
+    def test_workers_are_capped_at_the_cell_count(self, monkeypatch):
+        sizes = []
+
+        class InlineExecutor:
+            # records the requested size and runs each task at submission
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlineExecutor)
+        assert len(run_suite("lemmas", max_total=2, jobs=500)) == 15
+        assert len(run_suite("order", max_total=2, jobs=2)) == 3
+        assert len(suite_main_theorem(3, jobs=100)) == 3
+        # one cell or none runs in this process, with no pool at all
+        assert suite_main_theorem(2, jobs=8)[0].passed
+        assert suite_main_theorem(1, jobs=8) == []
+        assert sizes == [15, 2, 3]
+
+
+def _metric_pairs(p: int, q: int) -> set[tuple[int, int]]:
+    """The pairs (i, j) of the shape's family with pi_i on a geodesic below
+    sigma_j^-1 gamma, from a scan of all pairs by cycle counts."""
+    n = p + q
+    g0 = _gamma0(p, q)
+    images = [tuple(x - 1 for x in s.image) for s in enumerate_snc(AnnulusShape(p, q))]
+    invs = [_inverse0(img) for img in images]
+    counts = [_cycle_count0(img) for img in images]
+    pairs = set()
+    for j, invj in enumerate(invs):
+        right = _compose0(invj, g0)
+        for i, (invi, ci) in enumerate(zip(invs, counts)):
+            if ci + _cycle_count0(_compose0(invi, right)) == n + _cycle_count0(right):
+                pairs.add((i, j))
+    return pairs
+
+
+def _assert_annular_order_pairs(max_total: int, totals) -> None:
+    cases = 0
+    for total in range(2, max_total + 1):
+        for p in range(1, total):
+            want = _metric_pairs(p, total - p)
+            cases += len(want)
+            if total in totals:
+                family = enumerate_snc(AnnulusShape(p, total - p))
+                below = _below_complements(family, _gamma0(p, total - p))
+                assert {(i, j) for j, row in enumerate(below) for i in row} == want
+    got = check_annular_order(max_total)
+    assert (got.passed, got.cases) == (True, cases)
+
+
+class TestAnnularOrderPairs:
+    """``check_annular_order`` finds the pairs meeting its hypothesis through
+    ``_below_images0``, which ``check_order_refinement`` ties to the metric
+    condition only below annular and disc non-crossing permutations up to
+    total 6; the scan of all pairs it replaced must find the same pairs."""
+
+    def test_every_shape_up_to_total_6(self):
+        _assert_annular_order_pairs(6, range(2, 7))
+
+    @pytest.mark.extended
+    def test_total_7(self):
+        _assert_annular_order_pairs(7, (7,))
+
+
 class TestRestrictionVerdicts:
     """``check_restriction_lemma`` reuses verdicts within one call."""
 
@@ -151,9 +239,10 @@ class TestRestrictionVerdicts:
                 for k in range(1, n + 1):
                     for pts in itertools.combinations(range(n), k):
                         k1 = sum(pt < p for pt in pts)
+                        restrict0 = _restricter0(pts, n)
                         for s0 in family:
                             cases += 1
-                            rimg = _restrict0(s0, pts)
+                            rimg = restrict0(s0)
                             if not mutant(rimg, k1) and detail is None:
                                 sigma = Permutation(x + 1 for x in s0)
                                 restricted = Permutation(x + 1 for x in rimg)
