@@ -152,6 +152,9 @@ class Permutation:
             self._cycles = tuple(cycles)
         return self._cycles
 
+    def _share_cycles(self, pool: dict) -> None:  # each cycle becomes its equal in pool
+        self._cycles = tuple([pool.setdefault(c, c) for c in self.cycles])
+
     @property
     def cycle_count(self) -> int:
         return len(self.cycles)
@@ -240,6 +243,32 @@ class SetPartition:
     @classmethod
     def of_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
         return cls(size, blocks)
+
+    @classmethod
+    def from_labels(cls, labels: Iterable[int], pool: dict | None = None) -> "SetPartition":
+        """The partition with point i in block ``labels[i - 1]``, for first-appearance
+        labels only (ints, 0 first, none more than one above all before it).  A
+        block equal to a key of ``pool`` is that key's tuple; new blocks join it.
+
+        >>> SetPartition.from_labels([0, 1, 0]).blocks
+        ((1, 3), (2,))
+        """
+        labels = tuple(labels)
+        groups: list[list[int]] = []
+        for pt, label in enumerate(labels, 1):
+            if type(label) is not int or not 0 <= label <= len(groups):
+                raise ValueError(f"not first-appearance block labels: {labels!r}")
+            if label == len(groups):
+                groups.append([pt])
+            else:
+                groups[label].append(pt)
+        if not groups:
+            raise ValueError("partitions live on [n] with n >= 1")
+        self = cls.__new__(cls)
+        self.size, self._index = len(labels), labels
+        blocks = map(tuple, groups)
+        self.blocks = tuple(blocks if pool is None else [pool.setdefault(b, b) for b in blocks])
+        return self
 
     @classmethod
     def singletons(cls, n: int) -> "SetPartition":
@@ -356,13 +385,8 @@ def partition_join(u: SetPartition, v: SetPartition) -> SetPartition:
     """Least common coarsening of two partitions of the same set."""
     if u.size != v.size:
         raise ValueError("size mismatch in partition join")
-    labels, count = _join0(
-        u.size, [(b[0] - 1, x - 1) for part in (u, v) for b in part.blocks for x in b[1:]]
-    )
-    blocks: list[list[int]] = [[] for _ in range(count)]
-    for pt, label in enumerate(labels, 1):
-        blocks[label].append(pt)
-    return SetPartition(u.size, blocks)
+    pairs = [(b[0] - 1, x - 1) for part in (u, v) for b in part.blocks for x in b[1:]]
+    return SetPartition.from_labels(_join0(u.size, pairs)[0])
 
 
 def separates_points(a: Permutation, points: Iterable[int]) -> bool:
@@ -394,7 +418,7 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
-#                          _complement_labels (the plans of cumulants), V
+#                          _complement_labels (the plans of cumulants), annular._psnc, V
 # _through0(img, p)        0 < p: some cycle meets [0, p) and [p, n), i.e. some point below p
 #                          maps to p or above; _is_nc0, V, the annular generators
 #                          (enumerate_snc, count_snc_pairings)

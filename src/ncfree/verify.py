@@ -17,13 +17,14 @@ results are gathered in table order, so the report is the same either way.
 
 Sweeps reuse work within one call, in tables local to it:
 ``check_restriction_lemma`` the verdict per restricted image,
-``check_fattening`` the complements per small family, ``check_separates``
-the verdicts per cycle shape, ``check_tunnel_product`` the objects per
-gamma pi^-1 and ``check_order_structure`` the witness joins per
-partition of a cycle set.  The restriction sweeps build one
-``perm._restricter0`` getter per point set; ``check_annular_order``
-looks the members of each complement's geodesic interval up in the family.
-The one module-level memo is ``_sn_below``, an ``lru_cache`` of 8 entries.
+``check_fattening`` the complements per small family and the fattened images
+per composition, ``check_separates`` the verdicts per cycle shape,
+``check_tunnel_product`` the objects per gamma pi^-1, ``check_order_structure``
+the witness joins per partition of a cycle set, and the sweeps over
+``_below_images0`` the NC(k) options per cycle length.  The restriction sweeps
+build one ``perm._restricter0`` getter per point set; ``check_annular_order``
+looks the members of each complement's geodesic interval up in the family.  The
+one module-level memo is ``_sn_below``, an ``lru_cache`` of 8 entries.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _sn_below(n: int):
     return perms, tuple(below)
 
 
-def _below_images0(image0) -> set[tuple[int, ...]]:
+def _below_images0(image0, options: dict) -> set[tuple[int, ...]]:
     """All permutations lying on a geodesic from the identity to ``image0``.
 
     Generated structurally: independently on each cycle, place a
@@ -205,24 +206,17 @@ def _below_images0(image0) -> set[tuple[int, ...]]:
     equivalence with the metric condition is itself verified by
     ``check_order_refinement``, and below the complements that
     ``check_annular_order`` reads by the tests, against a scan of all pairs.
+    ``options``, one dict per run, maps each cycle length k to NC(k) as getters.
     """
-    n = len(image0)
-    per_cycle = []
+    per_cycle, order = [], []
     for c in _cycles0(image0):
-        k = len(c)
-        opts = []
-        for nu in enumerate_nc(k):
-            img = nu.image
-            opts.append(tuple((c[i], c[img[i] - 1]) for i in range(k)))
-        per_cycle.append(opts)
-    out = set()
-    for combo in itertools.product(*per_cycle):
-        img = [0] * n
-        for assign in combo:
-            for src, dst in assign:
-                img[src] = dst
-        out.add(tuple(img))
-    return out
+        getters = options.get(len(c))
+        if getters is None:
+            getters = options[len(c)] = list(map(_composer0, _images0(enumerate_nc(len(c)))))
+        per_cycle.append([g(c) for g in getters])  # the images of c's points, in c's order
+        order.extend(c)
+    place, chain = _composer0(_inverse0(tuple(order))), itertools.chain.from_iterable
+    return {place(tuple(chain(combo))) for combo in itertools.product(*per_cycle)}
 
 
 def _complement_data(family, g0) -> list[tuple]:
@@ -358,7 +352,7 @@ def check_order_refinement(max_total: int = 6):
     also certifies ``_below_images0``, and the reading of sigma cycle by
     cycle in ``check_separates``.
     """
-    cases, fail = 0, None
+    cases, fail, options = 0, None, {}
     for n in range(1, max_total + 1):
         perms, below = _sn_below(n)
         index = {p0: i for i, p0 in enumerate(perms)}
@@ -367,7 +361,7 @@ def check_order_refinement(max_total: int = 6):
             targets.extend(enumerate_snc(AnnulusShape(p, n - p)))
         for s0 in _images0(targets):
             metric = {perms[i] for i in _bits(below[index[s0]])}
-            structural = _below_images0(s0)
+            structural = _below_images0(s0, options)
             cases += len(metric)
             if metric != structural and fail is None:
                 off = (metric ^ structural).pop()
@@ -603,7 +597,7 @@ def check_fattening(max_total: int = 9):
             if fatten(Permutation.identity(r), disc) != tau_of(disc) and fail is None:
                 fail = f"parts {parts}: inflating the identity is not the interval permutation"
             # (composition, circle sizes before and after inflating)
-            settings = [(disc, (r,), (total,))]
+            settings, fattened = [(disc, (r,), (total,))], {}
             for split in range(1, r):
                 comp = Composition(parts, split=split)
                 settings.append((comp, (split, r - split), (comp.p, comp.q)))
@@ -613,7 +607,9 @@ def check_fattening(max_total: int = 9):
                 gbig_psi = [gbig0[x] for x in psi0]
                 for pi, z_small in zip(*small[small_sizes]):
                     cases += 1
-                    pv0 = tuple([x - 1 for x in fatten(pi, comp).image])
+                    pv0 = fattened.get(pi.image)  # fatten reads the parts only, not the split
+                    if pv0 is None:
+                        pv0 = fattened[pi.image] = tuple([x - 1 for x in fatten(pi, comp).image])
                     if not _is_nc0(pv0, big_sizes[0]) and fail is None:
                         fail = f"{comp}, pi={pi!r}: inflation left the family"
                     if [pv0[psi0[x]] for x in z_small] != gbig_psi and fail is None:
@@ -634,13 +630,13 @@ def check_annular_order(max_total: int = 7):
     ``_below_images0`` of sigma^-1 gamma; the tests compare them with a
     scan of all pairs.
     """
-    cases, fail = 0, None
+    cases, fail, options = 0, None, {}
     for p, q in _shape_cells(max_total):
         n = p + q
         g0 = _gamma0(p, q)
         snc = enumerate_snc(AnnulusShape(p, q))
         data = _complement_data(snc, g0)
-        for j, below in enumerate(_below_complements(snc, g0)):
+        for j, below in enumerate(_below_complements(snc, g0, options)):
             lj, invj, *_rest = data[j]
             for i in below:
                 cases += 1
@@ -653,12 +649,12 @@ def check_annular_order(max_total: int = 7):
     return cases, fail
 
 
-def _below_complements(family, g0) -> list[list[int]]:
-    """Per member sigma, the indices of the members on a geodesic below its
-    complement sigma^-1 gamma, gamma = ``g0``, in increasing order."""
+def _below_complements(family, g0, options: dict) -> list[list[int]]:
+    """Per member sigma, the increasing indices of the members on a geodesic
+    below sigma^-1 gamma, gamma = ``g0``; ``options`` as for ``_below_images0``."""
     index = {img0: i for i, img0 in enumerate(_images0(family))}
     return [
-        sorted(index[x] for x in _below_images0(_compose0(inv, g0)) if x in index)
+        sorted(index[x] for x in _below_images0(_compose0(inv, g0), options) if x in index)
         for inv in map(_inverse0, _images0(family))
     ]
 

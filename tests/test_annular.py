@@ -256,6 +256,22 @@ class TestPartitionedPermutations:
             perms = [vp.perm for vp in tunnels]
             assert perms == sorted(perms)
 
+    def test_equals_the_block_sorting_construction(self):
+        for total in range(2, 8):
+            for p in range(1, total):
+                shape = AnnulusShape(p, total - p)
+                got, want = enumerate_psnc(shape), _psnc_by_sorting(shape)
+                assert len(got) == len(want)
+                for x, y in zip(got, want):
+                    assert x == y and x.perm.cycles == y.perm.cycles
+                    assert x.partition.blocks == y.partition.blocks
+                    assert x.partition.labels == y.partition.labels
+
+    def test_equal_cycles_and_blocks_are_one_tuple(self):
+        family = enumerate_psnc(AnnulusShape(4, 4))
+        tuples = [t for vp in family for t in (*vp.perm.cycles, *vp.partition.blocks)]
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+
     def test_family_sizes(self):
         assert len(enumerate_psnc(AnnulusShape(1, 1))) == 2
         assert len(enumerate_psnc(AnnulusShape(2, 1))) == 7
@@ -289,6 +305,26 @@ class TestPartitionedPermutations:
             assert rec["kind"] == vp.kind
             assert Permutation.parse(rec["perm"], size=3) == vp.perm
             assert SetPartition(3, rec["partition"]) == vp.partition
+
+
+def _psnc_by_sorting(shape):
+    """The construction ``enumerate_psnc`` replaced, kept as its oracle: the
+    discs, then per outer and inner factor and glued pair of cycles a
+    tunnel, each partition built by sorting its blocks."""
+    p, n = shape.p, shape.total
+    out = [PartitionedPermutation(SetPartition(n, a.cycles), a) for a in enumerate_snc(shape)]
+    inners = [(tuple(v + p for v in b.image), tuple(tuple(x + p for x in c) for c in b.cycles))
+              for b in enumerate_nc(shape.q)]
+    for outer in enumerate_nc(p):
+        out_cycles = outer.cycles
+        for in_image, in_cycles in inners:
+            perm = Permutation(outer.image + in_image)
+            for i, c1 in enumerate(out_cycles):
+                rest = out_cycles[:i] + out_cycles[i + 1 :]
+                for j, c2 in enumerate(in_cycles):
+                    blocks = (c1 + c2,) + rest + in_cycles[:j] + in_cycles[j + 1 :]
+                    out.append(PartitionedPermutation(SetPartition(n, blocks), perm))
+    return out
 
 
 def _set_partitions_of(n):

@@ -267,6 +267,38 @@ class TestSetPartition:
         assert v.labels == (0, 1, 0, 2, 1)
         assert [v.block_index(i) for i in range(1, 6)] == list(v.labels)
 
+    def test_from_labels_builds_the_blocks_and_keeps_the_labels(self):
+        labels = (0, 1, 0, 2, 1)
+        v = SetPartition.from_labels(list(labels))
+        assert v == SetPartition(5, [(1, 3), (2, 5), (4,)])
+        assert v.labels == labels and v.blocks == ((1, 3), (2, 5), (4,))
+        assert SetPartition.from_labels([0]).blocks == ((1,),)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [(), (1,), (0, 2), (0, 1, 3), (-1,), (0, -1), (0, 1.0), (0, True), ("0",), (0, None)],
+        ids=["empty", "no-zero", "skip", "skip-later", "negative", "negative-later",
+             "float", "bool", "str", "none"],
+    )
+    def test_from_labels_rejects_all_but_first_appearance_labels(self, labels):
+        with pytest.raises(ValueError):
+            SetPartition.from_labels(labels)
+
+    def test_from_labels_takes_equal_blocks_from_the_pool(self):
+        pool = {}
+        u = SetPartition.from_labels([0, 0, 1], pool)
+        v = SetPartition.from_labels([0, 0, 1, 2], pool)
+        assert u.blocks[0] is v.blocks[0] and u.blocks[1] is v.blocks[1]
+        assert set(pool) == {(1, 2), (3,), (4,)}
+
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    def test_from_labels_equals_the_block_constructor(self, tags):
+        n = len(tags)
+        v = SetPartition(n, [[i + 1 for i in range(n) if tags[i] == t] for t in set(tags)])
+        w = SetPartition.from_labels(v.labels)
+        assert w == v and w.blocks == v.blocks and w.labels == v.labels
+
     def test_full_and_singletons(self):
         assert SetPartition.full(3).blocks == ((1, 2, 3),)
         assert SetPartition.singletons(3).block_count == 3

@@ -198,7 +198,7 @@ def _assert_annular_order_pairs(max_total: int, totals) -> None:
             cases += len(want)
             if total in totals:
                 family = enumerate_snc(AnnulusShape(p, total - p))
-                below = _below_complements(family, _gamma0(p, total - p))
+                below = _below_complements(family, _gamma0(p, total - p), {})
                 assert {(i, j) for j, row in enumerate(below) for i in row} == want
     got = check_annular_order(max_total)
     assert (got.passed, got.cases) == (True, cases)
