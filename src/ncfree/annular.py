@@ -26,20 +26,21 @@ members with a through cycle, all on 0-based image tuples.  The tests
 compare them against the S_n filter ``perm._is_nc0``, the (n-1)!! pairing
 filter and the Mingo-Nica counts.  The enumerators wrap only their results
 in ``Permutation``, sort them by one-line image and memoize them per size or
-shape, up to p + q <= 12 by default, each in an ``lru_cache`` behind a public
-function that checks the arguments; ``cumulants.clear_caches()`` never
-empties them; every element passes its validating constructor.  Each
-``enumerate_psnc`` build makes its partitions with ``SetPartition.from_labels``
-from the cycle labels of its factors, and keeps one tuple per distinct cycle
-and block in a pool that lives as long as the build.  ``element_line``
-formats the JSON Lines of ``ncfree enumerate`` without ``json``.  The
-complement-separation test of the product formulas runs on the 0-based
-kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
+shape, each in an ``lru_cache`` behind a public function that checks the
+arguments, sizes with ``_check_bound``, the program's one size limit;
+``cumulants.clear_caches()`` never empties them; every element passes its
+validating constructor.  Each ``enumerate_psnc`` build makes its partitions
+with ``SetPartition.from_labels`` from the cycle labels of its factors, and
+keeps one tuple per distinct cycle and block in a pool that lives as long as
+the build.  ``element_line`` formats the JSON Lines of ``ncfree enumerate``
+without ``json``.  The complement-separation test of the product formulas
+runs on the 0-based kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -85,11 +86,11 @@ __all__ = [
     "element_line",
 ]
 
-# Enumerators, and the CLI by default, refuse sizes above this unless the
-# caller raises it explicitly.  Every family of total 12 finishes: on a
-# 2-CPU Xeon VM under Python 3.11 the largest, psnc of the (6,6) shape,
-# takes about 45 s and 0.92 GB peak RSS (snc alone 19 s and 0.3 GB), and
-# 61 s and 0.92 GB as ``ncfree enumerate``, one run each.
+# The ceiling of ``_check_bound`` unless NCFREE_MAX_TOTAL is set.  Every
+# family of total 12 finishes: on a 2-CPU Xeon VM under Python 3.11 the
+# largest, psnc of the (6,6) shape, takes about 45 s and 0.92 GB peak RSS
+# (snc alone 19 s and 0.3 GB), and 61 s and 0.92 GB as ``ncfree
+# enumerate``, one run each.
 ENUMERATION_BOUND = 12
 
 # ``count_snc_pairings`` refuses shapes of more points than this.  It holds
@@ -212,15 +213,22 @@ def is_snc(a: Permutation, shape: AnnulusShape) -> bool:
 # -- enumeration -------------------------------------------------------
 
 
-def _check_bound(total: int, bound: int | None) -> None:
-    limit = ENUMERATION_BOUND if bound is None else bound
-    if total > limit:
+def _check_bound(total: int) -> int:
+    """``total``, refused unless in 1..NCFREE_MAX_TOTAL (read per call) or 1..ENUMERATION_BOUND."""
+    raw = os.environ.get("NCFREE_MAX_TOTAL", ENUMERATION_BOUND)
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        raise ValueError(f"NCFREE_MAX_TOTAL must be an integer, got {raw!r}") from None
+    if ceiling < 1:
+        raise ValueError("NCFREE_MAX_TOTAL must be at least 1")
+    if total > ceiling:
         raise ValueError(
-            f"enumeration size {total} exceeds the bound {limit}; "
-            "pass a larger bound explicitly if you really mean it"
+            f"requested size {total} exceeds the ceiling {ceiling} (override with NCFREE_MAX_TOTAL)"
         )
     if total < 1:
-        raise ValueError("enumeration needs a positive size")
+        raise ValueError("sizes must be at least 1")
+    return total
 
 
 def _nc_images0(n: int) -> list[tuple[int, ...]]:
@@ -291,17 +299,17 @@ def _snc(p: int, q: int) -> tuple[Permutation, ...]:
     return tuple(map(Permutation, sorted(_rotation_conjugates(_nc_images0(p + q), p, q))))
 
 
-def enumerate_nc(n: int, bound: int | None = None) -> tuple[Permutation, ...]:
+def enumerate_nc(n: int) -> tuple[Permutation, ...]:
     """All disc non-crossing permutations of [n], ordered lexicographically
     by one-line image.  Memoized; the returned tuple is shared."""
-    _check_bound(n, bound)
+    _check_bound(n)
     return _nc(n)
 
 
-def enumerate_snc(shape: AnnulusShape, bound: int | None = None) -> tuple[Permutation, ...]:
+def enumerate_snc(shape: AnnulusShape) -> tuple[Permutation, ...]:
     """All annular non-crossing permutations of the shape, in lexicographic
     order on one-line images.  Memoized per shape."""
-    _check_bound(shape.total, bound)
+    _check_bound(shape.total)
     return _snc(shape.p, shape.q)
 
 
@@ -369,16 +377,14 @@ class PartitionedPermutation:
         return f"PartitionedPermutation[{self.partition!r}, {self.perm!r}]"
 
 
-def enumerate_psnc(
-    shape: AnnulusShape, bound: int | None = None
-) -> tuple[PartitionedPermutation, ...]:
+def enumerate_psnc(shape: AnnulusShape) -> tuple[PartitionedPermutation, ...]:
     """All annular partitioned permutations of the shape.
 
     Disc-type elements come first, in ``enumerate_snc`` order; then the
     tunnel elements, ordered by (outer factor, inner factor, glued pair).
     Memoized per shape.
     """
-    _check_bound(shape.total, bound)
+    _check_bound(shape.total)
     return _psnc(shape.p, shape.q)
 
 

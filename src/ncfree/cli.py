@@ -7,24 +7,23 @@ check suites; exit code 0 exactly when every check passes), and ``draw``
 (SVG annular diagrams).
 
 Every command is deterministic: identical invocations produce byte
-identical output.  The sizes of ``enumerate``, ``counts``, ``table`` and
-``verify`` are validated against a hard ceiling, by default the
-library's ``ENUMERATION_BOUND`` (12), overridable through the
-NCFREE_MAX_TOTAL environment variable; ``draw`` enumerates nothing and
-has no ceiling.  Run as ``ncfree`` or ``python -m ncfree.cli``.
+identical output.  Every command but ``draw``, which enumerates nothing,
+checks its sizes up front with the library's one size check,
+``annular._check_bound``: at most NCFREE_MAX_TOTAL, or 12 when that is
+unset, which every enumeration behind it obeys too.  Run as ``ncfree``
+or ``python -m ncfree.cli``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from itertools import islice
 
 import click
 
 from .annular import (
-    ENUMERATION_BOUND,
     AnnulusShape,
+    _check_bound,
     element_line,
     enumerate_nc,
     enumerate_psnc,
@@ -39,28 +38,11 @@ from .verify import SQUARE_BOUND, run_suite, suite_names
 _ECHO_CHUNK = 4096  # lines per write of ``enumerate``: its output is never held whole
 
 
-def _ceiling() -> int:
-    raw = os.environ.get("NCFREE_MAX_TOTAL")
-    if raw is None:
-        return ENUMERATION_BOUND
-    try:
-        value = int(raw)
-    except ValueError:
-        raise click.ClickException(f"NCFREE_MAX_TOTAL must be an integer, got {raw!r}")
-    if value < 1:
-        raise click.ClickException("NCFREE_MAX_TOTAL must be at least 1")
-    return value
-
-
 def _check_total(total: int) -> None:
-    ceiling = _ceiling()
-    if total > ceiling:
-        raise click.ClickException(
-            f"requested size {total} exceeds the ceiling {ceiling} "
-            f"(override with NCFREE_MAX_TOTAL)"
-        )
-    if total < 1:
-        raise click.ClickException("sizes must be at least 1")
+    try:
+        _check_bound(total)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
 
 
 @click.group()
@@ -88,13 +70,11 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
         raise click.ClickException(f"{kind} takes exactly {want} size argument(s)")
     if any(s < 1 for s in sizes):
         raise click.ClickException("sizes must be at least 1")
-    total = sum(sizes)
-    _check_total(total)
+    _check_total(sum(sizes))
     if kind == "nc":
-        family = enumerate_nc(sizes[0], bound=total)
+        family = enumerate_nc(*sizes)
     else:
-        family_of = enumerate_snc if kind == "snc" else enumerate_psnc
-        family = family_of(AnnulusShape(sizes[0], sizes[1]), bound=total)
+        family = (enumerate_snc if kind == "snc" else enumerate_psnc)(AnnulusShape(*sizes))
     lines = map(element_line, family)
     while chunk := list(islice(lines, _ECHO_CHUNK)):
         click.echo("\n".join(chunk))
@@ -183,7 +163,10 @@ def verify(ctx: click.Context, suite: str, max_total: int | None, jobs: int, fmt
             f"semicircular-square runs to --max {SQUARE_BOUND} at most: its cells hold "
             f"every annular pairing of 2(p+q) points"
         )
-    results = run_suite(suite, max_total, jobs)
+    try:
+        results = run_suite(suite, max_total, jobs)
+    except ValueError as exc:  # a suite's default bound past the ceiling
+        raise click.ClickException(str(exc))
     if fmt == "text":
         for res in results:
             click.echo(res.line())
@@ -214,6 +197,10 @@ def draw(perm: str, shape: tuple[int, int], partition_json: str | None, out: str
         partition = None
         if partition_json is not None:
             blocks = json.loads(partition_json)
+            if not isinstance(blocks, list) or not all(
+                isinstance(b, list) and all(type(x) is int for x in b) for b in blocks
+            ):
+                raise ValueError("--partition must be a JSON list of lists of integers")
             partition = SetPartition.of_blocks(p + q, blocks)
         svg = render_svg(pi, AnnulusShape(p, q), partition)
     except (ValueError, json.JSONDecodeError) as exc:

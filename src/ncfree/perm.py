@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -221,21 +220,16 @@ class SetPartition:
         if size < 1:
             raise ValueError("partitions live on [n] with n >= 1")
         canon = sorted(tuple(sorted(b)) for b in blocks)
-        points = sorted(chain.from_iterable(canon))
-        # Accept in C when non-empty blocks hold exactly the ints 1..size;
-        # anything else goes to the per-point loop, which has the last word.
-        if not (all(canon) and type(size) is int and {*map(type, points)} == {int}
-                and points == list(range(1, size + 1))):
-            seen = [False] * size
-            for block in canon:
-                if not block:
-                    raise ValueError("empty block")
-                for pt in block:
-                    if not (1 <= pt <= size) or seen[pt - 1]:
-                        raise ValueError(f"blocks do not partition [{size}]: {canon!r}")
-                    seen[pt - 1] = True
-            if not all(seen):
-                raise ValueError(f"blocks do not cover [{size}]: {canon!r}")
+        seen = [False] * size
+        for block in canon:
+            if not block:
+                raise ValueError("empty block")
+            for pt in block:
+                if not (1 <= pt <= size) or seen[pt - 1]:
+                    raise ValueError(f"blocks do not partition [{size}]: {canon!r}")
+                seen[pt - 1] = True
+        if not all(seen):
+            raise ValueError(f"blocks do not cover [{size}]: {canon!r}")
         self.size = size
         self.blocks = tuple(canon)
         self._index: tuple[int, ...] | None = None

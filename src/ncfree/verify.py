@@ -4,10 +4,11 @@ Every check sweeps a finite range completely and compares two independent
 computations, or a computation against a definition-level brute force.
 All arithmetic is exact, so a check either passes on every case or
 reports the first counterexample it met.  Checks are grouped into named
-suites (see SUITES); the default bounds are the ones the acceptance
-tests run at.  Passing an explicit bound substitutes it where a sweep
-can absorb it; checks built on a quadratic scan of a full symmetric
-group clamp the bound to a feasible ceiling instead.
+suites (see SUITES); the default bounds are the ones the acceptance tests
+run at.  Passing an explicit bound substitutes it where a sweep can absorb
+it; checks built on a quadratic scan of a full symmetric group clamp the
+bound to a feasible ceiling instead; suites that enumerate at their bound
+refuse one past ``annular._check_bound`` before any cell runs.
 
 Suites built from independent cells (one per annulus shape, or one per
 check) fan out over a process pool when ``jobs > 1``, with never more
@@ -42,6 +43,7 @@ from .annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
+    _check_bound,
     _set_partitions,
     count_snc_pairings,
     enumerate_nc,
@@ -1079,11 +1081,12 @@ def _bound(max_total: int | None, default: int) -> int:
 
 
 def suite_main_theorem(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_product_cell, _shape_cells(_bound(max_total, 8)), jobs)
+    return _cells(_product_cell, _shape_cells(_check_bound(_bound(max_total, 8))), jobs)
 
 
 def suite_ks(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_product_cell, [(n,) for n in range(1, _bound(max_total, 8) + 1)], jobs)
+    bound = _check_bound(_bound(max_total, 8))
+    return _cells(_product_cell, [(n,) for n in range(1, bound + 1)], jobs)
 
 
 def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
@@ -1104,7 +1107,7 @@ def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> li
 
 
 def suite_haar(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    return _cells(_haar_cell, _shape_cells(_bound(max_total, 8)), jobs)
+    return _cells(_haar_cell, _shape_cells(_check_bound(_bound(max_total, 8))), jobs)
 
 
 def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:

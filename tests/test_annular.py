@@ -162,11 +162,12 @@ class TestDiscFamily:
         assert list(a) == sorted(a)
         assert enumerate_nc(5) is a
 
-    def test_bound_guard(self):
+    def test_bound_guard(self, monkeypatch):
         with pytest.raises(ValueError):
             enumerate_nc(ENUMERATION_BOUND + 1)
+        monkeypatch.setenv("NCFREE_MAX_TOTAL", "5")
         with pytest.raises(ValueError):
-            enumerate_nc(6, bound=5)
+            enumerate_nc(6)
 
 
 class TestAnnularFamily:

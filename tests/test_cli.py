@@ -7,6 +7,7 @@ import sys
 from math import comb
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import ncfree
@@ -83,6 +84,59 @@ class TestCeiling:
 
     def test_counts_respects_ceiling(self):
         assert run("counts", "--max-total", "13").exit_code != 0
+
+
+class TestOneLimit:
+    """``annular._check_bound`` is the only size check; the CLI reports its refusals."""
+
+    def test_error_lines(self):
+        cases = [
+            (("enumerate", "nc", "13"), None,
+             "requested size 13 exceeds the ceiling 12 (override with NCFREE_MAX_TOTAL)"),
+            (("counts", "--max-total", "0"), None, "sizes must be at least 1"),
+            (("table", "1", "0"), None, "sizes must be at least 1"),
+            (("verify", "lemmas", "--max", "6"), {"NCFREE_MAX_TOTAL": "5"},
+             "requested size 6 exceeds the ceiling 5 (override with NCFREE_MAX_TOTAL)"),
+        ]
+        for args, env, message in cases:
+            res = run(*args, env=env)
+            assert (res.exit_code, res.output) == (1, f"Error: {message}\n"), args
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("abc", "NCFREE_MAX_TOTAL must be an integer, got 'abc'"),
+            ("0", "NCFREE_MAX_TOTAL must be at least 1"),
+        ],
+    )
+    def test_malformed_environment(self, monkeypatch, raw, message):
+        res = run("enumerate", "nc", "1", env={"NCFREE_MAX_TOTAL": raw})
+        assert (res.exit_code, res.output) == (1, f"Error: {message}\n")
+        monkeypatch.setenv("NCFREE_MAX_TOTAL", raw)
+        with pytest.raises(ValueError) as info:
+            enumerate_nc(1)
+        assert str(info.value) == message
+
+    def test_a_raised_ceiling_reaches_every_command(self, monkeypatch):
+        # With the library's default below NCFREE_MAX_TOTAL, these used to exit 1
+        # on "enumeration size 5 exceeds the bound 4" after every smaller shape.
+        monkeypatch.setattr("ncfree.annular.ENUMERATION_BOUND", 4)
+        env = {"NCFREE_MAX_TOTAL": "5"}
+        commands = [
+            ("table", "2", "3"),
+            ("table", "2", "3", "--direction", "kappa-in-alpha"),
+            *(("verify", suite, "--max", "5") for suite in ("ks", "main-theorem", "haar")),
+        ]
+        for args in commands:
+            res = run(*args, env=env)
+            assert res.exit_code == 0, (args, res.output)
+        assert "ceiling 4 " in run("table", "2", "3").output
+
+    def test_a_suite_default_past_the_ceiling_is_an_error_line(self):
+        res = run("verify", "ks", env={"NCFREE_MAX_TOTAL": "5"})
+        assert (res.exit_code, res.output) == (
+            1, "Error: requested size 8 exceeds the ceiling 5 (override with NCFREE_MAX_TOTAL)\n"
+        )
 
 
 class TestModuleEntryPoint:
@@ -249,6 +303,19 @@ class TestDraw:
         )
         assert res.exit_code == 0, res.output
         assert out.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize(
+        "partition", ["5", "[1,2,3]", '[[1,"a"]]', '[["1","2","3"]]', '{"a":1}', "[[true,2,3]]"]
+    )
+    def test_partition_must_be_lists_of_integers(self, tmp_path, partition):
+        # Each used to end in a TypeError traceback, but true, which was read as point 1.
+        res = run(
+            "draw", "(1,2)(3)", "--shape", "2", "1",
+            "--partition", partition, "--out", str(tmp_path / "bad.svg"),
+        )
+        assert res.exit_code == 1
+        assert "Error: --partition must be a JSON list of lists of integers" in res.output
+        assert type(res.exception) is SystemExit
 
     def test_rejects_bad_input(self, tmp_path):
         out = str(tmp_path / "bad.svg")

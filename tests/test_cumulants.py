@@ -224,6 +224,23 @@ class TestSymbolicTables:
             assert got == fm.phi2(a_word(p), a_word(q))
 
 
+class TestSizeLimit:
+    def test_every_enumerating_call_obeys_the_environment(self, monkeypatch):
+        # NCFREE_MAX_TOTAL used to reach only the enumerations of the CLI's
+        # own commands; the library read its default bound alone.
+        monkeypatch.setenv("NCFREE_MAX_TOTAL", "3")
+        clear_caches()  # a memoized plan enumerates nothing
+        fm = formal_moment_space()
+        calls = (
+            lambda: enumerate_nc(4),
+            lambda: symbolic_phi2_expansion(2, 2),
+            lambda: kappa_pq(fm, letters(a_word(2)), letters(a_word(2))),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="exceeds the ceiling 3 "):
+                call()
+
+
 class TestProductsAsEntries:
     def test_single_part_is_the_moment(self):
         for model in MODELS:

@@ -85,6 +85,18 @@ class TestSuiteRegistry:
             with pytest.raises(ValueError, match="below 1"):
                 suite(0)
 
+    def test_enumerating_suites_refuse_past_the_ceiling_before_any_cell(self, monkeypatch):
+        # They used to ignore NCFREE_MAX_TOTAL and run every cell.
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(verify, "_product_cell", no_cell)
+        monkeypatch.setattr(verify, "_haar_cell", no_cell)
+        monkeypatch.setenv("NCFREE_MAX_TOTAL", "4")
+        for name in ("main-theorem", "ks", "haar"):
+            with pytest.raises(ValueError, match="exceeds the ceiling 4 "):
+                verify.SUITES[name](5)
+
     @pytest.mark.parametrize("check, ceiling", [(check_nc_counts, 10), (check_fluctuations, 12)])
     def test_bounds_past_the_ceiling_run_at_the_ceiling(self, check, ceiling):
         above, at = check(ceiling + 1), check(ceiling)
