@@ -29,12 +29,12 @@ in ``Permutation``, sort them by one-line image and memoize them per size or
 shape, each in an ``lru_cache`` behind a public function that checks the
 arguments, sizes with ``_check_bound``, the program's one size limit;
 ``cumulants.clear_caches()`` never empties them; every element passes its
-validating constructor.  Each ``enumerate_psnc`` build makes its partitions
-with ``SetPartition.from_labels`` from the cycle labels of its factors, and
-keeps one tuple per distinct cycle and block in a pool that lives as long as
-the build.  ``element_line`` formats the JSON Lines of ``ncfree enumerate``
-without ``json``.  The complement-separation test of the product formulas
-runs on the 0-based kernels ``_cycle_labels0`` and ``_separated`` of ``perm``.
+validating constructor.  Each ``enumerate_psnc`` build makes one partition
+per distinct labels tuple, with ``SetPartition.from_labels`` from its factors'
+cycle labels, and one tuple per distinct cycle and block.  ``element_lines``
+writes the JSON Lines of ``ncfree enumerate`` without ``json``, each perm's and
+each distinct block's text once.  The complement-separation test of the product
+formulas runs on the 0-based kernels ``_cycle_labels0`` and ``_separated``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .perm import (
     Permutation,
@@ -83,14 +83,14 @@ __all__ = [
     "pp_product",
     "pp_leq",
     "element_record",
-    "element_line",
+    "element_lines",
 ]
 
 # The ceiling of ``_check_bound`` unless NCFREE_MAX_TOTAL is set.  Every
 # family of total 12 finishes: on a 2-CPU Xeon VM under Python 3.11 the
-# largest, psnc of the (6,6) shape, takes about 45 s and 0.92 GB peak RSS
-# (snc alone 19 s and 0.3 GB), and 61 s and 0.92 GB as ``ncfree
-# enumerate``, one run each.
+# largest, psnc of the (6,6) shape, takes 43-55 s and 0.78 GB peak RSS
+# (snc alone 19 s and 0.3 GB), and 59-64 s and 0.78 GB as ``ncfree
+# enumerate``, three and two runs.
 ENUMERATION_BOUND = 12
 
 # ``count_snc_pairings`` refuses shapes of more points than this.  It holds
@@ -390,13 +390,18 @@ def enumerate_psnc(shape: AnnulusShape) -> tuple[PartitionedPermutation, ...]:
 
 @lru_cache(maxsize=None)
 def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
-    # partitions from labels; one pool per build holds each distinct cycle and block once
-    pool: dict = {}
+    pool: dict = {}  # each distinct cycle and block tuple of the build, once
+    by_labels: dict = {}  # the partition of each distinct labels tuple, made once
+
+    def partition(labels: list[int]) -> SetPartition:
+        key = tuple(labels)
+        return by_labels.get(key) or by_labels.setdefault(key, SetPartition.from_labels(key, pool))
+
     out = []
     for a in _snc(p, q):
         a._share_cycles(pool)
         labels = _cycle_labels0([x - 1 for x in a.image])[0]
-        out.append(PartitionedPermutation(SetPartition.from_labels(labels, pool), a))
+        out.append(PartitionedPermutation(partition(labels), a))
     inners = [(tuple(v + p for v in b.image), *_cycle_labels0([x - 1 for x in b.image]))
               for b in _nc(q)]
     for outer in _nc(p):
@@ -408,8 +413,7 @@ def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
                 for j in range(k2):
                     # inner cycle j joins outer cycle i; the others take labels k1, k1 + 1, ...
                     glued = [i if c == j else k1 + c - (c > j) for c in in_labels]
-                    partition = SetPartition.from_labels(out_labels + glued, pool)
-                    out.append(PartitionedPermutation(partition, perm))
+                    out.append(PartitionedPermutation(partition(out_labels + glued), perm))
     return tuple(out)
 
 
@@ -593,17 +597,25 @@ def element_record(vp: PartitionedPermutation) -> dict:
     }
 
 
-def element_line(x: Permutation | PartitionedPermutation) -> str:
-    """``json.dumps`` of ``{"perm": x.cycle_string()}`` or of ``element_record(x)``,
-    separators ``", "`` and ``": "``: cycle strings need no escaping, and the
-    repr of a list of int lists is its JSON.
+def element_lines(family: Iterable[Permutation | PartitionedPermutation]) -> Iterator[str]:
+    """``json.dumps`` of ``{"perm": x.cycle_string()}`` or ``element_record(x)`` per member
+    x, separators ``", "`` and ``": "``: cycle strings need no escaping, and an int
+    list's repr is its JSON.  A run of members sharing a perm writes its text once.
 
-    >>> for vp in enumerate_psnc(AnnulusShape(1, 1)):
-    ...     print(element_line(vp))
+    >>> for line in element_lines(enumerate_psnc(AnnulusShape(1, 1))):
+    ...     print(line)
     {"perm": "(1,2)", "partition": [[1, 2]], "kind": "disc"}
     {"perm": "(1)(2)", "partition": [[1, 2]], "kind": "tunnel"}
     """
-    if isinstance(x, Permutation):
-        return f'{{"perm": "{x.cycle_string()}"}}'
-    blocks = list(map(list, x.partition.blocks))
-    return f'{{"perm": "{x.perm.cycle_string()}", "partition": {blocks}, "kind": "{x.kind}"}}'
+    text: dict[tuple[int, ...], str] = {}  # each distinct block's JSON
+    perm = head = None
+    for x in family:
+        if isinstance(x, Permutation):
+            yield f'{{"perm": "{x.cycle_string()}"}}'
+            continue
+        if x.perm is not perm:
+            perm = x.perm
+            head = f'{{"perm": "{perm.cycle_string()}", "partition": ['
+        blocks = ", ".join([text.get(b) or text.setdefault(b, str(list(b)))
+                            for b in x.partition.blocks])
+        yield f'{head}{blocks}], "kind": "{x.kind}"}}'

@@ -24,7 +24,7 @@ import click
 from .annular import (
     AnnulusShape,
     _check_bound,
-    element_line,
+    element_lines,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
@@ -62,7 +62,7 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
     """Dump one family as JSON Lines, one element per line, then the count.
 
     KIND is nc (one size: the disc), or snc/psnc (two sizes: outer and
-    inner circle).  ``annular.element_line`` formats the element lines
+    inner circle).  ``annular.element_lines`` formats the element lines
     byte for byte as ``json.dumps``; only the count line uses ``json``.
     """
     want = 1 if kind == "nc" else 2
@@ -75,7 +75,7 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
         family = enumerate_nc(*sizes)
     else:
         family = (enumerate_snc if kind == "snc" else enumerate_psnc)(AnnulusShape(*sizes))
-    lines = map(element_line, family)
+    lines = element_lines(family)
     while chunk := list(islice(lines, _ECHO_CHUNK)):
         click.echo("\n".join(chunk))
     click.echo(json.dumps({"count": len(family)}, separators=(", ", ": ")))

@@ -230,6 +230,8 @@ class SetPartition:
                 seen[pt - 1] = True
         if not all(seen):
             raise ValueError(f"blocks do not cover [{size}]: {canon!r}")
+        if type(canon[0][0]) is bool:  # True passed the loop as point 1, which leads canon
+            canon[0] = (1,) + canon[0][1:]
         self.size = size
         self.blocks = tuple(canon)
         self._index: tuple[int, ...] | None = None

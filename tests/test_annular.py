@@ -1,6 +1,7 @@
 """Annular families, partitioned permutations, and inflation."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from ncfree.annular import (
     PartitionedPermutation,
     _nc_pairings0,
     count_snc_pairings,
+    element_lines,
     element_record,
     enumerate_nc,
     enumerate_psnc,
@@ -273,6 +275,12 @@ class TestPartitionedPermutations:
         tuples = [t for vp in family for t in (*vp.perm.cycles, *vp.partition.blocks)]
         assert len({id(t) for t in tuples}) == len(set(tuples))
 
+    def test_equal_partitions_are_one_object(self):
+        for total in range(2, 8):
+            for p in range(1, total):
+                family = enumerate_psnc(AnnulusShape(p, total - p))
+                assert len({id(vp.partition) for vp in family}) == len({vp.partition for vp in family})
+
     def test_family_sizes(self):
         assert len(enumerate_psnc(AnnulusShape(1, 1))) == 2
         assert len(enumerate_psnc(AnnulusShape(2, 1))) == 7
@@ -300,12 +308,38 @@ class TestPartitionedPermutations:
             PartitionedPermutation(SetPartition(4, [(1, 2), (3, 4)]), Permutation.parse("(1,3)(2,4)"))
         assert str(info.value) == "cycle (1, 3) is not contained in a block of SetPartition[{1,2}{3,4}]"
 
+    def test_lines_are_the_json_dumps_of_each_record(self):
+        for n in range(1, 8):
+            family = enumerate_nc(n)
+            assert list(element_lines(family)) == [_dumps({"perm": a.cycle_string()}) for a in family]
+        for total in range(2, 8):
+            for p in range(1, total):
+                shape = AnnulusShape(p, total - p)
+                family = enumerate_snc(shape)
+                assert list(element_lines(family)) == [_dumps({"perm": a.cycle_string()}) for a in family]
+                family = enumerate_psnc(shape)
+                assert list(element_lines(family)) == [_dumps(element_record(vp)) for vp in family]
+
+    def test_lines_of_members_sharing_a_perm(self):
+        # (1, 6): most members are tunnels, in runs that share one perm object
+        family = enumerate_psnc(AnnulusShape(1, 6))
+        tunnels = family[len(enumerate_snc(AnnulusShape(1, 6))) :]
+        assert len({id(vp.perm) for vp in tunnels}) < len(tunnels) / 2
+        # the family between two lists that break and repeat its runs
+        mixed = [*tunnels[::-3], *family, *tunnels[:50]]
+        assert list(element_lines(mixed)) == [_dumps(element_record(vp)) for vp in mixed]
+
     def test_records_round_trip(self):
         for vp in enumerate_psnc(AnnulusShape(2, 1)):
             rec = element_record(vp)
             assert rec["kind"] == vp.kind
             assert Permutation.parse(rec["perm"], size=3) == vp.perm
             assert SetPartition(3, rec["partition"]) == vp.partition
+
+
+def _dumps(record):
+    """The JSON text of one ``ncfree enumerate`` line."""
+    return json.dumps(record, separators=(", ", ": "))
 
 
 def _psnc_by_sorting(shape):

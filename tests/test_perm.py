@@ -262,6 +262,16 @@ class TestSetPartition:
         # a bool is an int to the per-point loop, so True stands for 1
         assert SetPartition(2, [(True,), (2,)]).blocks == ((True,), (2,))
 
+    @pytest.mark.parametrize("point", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_points_are_ints(self, point):
+        # True is kept as the int 1; any other point that is not an int is refused
+        if type(point) is bool:
+            v = SetPartition(3, [(point, 2, 3)])
+            assert v.blocks == ((1, 2, 3),) and all(type(pt) is int for pt in v.blocks[0])
+        else:
+            with pytest.raises(TypeError):
+                SetPartition(3, [(point, 2, 3)])
+
     def test_labels_are_first_appearance_block_indices(self):
         v = SetPartition(5, [(2, 5), (1, 3), (4,)])
         assert v.labels == (0, 1, 0, 2, 1)
