@@ -108,8 +108,8 @@ class AnnulusShape:
     q: int
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise ValueError("annulus needs at least one point on each circle")
+        if not all(isinstance(n, int) and n >= 1 for n in (self.p, self.q)):
+            raise ValueError("annulus needs an int number of points, at least one, on each circle")
 
     @property
     def total(self) -> int:
@@ -142,10 +142,11 @@ class Composition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts or any(n < 1 for n in self.parts):
-            raise ValueError("composition parts must be positive")
-        if self.split is not None and not 0 < self.split < len(self.parts):
-            raise ValueError("split must leave parts on both sides")
+        if not self.parts or not all(isinstance(n, int) and n >= 1 for n in self.parts):
+            raise ValueError("composition parts must be positive ints")
+        split = self.split
+        if split is not None and not (isinstance(split, int) and 0 < split < len(self.parts)):
+            raise ValueError("split must be an int that leaves parts on both sides")
 
     @property
     def total(self) -> int:
@@ -558,9 +559,10 @@ def pp_leq(a: PartitionedPermutation, b: PartitionedPermutation) -> bool:
     w = a.perm.inverse() * b.perm
     if pp_product(a, PartitionedPermutation.disc(w)) == b:
         return True
-    # |a| + 2|W| - |w| = |b|, and each merge of two cycles of w adds 1 to |W|.
-    merges, odd = divmod(b.length - a.length - w.metric_length, 2)
-    if odd or merges <= 0:
+    # |a| + 2|W| - |w| = |b|, and each merge of two cycles of w adds 1 to |W|;
+    # |b| - |a| - |w| is even, as |w| = |a.perm| + |b.perm| (mod 2).
+    merges = (b.length - a.length - w.metric_length) // 2
+    if merges <= 0:
         return False
     groups: dict[int, list[tuple[int, ...]]] = {}
     for cycle in w.cycles:

@@ -43,13 +43,13 @@ The test suite checks both against the direct recursions on the grouped
 words; neither is assumed.
 
 Every sum above walks a plan built once per size (n,) or shape (p, q),
-``_plan(sizes) = (records, top)``: per element, its blocks as 0-based index
-tuples and the cycle labels of its complement pi^-1 gamma, and the index of
-the solved-for element, whose permutation is gamma.  ``_kappa_blocks`` is
-the only code that multiplies cumulants over blocks: it reads a walk's
-records, evaluates each distinct block once per call, computes each
-distinct polynomial product once per call, and stops a product at its
-first zero factor.
+``_plan(sizes) = (records, top)``: per element, its blocks as the
+enumeration's own 1-based cycle tuples and the cycle labels of its
+complement pi^-1 gamma, and the index of the solved-for element, whose
+permutation is gamma.  ``_kappa_blocks`` is the only code that multiplies
+cumulants over blocks: it reads a walk's records, evaluates each distinct
+block once per call, computes each distinct polynomial product once per
+call, and stops a product at its first zero factor.
 
 Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
@@ -139,38 +139,33 @@ def _plan(sizes: tuple[int, ...]):
     """Per element of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q): its
     blocks and its complement's cycle labels; and the index of the top, the
     one element whose complement is the identity (gamma_pq has no through
-    cycle, so on the annulus only (1, gamma_pq) has it as its permutation)."""
+    cycle, so on the annulus only (1, gamma_pq) has it as its permutation).
+    Equal blocks are one object, and so are the labels of one permutation."""
     if len(sizes) == 1:
-        elements = [(pi, ((c,) for c in pi.cycles)) for pi in enumerate_nc(*sizes)]
+        elements = [(pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
     else:
         elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
-    pool, identity = {}, tuple(range(sum(sizes)))
-    records = tuple((_blocks0(b, pool), _complement_labels(sizes, pi)) for pi, b in elements)
+    pool, labels, identity = {}, {}, tuple(range(sum(sizes)))
+    records = tuple(
+        (tuple([pool.setdefault(b, b) for b in blocks]),
+         labels.get(id(pi)) or labels.setdefault(id(pi), _complement_labels(sizes, pi)))
+        for pi, blocks in elements
+    )
     return records, next(i for i, rec in enumerate(records) if rec[1] == identity)
 
 
-def _blocks0(block_cycles, pool: dict) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """0-based blocks of 1-based cycles, each kept once in ``pool``; ValueError past two cycles."""
-    out = []
-    for block in block_cycles:
-        if len(block) > 2:
-            raise ValueError("a block may hold at most two cycles")
-        block0 = tuple(tuple([i - 1 for i in c]) for c in block)
-        out.append(pool.setdefault(block0, block0))
-    return tuple(out)
-
-
 def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[Scalar]:
-    """Per record, its first item a list of 0-based blocks: the product of
-    kappa_n of each one-cycle block's arguments and kappa_{s,t} of each
-    two-cycle one's, left to right, stopped at its first zero factor.
+    """Per record, its first item a list of blocks of 1-based cycles: the
+    product of kappa_n of each one-cycle block's arguments and kappa_{s,t}
+    of each two-cycle one's, left to right, stopped at its first zero factor.
 
-    A block object is evaluated once per call: in a plan, ``_blocks0`` made
+    A block object is evaluated once per call: in a plan, ``_plan`` made
     equal blocks one object.  A polynomial times a polynomial is computed
     once per pair of operands, by identity, so records whose factors agree
     share every running product.  Only operands the call holds are keyed (a
     factor, or a product it keeps): after any other step, such as a
     Fraction times a polynomial, the record multiplies without the table."""
+    args = (None, *args)  # cycles count from 1
     factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
     products: dict[tuple[int, int], CumulantPolynomial] = {}  # by ids: both operands are held
     out: list[Scalar] = []
@@ -267,7 +262,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
         raise ValueError("permutation size does not match argument count")
     if not is_nc_disc(pi):
         raise ValueError(f"{pi!r} is not disc non-crossing")
-    return _kappa_blocks(model, args, [(_blocks0(((c,) for c in pi.cycles), {}),)])[0]
+    return _kappa_blocks(model, args, [([(c,) for c in pi.cycles],)])[0]
 
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
@@ -287,7 +282,10 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
     args = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
-    return _kappa_blocks(model, args, [(_blocks0(vp.block_cycles(), {}),)])[0]
+    blocks = vp.block_cycles()
+    if any(len(block) > 2 for block in blocks):
+        raise ValueError("a block may hold at most two cycles")
+    return _kappa_blocks(model, args, [(blocks,)])[0]
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----

@@ -886,10 +886,9 @@ def check_order_structure(max_total: int = 6):
                 w0 = times_s(a_inv)
                 clab, m = _cycle_labels0(w0)
                 # The lengths add, |(V, pi)| + |(W, w)| = |(U, sigma)|, exactly
-                # when 2 (blocks(U) - blocks(W)) = n - m - |(V, pi)| - |sigma|.
+                # when 2 (blocks(U) - blocks(W)) = n - m - |(V, pi)| - |sigma|,
+                # which is even: |pi^-1 sigma| = |pi| + |sigma| (mod 2).
                 gap = n - m - a_len - b_metric
-                if gap % 2:
-                    continue
                 vlab = _join0(m, [(clab[a], clab[b]) for a, b in a_pairs])[0]
                 if vlab not in joins:
                     joins[vlab] = _witness_joins(vlab)

@@ -183,7 +183,7 @@ def test_criterion_3_main_theorem():
     _run(
         3,
         "second order cumulants with products as entries, totals <= 8",
-        60,
+        30,
         lambda: _all_pass(suite_main_theorem(8, jobs=4)),
     )
 

@@ -129,6 +129,20 @@ class TestShapesAndCompositions:
         with pytest.raises(ValueError):
             Composition((1, 0, 2))
 
+    def test_sizes_must_be_ints(self):
+        for bad in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError):
+                AnnulusShape(bad, 1)
+            with pytest.raises(ValueError):
+                AnnulusShape(1, bad)
+            with pytest.raises(ValueError):
+                Composition((bad, 2))
+            with pytest.raises(ValueError):
+                Composition((1, 2), split=bad)
+        # bool is an int, here as elsewhere in the library
+        assert AnnulusShape(True, 2).total == 3
+        assert Composition((2, True), split=True).boundary_points == (2, 3)
+
     def test_unsplit_has_no_circles(self):
         with pytest.raises(ValueError):
             Composition((1, 2)).shape()

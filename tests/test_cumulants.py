@@ -353,14 +353,14 @@ class TestProductsAsEntries:
         for n in range(1, 8):
             records, top = _plan((n,))
             assert len(records) == len(enumerate_nc(n))
-            full = ((tuple(range(n)),),)
+            full = ((tuple(range(1, n + 1)),),)
             assert [i for i, rec in enumerate(records) if rec[0] == full] == [top]
         for total in range(2, 7):
             for p in range(1, total):
                 q = total - p
                 records, top = _plan((p, q))
                 assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
-                glued = ((tuple(range(p)), tuple(range(p, total))),)
+                glued = ((tuple(range(1, p + 1)), tuple(range(p + 1, total + 1))),)
                 assert [i for i, rec in enumerate(records) if rec[0] == glued] == [top]
 
     def test_plan_labels_are_the_complement_cycles(self):
@@ -383,6 +383,26 @@ class TestProductsAsEntries:
                 records, _ = _plan((shape.p, shape.q))
                 want = [cycle_labels(kreweras(shape, vp.perm)) for vp in enumerate_psnc(shape)]
                 assert [labels for _, labels in records] == want, shape
+
+    def test_plan_blocks_are_the_enumerations_cycles(self):
+        # The blocks are the enumeration's own cycle tuples, not copies, and
+        # elements that share a permutation object share one labels tuple.
+        for total in range(2, 8):
+            for p in range(1, total):
+                family = enumerate_psnc(AnnulusShape(p, total - p))
+                records, _ = _plan((p, total - p))
+                by_perm = {}
+                for vp, (blocks, labels) in zip(family, records):
+                    assert blocks == vp.block_cycles(), (p, total - p)
+                    own = {id(c) for c in vp.perm.cycles}
+                    assert all(id(c) in own for block in blocks for c in block), (p, total - p)
+                    assert by_perm.setdefault(id(vp.perm), labels) is labels, (p, total - p)
+                assert total == 2 or len(by_perm) < len(family), (p, total - p)
+        for n in range(1, 8):
+            records, _ = _plan((n,))
+            assert [blocks for blocks, _ in records] == [
+                tuple((c,) for c in pi.cycles) for pi in enumerate_nc(n)
+            ], n
 
     def test_part_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
@@ -428,10 +448,10 @@ def _plain_product(model, args, blocks):
     value = None
     for block in blocks:
         if len(block) == 1:
-            factor = kappa_n(model, [args[i] for i in block[0]])
+            factor = kappa_n(model, [args[i - 1] for i in block[0]])
         else:
             first, second = block
-            factor = kappa_pq(model, [args[i] for i in first], [args[i] for i in second])
+            factor = kappa_pq(model, [args[i - 1] for i in first], [args[i - 1] for i in second])
         value = factor if value is None else value * factor
         if not value:
             break
