@@ -48,8 +48,8 @@ enumeration's own 1-based cycle tuples and the cycle labels of its
 complement pi^-1 gamma, and the index of the solved-for element, whose
 permutation is gamma.  ``_kappa_blocks`` is the only code that multiplies
 cumulants over blocks: it reads a walk's records, evaluates each distinct
-block once per call, computes each distinct polynomial product once per
-call, and stops a product at its first zero factor.
+block once per call, computes each distinct product once per call, of
+any scalar type, and stops a product at its first zero factor.
 
 Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
@@ -160,18 +160,17 @@ def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[Scalar]:
     of each two-cycle one's, left to right, stopped at its first zero factor.
 
     A block object is evaluated once per call: in a plan, ``_plan`` made
-    equal blocks one object.  A polynomial times a polynomial is computed
-    once per pair of operands, by identity, so records whose factors agree
-    share every running product.  Only operands the call holds are keyed (a
-    factor, or a product it keeps): after any other step, such as a
-    Fraction times a polynomial, the record multiplies without the table."""
+    equal blocks one object.  Each product is computed once per pair of
+    operands, by identity, so records whose factors agree share every
+    running product, whatever the scalar type.  Every keyed operand is a
+    factor in ``factors`` or a product in ``products``, both kept until the
+    call returns, so no id is reused while it is a key."""
     args = (None, *args)  # cycles count from 1
     factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
-    products: dict[tuple[int, int], CumulantPolynomial] = {}  # by ids: both operands are held
+    products: dict[tuple[int, int], Scalar] = {}  # by ids: both operands are held
     out: list[Scalar] = []
     for rec in records:
         value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
-        held = True
         for block in rec[0]:
             factor = factors.get(id(block))
             if factor is None:
@@ -185,15 +184,12 @@ def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[Scalar]:
                 factors[id(block)] = factor
             if value is None:
                 value = factor
-            elif held and type(value) is CumulantPolynomial and type(factor) is CumulantPolynomial:
+            else:
                 key = (id(value), id(factor))
                 product = products.get(key)
                 if product is None:
                     product = products[key] = value * factor
                 value = product
-            else:
-                value = value * factor
-                held = False
             if not value:
                 break
         out.append(value)
@@ -220,8 +216,9 @@ def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
 @lru_cache(maxsize=128)
 def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -> tuple:
     """The summands of ``_plan(sizes)`` on the letters of ``word``: per record
-    whose product is not an int zero, its complement labels and that product.
-    Built in one walk and never changed; a composition only selects from it.
+    whose product is not an int zero, its complement labels and that product,
+    one object for records with the same factors.  Built in one walk and
+    never changed; a composition only selects from it.
 
     An int zero adds nothing to a sum and leaves its type alone, unlike a
     Fraction or polynomial zero.  A record whose complement joins the ends

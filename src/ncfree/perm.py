@@ -217,8 +217,11 @@ class SetPartition:
     __slots__ = ("size", "blocks", "_index")
 
     def __init__(self, size: int, blocks: Iterable[Iterable[int]]):
-        if size < 1:
-            raise ValueError("partitions live on [n] with n >= 1")
+        if not isinstance(size, int) or size < 1:
+            raise ValueError("partitions live on [n] with n an int >= 1")
+        blocks = [tuple(b) for b in blocks]
+        if not all(isinstance(pt, int) for b in blocks for pt in b):
+            raise ValueError(f"points must be ints: {blocks!r}")
         canon = sorted(tuple(sorted(b)) for b in blocks)
         seen = [False] * size
         for block in canon:

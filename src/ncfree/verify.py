@@ -115,23 +115,22 @@ class CheckResult:
 def _check(title, ceiling: int | None = None):
     """Turn a sweep returning ``(cases, fail)`` into a timed check.
 
-    ``title`` names the result: a string, formatted with the call's
-    arguments (so cells can carry their shape), or a function of them.
-    ``fail`` is the first counterexample, or None when every case passed.
-    A sweep with a ``ceiling`` takes one argument, its bound, and runs at
-    no more than the ceiling, however it is called.
+    Every check takes one positional argument: its bound, or its cell.
+    ``title`` names the result: a string, formatted with that argument
+    (so cells can carry their shape), or a function of it.  ``fail`` is
+    the first counterexample, or None when every case passed.  A check
+    with a ``ceiling`` runs at no more than the ceiling.
     """
 
     def decorate(sweep):
         @functools.wraps(sweep)
-        def check(*args, **kwargs) -> CheckResult:
+        def check(arg) -> CheckResult:
             if ceiling is not None:
-                args = tuple(min(bound, ceiling) for bound in args)
-                kwargs = {key: min(bound, ceiling) for key, bound in kwargs.items()}
+                arg = min(arg, ceiling)
             t0 = time.perf_counter()
-            cases, fail = sweep(*args, **kwargs)
+            cases, fail = sweep(arg)
             label = title.format if isinstance(title, str) else title
-            name = label(*args, **kwargs)
+            name = label(arg)
             return CheckResult(name, fail is None, cases, time.perf_counter() - t0, fail or "")
 
         return check
@@ -238,7 +237,7 @@ def _complement_data(family, g0) -> list[tuple]:
 
 
 @_check("disc enumeration count is Catalan", ceiling=10)
-def check_nc_counts(max_n: int = 9):
+def check_nc_counts(max_n: int):
     """Disc enumeration sizes against the Catalan numbers."""
     cases, fail = 0, None
     for n in range(1, max_n + 1):
@@ -250,7 +249,7 @@ def check_nc_counts(max_n: int = 9):
 
 
 @_check("geodesic order is transitive", ceiling=7)
-def check_metric_triangle(max_n: int = 6):
+def check_metric_triangle(max_n: int):
     """If pi is on a geodesic to sigma and sigma on one to tau, so is pi to tau."""
     cases, fail = 0, None
     for n in range(1, max_n + 1):
@@ -269,7 +268,7 @@ def check_metric_triangle(max_n: int = 6):
 
 
 @_check("geodesic order implies cycle containment", ceiling=7)
-def check_metric_order(max_n: int = 6):
+def check_metric_order(max_n: int):
     """On a geodesic below sigma, every cycle sits inside a cycle of sigma."""
     cases, fail = 0, None
     for n in range(1, max_n + 1):
@@ -291,7 +290,7 @@ def check_metric_order(max_n: int = 6):
 
 
 @_check("metric length is conjugation invariant", ceiling=8)
-def check_conjugation_invariance(max_n: int = 6):
+def check_conjugation_invariance(max_n: int):
     """Metric length is a class function.
 
     Exhaustive over all conjugator pairs through n=5; for larger n the
@@ -317,7 +316,7 @@ def check_conjugation_invariance(max_n: int = 6):
 
 
 @_check("restriction is multiplicative over an invariant set", ceiling=7)
-def check_restriction_commutes(max_n: int = 6):
+def check_restriction_commutes(max_n: int):
     """restrict(sigma pi, N) = restrict(sigma, N) restrict(pi, N) for pi supported in N."""
     cases, fail = 0, None
     for n in range(1, max_n + 1):
@@ -345,7 +344,7 @@ def check_restriction_commutes(max_n: int = 6):
 
 
 @_check("geodesic order matches per-cycle non-crossing refinement", ceiling=7)
-def check_order_refinement(max_total: int = 6):
+def check_order_refinement(max_total: int):
     """The metric order below a fixed permutation equals blockwise refinement.
 
     For sigma disc non-crossing or annular non-crossing, the set of pi
@@ -372,7 +371,7 @@ def check_order_refinement(max_total: int = 6):
 
 
 @_check("annular membership via rotations to the disc", ceiling=7)
-def check_snc_rotation(max_total: int = 6):
+def check_snc_rotation(max_total: int):
     """Annular membership equals disc membership after some circle rotations.
 
     A permutation with a connecting cycle is annular non-crossing exactly
@@ -412,7 +411,7 @@ def check_snc_rotation(max_total: int = 6):
 
 
 @_check("interval connectedness equals endpoint separation", ceiling=9)
-def check_first_sep(max_n: int = 8):
+def check_first_sep(max_n: int):
     """Connectedness with the interval partition equals endpoint separation.
 
     For sigma disc non-crossing and a composition with endpoint set N:
@@ -439,7 +438,7 @@ def check_first_sep(max_n: int = 8):
 
 
 @_check("join reaching the fattened cycles equals separation", ceiling=9)
-def check_separates(max_total: int = 8):
+def check_separates(max_total: int):
     """Join against intervals reaching the fattened cycles equals separation.
 
     For pi disc non-crossing on the parts and sigma on a geodesic below
@@ -510,7 +509,7 @@ def check_separates(max_total: int = 8):
 
 
 @_check("complement order swaps sides on the disc", ceiling=8)
-def check_tracial_inequality(max_n: int = 6):
+def check_tracial_inequality(max_n: int):
     """Complementation swaps sides: tau below sigma^-1 gamma iff sigma below gamma tau^-1."""
     cases, fail = 0, None
     for n in range(1, max_n + 1):
@@ -526,7 +525,7 @@ def check_tracial_inequality(max_n: int = 6):
 
 
 @_check("restriction of annular permutations stays non-crossing", ceiling=8)
-def check_restriction_lemma(max_total: int = 8):
+def check_restriction_lemma(max_total: int):
     """Restricting an annular non-crossing permutation stays non-crossing.
 
     The first-return restriction to any subset is either annular
@@ -572,7 +571,7 @@ def _restricted_member0(img, k1: int) -> bool:
 
 
 @_check("inflation preserves non-crossing membership", ceiling=9)
-def check_fattening(max_total: int = 9):
+def check_fattening(max_total: int):
     """Inflating parts preserves non-crossing membership, disc and annular.
 
     Also checks the exchange identity psi pi^-1 gamma_small =
@@ -623,7 +622,7 @@ def check_fattening(max_total: int = 9):
 
 
 @_check("one-sided complement order transfers across the annulus", ceiling=7)
-def check_annular_order(max_total: int = 7):
+def check_annular_order(max_total: int):
     """Below the complement on one side implies below it on the other.
 
     For annular non-crossing pi, sigma: if pi lies on a geodesic below
@@ -683,7 +682,7 @@ def _tunnel_hypotheses(max_total: int):
 
 
 @_check("two-sided complement product reaches the glued element", ceiling=7)
-def check_tunnel_product(max_total: int = 6):
+def check_tunnel_product(max_total: int):
     """The two-sided complement product lands on the glued element.
 
     For pi a disc pair below sigma's complement, multiplying sigma by
@@ -710,7 +709,7 @@ def check_tunnel_product(max_total: int = 6):
 
 
 @_check("complement cycles organize the connecting structure", ceiling=7)
-def check_order_corollary(max_total: int = 6):
+def check_order_corollary(max_total: int):
     """Structure of sigma relative to gamma pi^-1 under the tunnel hypothesis.
 
     (i) non-connecting cycles of sigma sit inside single cycles of
@@ -799,7 +798,7 @@ def _order_table(shape: AnnulusShape):
 
 
 @_check("the annular order is a partial order", ceiling=7)
-def check_order_axioms(max_total: int = 6):
+def check_order_axioms(max_total: int):
     """The witnessed-product relation is a partial order on each shape.
 
     Reflexivity, antisymmetry and transitivity over all elements; the
@@ -835,7 +834,7 @@ def check_order_axioms(max_total: int = 6):
 
 
 @_check("glued elements never drop to disc elements", ceiling=6)
-def check_order_kinds(max_total: int = 5):
+def check_order_kinds(max_total: int):
     """Glued elements never sit below disc elements; other mixes occur."""
     cases, fail = 0, None
     seen = {("disc", "disc"): 0, ("disc", "tunnel"): 0, ("tunnel", "tunnel"): 0}
@@ -858,7 +857,7 @@ def check_order_kinds(max_total: int = 5):
 
 
 @_check("witnessed products force the zero witness", ceiling=6)
-def check_order_structure(max_total: int = 6):
+def check_order_structure(max_total: int):
     """Any witnessed product within the family forces the zero witness.
 
     Whenever (V, pi) (W, pi^-1 sigma) = (U, sigma) holds inside the
@@ -1025,7 +1024,7 @@ def _square_cell(pq: tuple[int, int]):
 
 
 @_check("semicircular fluctuation moments agree three ways", ceiling=12)
-def check_fluctuations(max_total: int = 10):
+def check_fluctuations(max_total: int):
     """Fluctuation moments three ways: cycle sum, closed form, pairing count."""
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):
@@ -1041,7 +1040,7 @@ def check_fluctuations(max_total: int = 10):
 
 
 @_check("signed annular counts satisfy the recurrence", ceiling=9)
-def check_mobius_recurrence(max_total: int = 8):
+def check_mobius_recurrence(max_total: int):
     """The signed annular counts satisfy the convolution recurrence."""
     cases, fail = 0, None
     for p, q in _shape_cells(max_total):

@@ -205,7 +205,7 @@ def test_criterion_5_semicircular_fluctuations():
     def body():
         _all_pass([check_fluctuations(10)])
 
-    _run(5, "fluctuation moments three ways, even totals <= 10", 300, body)
+    _run(5, "fluctuation moments three ways, even totals <= 10", 10, body)
 
 
 # -- criterion 6: squares of a semicircular ---------------------------
@@ -217,7 +217,7 @@ def test_criterion_6_semicircular_squares():
         assert semicircular_square_kappa(2, 2) == 6
         _all_pass(suite_semicircular_square(4))
 
-    _run(6, "squared semicircular cumulants, shapes up to (4,4)", 300, body)
+    _run(6, "squared semicircular cumulants, shapes up to (4,4)", 30, body)
 
 
 # -- criterion 7: Haar unitary cumulants ------------------------------
@@ -232,7 +232,7 @@ def test_criterion_7_haar_unitary():
                 f"(m,n)=({m},{n}): got {got!r}, want {want}"
             )
 
-    _run(7, "unitary sign sweeps and the four frozen values", 120, body)
+    _run(7, "unitary sign sweeps and the four frozen values", 45, body)
 
 
 # -- criterion 8: the counting recurrence -----------------------------
@@ -241,7 +241,7 @@ def test_criterion_8_mobius_recurrence():
     def body():
         _all_pass([check_mobius_recurrence(8)])
 
-    _run(8, "signed annular counts satisfy the recurrence, totals <= 8", 120, body)
+    _run(8, "signed annular counts satisfy the recurrence, totals <= 8", 10, body)
 
 
 # -- criterion 9: the structural lemma suite --------------------------

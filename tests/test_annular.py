@@ -436,6 +436,10 @@ class TestProductAndOrder:
         assert pp_product(a, b) == b
         assert pp_leq(a, b)
         assert not pp_leq(b, a)
+        # the zero witness misses and one merge is due, but no coarser witness reaches b
+        a = PartitionedPermutation(SetPartition(4, [(1,), (2,), (3, 4)]), Permutation.identity(4))
+        b = PartitionedPermutation(SetPartition(4, [(1, 2, 3), (4,)]), Permutation.identity(4))
+        assert not pp_leq(a, b) and not _brute_leq(a, b)
 
     def test_order_matches_a_witness_search_through_n3(self):
         for n in (1, 2, 3):
@@ -470,6 +474,29 @@ class TestProductAndOrder:
         bc = pp_product(b, c)
         assert bc is not None
         assert pp_product(a, bc) == pp_product(ab, c)
+
+
+def _unit(n):
+    return PartitionedPermutation.disc(Permutation.identity(n))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: is_snc(Permutation.identity(2), AnnulusShape(2, 1)), "does not match shape"),
+            (lambda: main_summand_filter(AnnulusShape(2, 1), Composition((1, 1, 1), split=1), _unit(3)),
+             "does not fill shape"),
+            (lambda: main_summand_filter(AnnulusShape(2, 1), Composition((2, 1), split=1), _unit(2)),
+             "does not match the shape"),
+            (lambda: pp_product(_unit(2), _unit(3)), "size mismatch in partitioned permutation product"),
+            (lambda: pp_leq(_unit(2), _unit(3)), "size mismatch in partitioned permutation comparison"),
+        ],
+        ids=["is_snc-size", "filter-shape", "filter-size", "product-size", "leq-size"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestMainSummandFilter:

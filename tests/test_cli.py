@@ -93,6 +93,7 @@ class TestOneLimit:
         cases = [
             (("enumerate", "nc", "13"), None,
              "requested size 13 exceeds the ceiling 12 (override with NCFREE_MAX_TOTAL)"),
+            (("enumerate", "nc", "0"), None, "sizes must be at least 1"),
             (("counts", "--max-total", "0"), None, "sizes must be at least 1"),
             (("table", "1", "0"), None, "sizes must be at least 1"),
             (("verify", "lemmas", "--max", "6"), {"NCFREE_MAX_TOTAL": "5"},

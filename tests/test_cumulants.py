@@ -404,6 +404,24 @@ class TestProductsAsEntries:
                 tuple((c,) for c in pi.cycles) for pi in enumerate_nc(n)
             ], n
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: kappa_pi(formal_moment_space(), letters(a_word(3)), Permutation.identity(2)),
+             "permutation size does not match argument count"),
+            (lambda: kappa_pi(formal_moment_space(), letters(a_word(4)), Permutation.parse("(1,3)(2,4)")),
+             "is not disc non-crossing"),
+            (lambda: ks_product_cumulant(semicircular_space(), x_word(3), Composition((1, 2), split=1)),
+             "main_product_cumulant"),
+            (lambda: main_product_cumulant(semicircular_space(), x_word(4), Composition((1, 2), split=1)),
+             "composition does not exhaust the word"),
+        ],
+        ids=["kappa_pi-size", "kappa_pi-crossing", "ks-split", "main-word-length"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_part_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             ks_product_cumulant(semicircular_space(), x_word(3), Composition((2, 2)))
@@ -443,6 +461,16 @@ MIXED_KAPPA_PQ = {
 }
 
 
+def _factors(model, args, blocks):
+    """A record's factors, each the memo's own object."""
+    return [
+        kappa_n(model, [args[i - 1] for i in block[0]])
+        if len(block) == 1
+        else kappa_pq(model, [args[i - 1] for i in block[0]], [args[i - 1] for i in block[1]])
+        for block in blocks
+    ]
+
+
 def _plain_product(model, args, blocks):
     """A record's product as written: left to right, stopped at a zero."""
     value = None
@@ -478,6 +506,26 @@ class TestSharedWork:
                 assert isinstance(value, CumulantPolynomial), (s, t)
                 text = repr(value.sorted_terms()).encode()
                 assert hashlib.sha256(text).hexdigest()[:16] == digest, (s, t)
+
+    def test_walk_shares_products_of_every_scalar_type(self):
+        # Fraction moments: two records whose factors are the same objects,
+        # in the same order, get one product object, as polynomials do.
+        clear_caches()
+        model = MomentOracle(
+            "fractions", lambda w: Fraction(len(w) + 1, 3), lambda w1, w2: Fraction(len(w1), len(w2) + 2)
+        )
+        for sizes in ((6,), (3, 2), (3, 3)):
+            args = letters(a_word(sum(sizes)))
+            records = _plan(sizes)[0]
+            got = _kappa_blocks(model, args, records)
+            seen, repeats = {}, 0
+            for rec, value in zip(records, got):
+                key = tuple(id(f) for f in _factors(model, args, rec[0]))
+                if key in seen:
+                    assert seen[key] is value, (sizes, rec[0])
+                    repeats += len(key) > 1
+                seen.setdefault(key, value)
+            assert repeats, sizes
 
     def test_summand_tables_share_equal_products(self):
         # Records whose factors agree hold one product object, so a formal

@@ -247,8 +247,8 @@ class TestSetPartition:
             (3, [(1, 2), (3, 4)], ValueError, "blocks do not partition [3]: [(1, 2), (3, 4)]"),
             (2, [(1, 2), ()], ValueError, "empty block"),
             (3, [(1, 1, 2), (3,)], ValueError, "blocks do not partition [3]: [(1, 1, 2), (3,)]"),
-            (2, [(1.0,), (2,)], TypeError, "list indices must be integers or slices, not float"),
-            (2.0, [(1,), (2,)], TypeError, "can't multiply sequence by non-int of type 'float'"),
+            (2, [(1.0,), (2,)], ValueError, "points must be ints: [(1.0,), (2,)]"),
+            (2.0, [(1,), (2,)], ValueError, "partitions live on [n] with n an int >= 1"),
             (2, [], ValueError, "blocks do not cover [2]: []"),
         ],
         ids=["overlap", "gap", "zero", "past-n", "empty", "repeat", "float-point", "float-size", "none"],
@@ -269,7 +269,7 @@ class TestSetPartition:
             v = SetPartition(3, [(point, 2, 3)])
             assert v.blocks == ((1, 2, 3),) and all(type(pt) is int for pt in v.blocks[0])
         else:
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="points must be ints"):
                 SetPartition(3, [(point, 2, 3)])
 
     def test_labels_are_first_appearance_block_indices(self):

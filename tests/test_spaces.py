@@ -128,6 +128,12 @@ class TestSymbols:
 
 
 class TestPolynomialRing:
+    @pytest.mark.parametrize("other", [3.0, "3", None], ids=["float", "str", "none"])
+    def test_equality_with_a_non_scalar_is_left_to_the_other_side(self, other):
+        three = CumulantPolynomial.constant(3)
+        assert three.__eq__(other) is NotImplemented
+        assert three != other
+
     def test_zero_and_constants(self):
         zero = CumulantPolynomial.zero()
         assert not zero
@@ -197,6 +203,8 @@ class TestPolynomialRing:
         poly = k2 + k1 * k1
         assert poly.substitute({"k1": 2, "k2": -1}) == 3
         assert poly.substitute({"k1": k2, "k2": 0}) == k2 * k2
+        with pytest.raises(KeyError, match="'k2'"):
+            poly.substitute({"k1": 2})
 
     def test_rendering(self):
         k1 = CumulantPolynomial.from_symbol("k1")

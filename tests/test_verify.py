@@ -6,21 +6,38 @@ exercised at small bounds so failures localize quickly.  Tests marked
 with ``pytest -m extended``.
 """
 
+import ast
 import itertools
+import re
 from concurrent.futures import Future
 
 import pytest
 
 from ncfree import verify
-from ncfree.annular import AnnulusShape, enumerate_snc
+from ncfree.annular import (
+    AnnulusShape,
+    Composition,
+    PartitionedPermutation,
+    enumerate_psnc,
+    enumerate_snc,
+    fatten,
+    is_nc_disc,
+    is_snc,
+    pp_product,
+    tau_of,
+)
 from ncfree.perm import (
     Permutation,
     _compose0,
     _cycle_count0,
     _gamma0,
     _inverse0,
+    _is_nc0,
     _join0,
     _restricter0,
+    _separated,
+    orbit_partition,
+    partition_join,
 )
 from ncfree.verify import (
     CheckResult,
@@ -30,7 +47,10 @@ from ncfree.verify import (
     check_fluctuations,
     check_mobius_recurrence,
     check_nc_counts,
+    check_order_corollary,
+    check_order_structure,
     check_restriction_lemma,
+    check_separates,
     run_suite,
     suite_ks,
     suite_main_theorem,
@@ -265,6 +285,125 @@ class TestRestrictionVerdicts:
                                 )
         assert detail is not None
         assert (got.passed, got.cases, got.detail) == (False, cases, detail)
+
+
+def _perm(text: str) -> Permutation:
+    return Permutation.parse(re.fullmatch(r"Permutation\[(.*)\]", text)[1])
+
+
+def _shape(detail: str) -> AnnulusShape:
+    p, q = re.search(r"AnnulusShape\(p=(\d+), q=(\d+)\)", detail).groups()
+    return AnnulusShape(int(p), int(q))
+
+
+def _along(sigma: Permutation, cycle) -> tuple[int, ...]:
+    """The first-return map of ``sigma`` on ``cycle``, 0-based by position in it."""
+    pos = {x: i for i, x in enumerate(cycle)}
+    out = []
+    for x in cycle:
+        y = sigma(x)
+        while y not in pos:
+            y = sigma(y)
+        out.append(pos[y])
+    return tuple(out)
+
+
+class TestCounterexamples:
+    """A check run with one kernel broken fails, keeps its case count, and
+    names a case on which the statement really fails when the broken
+    kernel stands in for the real one."""
+
+    def test_separates_names_sigma_whose_join_misses(self, monkeypatch):
+        def mutant(labels, points):
+            # two complement cycles on a fattened cycle always read as separated
+            return _separated(labels, points) or len(set(labels)) == 2
+
+        cases = check_separates(5).cases
+        monkeypatch.setattr(verify, "_separated", mutant)
+        got = check_separates(5)
+        assert (got.passed, got.cases) == (False, cases)
+        found = re.fullmatch(
+            r"parts (\(.*\)), pi=(.*), sigma=(.*): join test False, separation True", got.detail
+        )
+        comp = Composition(ast.literal_eval(found[1]))
+        pi, sigma = _perm(found[2]), _perm(found[3])
+        fat = fatten(pi, comp)
+        z = sigma.inverse() * fat
+        assert is_nc_disc(pi) and sigma.metric_length + z.metric_length == fat.metric_length
+        assert partition_join(orbit_partition(sigma), orbit_partition(tau_of(comp))) != orbit_partition(fat)
+        zlab = orbit_partition(z).labels
+        assert not _separated(zlab, comp.boundary_points)
+        for c in fat.cycles:
+            ends = [i + 1 for i, x in enumerate(c) if x in comp.boundary_points]
+            assert mutant([zlab[x - 1] for x in c], ends), c
+
+    @pytest.mark.parametrize("kind", ["disc", "annular"])
+    def test_order_corollary_names_a_crossing_restriction(self, monkeypatch, kind):
+        def mutant(image0, p):
+            # disc: the swap of two points reads as crossing; annular: every
+            # image on two circles reads as crossing
+            if kind == "disc":
+                return _is_nc0(image0, p) and not (p == len(image0) == 2 and image0 == (1, 0))
+            return p == len(image0) and _is_nc0(image0, p)
+
+        cases = check_order_corollary(5).cases
+        monkeypatch.setattr(verify, "_is_nc0", mutant)
+        got = check_order_corollary(5)
+        assert (got.passed, got.cases) == (False, cases)
+        shape = _shape(got.detail)
+        named = re.search(r"sigma=(Permutation\[[^\]]*\]), pi=(Permutation\[[^\]]*\])", got.detail)
+        sigma, pi = _perm(named[1]), _perm(named[2])
+        p, gamma = shape.p, shape.gamma()
+        gp = gamma * pi.inverse()
+        # the tunnel hypothesis: sigma annular non-crossing, pi a disc pair
+        # on a geodesic below sigma^-1 gamma
+        right = sigma.inverse() * gamma
+        assert is_snc(sigma, shape)
+        assert all((x <= p) == (pi(x) <= p) for x in range(1, shape.total + 1))
+        assert pi.metric_length + (right * pi.inverse()).metric_length == right.metric_length
+        through = [c for c in sigma.cycles if len({x <= p for x in c}) == 2]
+        met = [c for c in gp.cycles if any(x in c for t in through for x in t)]
+        if kind == "disc":
+            cycle = ast.literal_eval(re.search(r"cycle (\(.*\))$", got.detail)[1])
+            assert cycle in gp.cycles and cycle not in met
+            assert not mutant(_along(sigma, cycle), len(cycle))
+        else:
+            assert got.detail.endswith("connecting cycles not annular non-crossing on the union")
+            outer, inner = sorted(met, key=lambda c: c[0] > p)
+            points = {x for t in through for x in t}
+            connecting = Permutation([sigma(x) if x in points else x for x in range(1, shape.total + 1)])
+            assert not mutant(_along(connecting, outer + inner), len(outer))
+
+    @pytest.mark.parametrize("kind", ["join", "left"])
+    def test_order_structure_names_a_witnessed_product(self, monkeypatch, kind):
+        # sigma pi^-1 miscomputed.  join: reflected, x -> n - 1 - x, so the
+        # lengths still add but its join with V can miss U.  left: as sigma,
+        # whose join with V is U, but multiplying by it misses.
+        def mutant(a0, b0):
+            if kind == "left":
+                return a0
+            n, f = len(a0), _compose0(a0, b0)
+            return tuple(n - 1 - f[n - 1 - x] for x in range(n))
+
+        cases = check_order_structure(4).cases
+        monkeypatch.setattr(verify, "_compose0", mutant)
+        got = check_order_structure(4)
+        assert (got.passed, got.cases) == (False, cases)
+        shape = _shape(got.detail)
+        by_repr = {repr(el): el for el in enumerate_psnc(shape)}
+        found = re.fullmatch(r"shape .*, a=(.*), b=(.*): (.*)", got.detail)
+        a, b = by_repr[found[1]], by_repr[found[2]]
+        w = a.perm.inverse() * b.perm
+        assert pp_product(a, PartitionedPermutation.disc(w)) == b
+        image0 = [tuple(x - 1 for x in perm.image) for perm in (b.perm, a.perm.inverse())]
+        flip = Permutation([x + 1 for x in mutant(*image0)])
+        if kind == "join":
+            assert found[3] == "join expressions disagree with the product partition"
+            assert partition_join(a.partition, orbit_partition(flip)) != b.partition
+        else:
+            assert found[3] == "left multiplication by sigma pi^-1 misses"
+            assert partition_join(a.partition, orbit_partition(flip)) == b.partition
+            assert pp_product(PartitionedPermutation.disc(flip), a) != b
 
 
 class TestRawRecords:
