@@ -43,13 +43,16 @@ The test suite checks both against the direct recursions on the grouped
 words; neither is assumed.
 
 Every sum above walks a plan built once per size (n,) or shape (p, q),
-``_plan(sizes) = (records, top)``: per element, its blocks as the
-enumeration's own 1-based cycle tuples and the cycle labels of its
-complement pi^-1 gamma, and the index of the solved-for element, whose
-permutation is gamma.  ``_kappa_blocks`` is the only code that multiplies
-cumulants over blocks: it reads a walk's records, evaluates each distinct
-block once per call, computes each distinct product once per call, of
-any scalar type, and stops a product at its first zero factor.
+``_plan(sizes) = (records, runs)``: per element its blocks, the
+enumeration's own 1-based cycle tuples smallest first, and the cycle labels
+of its complement pi^-1 gamma; ``runs`` are the index ranges of records
+sharing a first block, the solved-for element (permutation gamma) last and
+alone.  ``_kappa_blocks`` is the only code that multiplies cumulants over
+blocks: it evaluates each distinct block and product once per call, of any
+scalar type, stops a product at its first zero factor and skips a run whose
+first block is an int zero (kappa_1(u) = 0 empties every Haar element with
+a singleton).  So a zero product is the running product at its first zero
+in size order: (1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
 
 Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
@@ -59,10 +62,11 @@ changed.  A composition only selects summands, so a product formula call
 is one filtered sum over a table, and the first call at a size or shape
 pays for all of it.  Records whose factors agree share one product object,
 so a table holds far fewer distinct products than entries.  On a 2-CPU
-machine a lone formal-model call at (5 | 5), plans built, took about 2 s
-and peaked under 300 MB, and the next composition there under 0.1 s.
+machine a lone formal-model call at (5 | 5), plans built, took about 1.6 s
+and peaked at 194 MB, and the next composition there under 0.1 s.
 ``oracle_product_cumulant`` never reads the tables.  ``clear_caches()``
 empties all of these (``memo_info()`` shows them), not the enumerations.
+Every public entry point checks its total before it reads any of them.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .annular import (
     AnnulusShape,
     Composition,
     PartitionedPermutation,
+    _check_bound,
     _complement_labels,
     count_snc_pairings,
     enumerate_nc,
@@ -127,37 +132,48 @@ __all__ = [
 Args = tuple[Word, ...]
 
 
-def _norm_args(args) -> Args:
-    out = tuple(tuple(w) for w in args)
-    if not out or any(not w for w in out):
+def _norm_args(*groups) -> tuple[Args, ...]:
+    """Each argument list as a tuple of word tuples, their total count checked."""
+    out = tuple(tuple(tuple(w) for w in args) for args in groups)
+    if not all(args and all(args) for args in out):
         raise ValueError("cumulant arguments must be nonempty words")
+    _check_bound(sum(map(len, out)))
     return out
+
+
+def _points(block) -> int:
+    return len(block[0]) if len(block) == 1 else len(block[0]) + len(block[1])
 
 
 @lru_cache(maxsize=None)
 def _plan(sizes: tuple[int, ...]):
     """Per element of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q): its
-    blocks and its complement's cycle labels; and the index of the top, the
-    one element whose complement is the identity (gamma_pq has no through
-    cycle, so on the annulus only (1, gamma_pq) has it as its permutation).
-    Equal blocks are one object, and so are the labels of one permutation."""
+    blocks by point count, ties in min-point order, and its complement's cycle
+    labels; and the ranges of records sharing a first block, the top last and
+    alone: the one element whose complement is the identity (gamma_pq has no
+    through cycle).  Equal blocks are one object, as are one permutation's labels."""
     if len(sizes) == 1:
         elements = [(pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
     else:
         elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
-    pool, labels, identity = {}, {}, tuple(range(sum(sizes)))
-    records = tuple(
-        (tuple([pool.setdefault(b, b) for b in blocks]),
-         labels.get(id(pi)) or labels.setdefault(id(pi), _complement_labels(sizes, pi)))
-        for pi, blocks in elements
-    )
-    return records, next(i for i, rec in enumerate(records) if rec[1] == identity)
+    pool, labels, runs, identity = {}, {}, {}, tuple(range(sum(sizes)))
+    for pi, blocks in elements:
+        blocks = tuple([pool.setdefault(b, b) for b in sorted(blocks, key=_points)])
+        own = labels.get(id(pi)) or labels.setdefault(id(pi), _complement_labels(sizes, pi))
+        runs.setdefault(None if own == identity else id(blocks[0]), []).append((blocks, own))
+    runs[None] = runs.pop(None)  # the top, last
+    bounds = tuple(accumulate(map(len, runs.values()), initial=0))
+    records = tuple(rec for run in runs.values() for rec in run)
+    return records, tuple(map(range, bounds, bounds[1:]))
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[Scalar]:
-    """Per record, its first item a list of blocks of 1-based cycles: the
-    product of kappa_n of each one-cycle block's arguments and kappa_{s,t}
-    of each two-cycle one's, left to right, stopped at its first zero factor.
+def _kappa_blocks(model: MomentOracle, args: Args, records, runs) -> list[tuple[int, Scalar]]:
+    """``(index, product)`` of each record in ``runs``, index sequences of
+    records sharing a first block, whose product is not an int zero: over the
+    record's first item, a list of blocks of 1-based cycles, kappa_n of each
+    one-cycle block's arguments times kappa_{s,t} of each two-cycle one's,
+    left to right, stopped at its first zero factor.  A run ends at its first
+    record if its first block is an int zero.
 
     A block object is evaluated once per call: in a plan, ``_plan`` made
     equal blocks one object.  Each product is computed once per pair of
@@ -168,32 +184,43 @@ def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[Scalar]:
     args = (None, *args)  # cycles count from 1
     factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
     products: dict[tuple[int, int], Scalar] = {}  # by ids: both operands are held
-    out: list[Scalar] = []
-    for rec in records:
-        value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
-        for block in rec[0]:
-            factor = factors.get(id(block))
-            if factor is None:
-                if len(block) == 1:
-                    factor = _kappa_n(model, tuple([args[i] for i in block[0]]))
+    out: list[tuple[int, Scalar]] = []
+    for run in runs:
+        for index in run:
+            value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
+            blocks = records[index][0]
+            for block in blocks:
+                factor = factors.get(id(block))
+                if factor is None:
+                    if len(block) == 1:
+                        factor = _kappa_n(model, tuple([args[i] for i in block[0]]))
+                    else:
+                        first, second = block
+                        factor = _kappa_pq(
+                            model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
+                        )
+                    factors[id(block)] = factor
+                if value is None:
+                    value = factor
                 else:
-                    first, second = block
-                    factor = _kappa_pq(
-                        model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
-                    )
-                factors[id(block)] = factor
-            if value is None:
-                value = factor
-            else:
-                key = (id(value), id(factor))
-                product = products.get(key)
-                if product is None:
-                    product = products[key] = value * factor
-                value = product
-            if not value:
-                break
-        out.append(value)
+                    key = (id(value), id(factor))
+                    product = products.get(key)
+                    if product is None:
+                        product = products[key] = value * factor
+                    value = product
+                if not value:
+                    break
+            if value or type(value) is not int:
+                out.append((index, value))
+            elif block is blocks[0]:
+                break  # an int zero head: every product of the run is 0
     return out
+
+
+def _block_product(model: MomentOracle, args: Args, blocks) -> Scalar:
+    """kappa over ``blocks``, multiplied smallest first as in a plan."""
+    walked = _kappa_blocks(model, args, [(sorted(blocks, key=_points),)], [(0,)])
+    return walked[0][1] if walked else 0
 
 
 @lru_cache(maxsize=None)
@@ -201,15 +228,15 @@ def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     n = len(args)
     if n == 1:
         return model.phi(args[0])
-    records, top = _plan((n,))
-    parts = _kappa_blocks(model, args, records[:top] + records[top + 1 :])
+    records, runs = _plan((n,))
+    parts = [v for _, v in _kappa_blocks(model, args, records, runs[:-1])]
     return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
-    records, top = _plan((len(args1), len(args2)))
-    parts = _kappa_blocks(model, args1 + args2, records[:top] + records[top + 1 :])
+    records, runs = _plan((len(args1), len(args2)))
+    parts = [v for _, v in _kappa_blocks(model, args1 + args2, records, runs[:-1])]
     return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
 
 
@@ -222,13 +249,14 @@ def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -
 
     An int zero adds nothing to a sum and leaves its type alone, unlike a
     Fraction or polynomial zero.  A record whose complement joins the ends
-    of the two circles is left out: every composition's endpoints hold both.
-    The disc has one end, so there every record stays.
+    of the two circles leaves its run: every composition's endpoints hold
+    both.  The disc has one end, so there every record stays.
     """
     ends = tuple(accumulate(sizes))
-    records = [rec for rec in _plan(sizes)[0] if _separated(rec[1], ends)]
-    products = _kappa_blocks(model, tuple([(letter,) for letter in word]), records)
-    return tuple((rec[1], v) for rec, v in zip(records, products) if v or type(v) is not int)
+    records, runs = _plan(sizes)
+    runs = [kept for run in runs if (kept := [i for i in run if _separated(records[i][1], ends)])]
+    walked = _kappa_blocks(model, tuple([(letter,) for letter in word]), records, runs)
+    return tuple((records[i][1], v) for i, v in walked)
 
 
 _MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _plan, _nonzero_summands)}
@@ -249,22 +277,22 @@ def memo_info() -> dict[str, dict[str, int]]:
 
 def kappa_n(model: MomentOracle, args) -> Scalar:
     """The free cumulant of the argument list, by the disc recursion."""
-    return _kappa_n(model, _norm_args(args))
+    return _kappa_n(model, *_norm_args(args))
 
 
 def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
-    """Product of cumulants over the cycles of a disc non-crossing pi."""
-    args = _norm_args(args)
+    """Product of cumulants over the cycles of a disc non-crossing pi, smallest first."""
+    (args,) = _norm_args(args)
     if pi.size != len(args):
         raise ValueError("permutation size does not match argument count")
     if not is_nc_disc(pi):
         raise ValueError(f"{pi!r} is not disc non-crossing")
-    return _kappa_blocks(model, args, [([(c,) for c in pi.cycles],)])[0]
+    return _block_product(model, args, [(c,) for c in pi.cycles])
 
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
     """The second order cumulant, by the annular recursion."""
-    return _kappa_pq(model, _norm_args(args1), _norm_args(args2))
+    return _kappa_pq(model, *_norm_args(args1, args2))
 
 
 def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
@@ -272,17 +300,17 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
 
     Single-cycle blocks contribute kappa over the cycle (arguments read in
     cycle order from the minimum); a two-cycle block contributes
-    kappa_{s,t} with the cycle of smaller minimum first.  For the annular
-    elements that smaller-minimum cycle is the outer-circle one.  A block
-    of three or more cycles is a ValueError.
+    kappa_{s,t} with the cycle of smaller minimum first, for the annular
+    elements the outer-circle one.  Blocks multiply smallest first, as in a
+    plan.  A block of three or more cycles is a ValueError.
     """
-    args = _norm_args(args)
+    (args,) = _norm_args(args)
     if vp.size != len(args):
         raise ValueError("partitioned permutation size does not match arguments")
     blocks = vp.block_cycles()
     if any(len(block) > 2 for block in blocks):
         raise ValueError("a block may hold at most two cycles")
-    return _kappa_blocks(model, args, [(blocks,)])[0]
+    return _block_product(model, args, blocks)
 
 
 # -- reconstruction (the defining sums, used as consistency checks) ----
@@ -290,16 +318,16 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
 
 def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
-    args = _norm_args(args)
-    records, _ = _plan((len(args),))
-    return CumulantPolynomial.sum(_kappa_blocks(model, args, records))
+    (args,) = _norm_args(args)
+    records, runs = _plan((len(args),))
+    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, records, runs))
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
-    args1, args2 = _norm_args(args1), _norm_args(args2)
-    records, _ = _plan((len(args1), len(args2)))
-    return CumulantPolynomial.sum(_kappa_blocks(model, args1 + args2, records))
+    args1, args2 = _norm_args(args1, args2)
+    records, runs = _plan((len(args1), len(args2)))
+    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args1 + args2, records, runs))
 
 
 # -- cumulants with products as arguments ------------------------------
@@ -326,7 +354,7 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     word = tuple(word)
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
-    return _separated_sum(model, word, (comp.total,), comp.boundary_points)
+    return _separated_sum(model, word, (_check_bound(comp.total),), comp.boundary_points)
 
 
 def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -342,6 +370,7 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
     shape = comp.shape()
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
+    _check_bound(comp.total)
     return _separated_sum(model, word, (shape.p, shape.q), comp.boundary_points)
 
 
@@ -355,10 +384,11 @@ def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Sca
     """The independent route: the direct recursion on the grouped words."""
     word = tuple(word)
     groups = _grouped_args(word, comp)
+    _check_bound(comp.total)  # bounds the part count too: the groups are nonempty tuples
     if comp.split is None:
-        return kappa_n(model, tuple(groups))
+        return _kappa_n(model, tuple(groups))
     r = comp.split
-    return kappa_pq(model, tuple(groups[:r]), tuple(groups[r:]))
+    return _kappa_pq(model, tuple(groups[:r]), tuple(groups[r:]))
 
 
 # -- symbolic tables ---------------------------------------------------

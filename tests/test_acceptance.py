@@ -183,7 +183,7 @@ def test_criterion_3_main_theorem():
     _run(
         3,
         "second order cumulants with products as entries, totals <= 8",
-        30,
+        15,
         lambda: _all_pass(suite_main_theorem(8, jobs=4)),
     )
 
@@ -232,7 +232,7 @@ def test_criterion_7_haar_unitary():
                 f"(m,n)=({m},{n}): got {got!r}, want {want}"
             )
 
-    _run(7, "unitary sign sweeps and the four frozen values", 45, body)
+    _run(7, "unitary sign sweeps and the four frozen values", 10, body)
 
 
 # -- criterion 8: the counting recurrence -----------------------------

@@ -88,6 +88,15 @@ def sym(name):
     return CumulantPolynomial.from_symbol(name)
 
 
+def _points(block):
+    return sum(map(len, block))
+
+
+def _size_order(blocks):
+    """Blocks smallest first by point count, ties in their given order."""
+    return tuple(sorted(blocks, key=_points))
+
+
 class TestFirstOrder:
     def test_semicircular_is_free_of_higher_cumulants(self):
         sc = semicircular_space()
@@ -240,6 +249,32 @@ class TestSizeLimit:
             with pytest.raises(ValueError, match="exceeds the ceiling 3 "):
                 call()
 
+    def test_a_lowered_ceiling_refuses_warm_shapes(self, monkeypatch):
+        # Each public entry point checks its total before any memo lookup, so
+        # what ran earlier in the process does not change what it refuses.
+        fm = formal_moment_space()
+        two, four = letters(a_word(2)), letters(a_word(4))
+        vp = enumerate_psnc(AnnulusShape(2, 2))[0]
+        calls = (
+            lambda: kappa_pq(fm, two, two),
+            lambda: kappa_n(fm, four),
+            lambda: kappa_pi(fm, four, Permutation.identity(4)),
+            lambda: kappa_vp(fm, four, vp),
+            lambda: phi_via_cumulants(fm, four),
+            lambda: phi2_via_cumulants(fm, two, two),
+            lambda: ks_product_cumulant(fm, a_word(4), Composition((2, 2))),
+            lambda: main_product_cumulant(fm, a_word(4), Composition((2, 2), split=1)),
+            lambda: oracle_product_cumulant(fm, a_word(4), Composition((2, 2), split=1)),
+            lambda: oracle_product_cumulant(fm, a_word(4), Composition((2, 2))),
+            lambda: haar_kappa_pq(2, 2, (1, -1, 1, -1)),
+        )
+        for call in calls:
+            call()  # warm, under the default ceiling
+        monkeypatch.setenv("NCFREE_MAX_TOTAL", "3")
+        for call in calls:
+            with pytest.raises(ValueError, match="exceeds the ceiling 3 "):
+                call()
+
 
 class TestProductsAsEntries:
     def test_single_part_is_the_moment(self):
@@ -350,22 +385,35 @@ class TestProductsAsEntries:
                 assert all(product or type(product) is not int for _, product in table)
 
     def test_plans_leave_out_only_the_solved_for_element(self):
+        # The runs cover the records in order, each shares one first block
+        # object that no other run starts with, and the solved-for element is
+        # the last run, alone.
+        def check_runs(records, runs, top_blocks, where):
+            assert [i for run in runs for i in run] == list(range(len(records))), where
+            assert all(isinstance(run, range) for run in runs), where
+            heads = [records[run[0]][0][0] for run in runs]
+            assert len({id(h) for h in heads}) == len(runs), where
+            for run, head in zip(runs, heads):
+                assert all(records[i][0][0] is head for i in run), where
+            assert [i for i, rec in enumerate(records) if rec[0] == top_blocks] == [len(records) - 1], where
+            assert runs[-1] == range(len(records) - 1, len(records)), where
+
         for n in range(1, 8):
-            records, top = _plan((n,))
+            records, runs = _plan((n,))
             assert len(records) == len(enumerate_nc(n))
-            full = ((tuple(range(1, n + 1)),),)
-            assert [i for i, rec in enumerate(records) if rec[0] == full] == [top]
+            check_runs(records, runs, ((tuple(range(1, n + 1)),),), n)
         for total in range(2, 7):
             for p in range(1, total):
                 q = total - p
-                records, top = _plan((p, q))
+                records, runs = _plan((p, q))
                 assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
                 glued = ((tuple(range(1, p + 1)), tuple(range(p + 1, total + 1))),)
-                assert [i for i, rec in enumerate(records) if rec[0] == glued] == [top]
+                check_runs(records, runs, glued, (p, q))
 
     def test_plan_labels_are_the_complement_cycles(self):
         # Each record's labels index the cycles of its complement pi^-1 gamma,
-        # computed here by public Permutation arithmetic.
+        # computed here by public Permutation arithmetic.  Records are matched
+        # to elements by their blocks, which determine the element.
         def cycle_labels(a):
             out = [0] * a.size
             for ci, cycle in enumerate(a.cycles):
@@ -375,34 +423,47 @@ class TestProductsAsEntries:
 
         for n in range(1, 8):
             records, _ = _plan((n,))
-            want = [cycle_labels(pi.inverse() * full_cycle(n)) for pi in enumerate_nc(n)]
-            assert [labels for _, labels in records] == want, n
+            want = [
+                (_size_order([(c,) for c in pi.cycles]), cycle_labels(pi.inverse() * full_cycle(n)))
+                for pi in enumerate_nc(n)
+            ]
+            assert len(records) == len(want), n
+            assert sorted(records) == sorted(want), n
         for total in range(2, 7):
             for p in range(1, total):
                 shape = AnnulusShape(p, total - p)
                 records, _ = _plan((shape.p, shape.q))
-                want = [cycle_labels(kreweras(shape, vp.perm)) for vp in enumerate_psnc(shape)]
-                assert [labels for _, labels in records] == want, shape
+                want = [
+                    (_size_order(vp.block_cycles()), cycle_labels(kreweras(shape, vp.perm)))
+                    for vp in enumerate_psnc(shape)
+                ]
+                assert len(records) == len(want), shape
+                assert sorted(records) == sorted(want), shape
 
     def test_plan_blocks_are_the_enumerations_cycles(self):
-        # The blocks are the enumeration's own cycle tuples, not copies, and
-        # elements that share a permutation object share one labels tuple.
+        # The blocks are the enumeration's own cycle tuples, not copies, in
+        # size order, and elements that share a permutation object share one
+        # labels tuple.
         for total in range(2, 8):
             for p in range(1, total):
                 family = enumerate_psnc(AnnulusShape(p, total - p))
                 records, _ = _plan((p, total - p))
+                by_blocks = {rec[0]: rec for rec in records}
+                assert len(by_blocks) == len(records) == len(family), (p, total - p)
                 by_perm = {}
-                for vp, (blocks, labels) in zip(family, records):
-                    assert blocks == vp.block_cycles(), (p, total - p)
+                for vp in family:
+                    blocks = _size_order(vp.block_cycles())
+                    assert [_points(b) for b in blocks] == sorted(map(_points, blocks))
+                    rec = by_blocks[blocks]
                     own = {id(c) for c in vp.perm.cycles}
-                    assert all(id(c) in own for block in blocks for c in block), (p, total - p)
-                    assert by_perm.setdefault(id(vp.perm), labels) is labels, (p, total - p)
+                    assert all(id(c) in own for block in rec[0] for c in block), (p, total - p)
+                    assert by_perm.setdefault(id(vp.perm), rec[1]) is rec[1], (p, total - p)
                 assert total == 2 or len(by_perm) < len(family), (p, total - p)
         for n in range(1, 8):
             records, _ = _plan((n,))
-            assert [blocks for blocks, _ in records] == [
-                tuple((c,) for c in pi.cycles) for pi in enumerate_nc(n)
-            ], n
+            assert sorted(blocks for blocks, _ in records) == sorted(
+                _size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(n)
+            ), n
 
     @pytest.mark.parametrize(
         "call, message",
@@ -488,15 +549,30 @@ def _plain_product(model, args, blocks):
 
 class TestSharedWork:
     def test_walk_matches_plain_products_on_mixed_scalars(self):
+        # Every walked record's product is its plain product, in value and
+        # type; every record left out has the plain product int 0.  Haar
+        # words have int-zero heads, so there runs are skipped.
         clear_caches()
-        plans = [(_plan((n,))[0], letters(a_word(n))) for n in range(1, 7)]
-        for p, q in itertools.product(range(1, 4), repeat=2):
-            plans.append((_plan((p, q))[0], letters(a_word(p + q))))
-        for records, args in plans:
-            got = _kappa_blocks(MIXED, args, records)
-            want = [_plain_product(MIXED, args, rec[0]) for rec in records]
-            assert got == want, len(args)
-            assert [type(v) for v in got] == [type(v) for v in want], len(args)
+        haar = haar_unitary_space()
+        skipped = 0
+        for model, word in ((MIXED, a_word), (haar, lambda n: model_word(haar, n))):
+            plans = [(_plan((n,)), letters(word(n))) for n in range(1, 7)]
+            for p, q in itertools.product(range(1, 4), repeat=2):
+                plans.append((_plan((p, q)), letters(word(p + q))))
+            for (records, runs), args in plans:
+                walked = _kappa_blocks(model, args, records, runs)
+                assert [i for i, _ in walked] == sorted({i for i, _ in walked}), len(args)
+                got = dict(walked)
+                for i, rec in enumerate(records):
+                    want = _plain_product(model, args, rec[0])
+                    if i in got:
+                        assert got[i] == want and type(got[i]) is type(want), (len(args), rec[0])
+                    else:
+                        assert type(want) is int and want == 0, (len(args), rec[0])
+                        skipped += 1
+                if model is MIXED:
+                    assert len(got) == len(records), len(args)
+        assert skipped
 
     def test_mixed_scalar_cumulants_are_frozen(self):
         clear_caches()
@@ -516,10 +592,12 @@ class TestSharedWork:
         )
         for sizes in ((6,), (3, 2), (3, 3)):
             args = letters(a_word(sum(sizes)))
-            records = _plan(sizes)[0]
-            got = _kappa_blocks(model, args, records)
+            records, runs = _plan(sizes)
+            walked = _kappa_blocks(model, args, records, runs)
+            assert len(walked) == len(records), sizes  # no zero heads
             seen, repeats = {}, 0
-            for rec, value in zip(records, got):
+            for i, value in walked:
+                rec = records[i]
                 key = tuple(id(f) for f in _factors(model, args, rec[0]))
                 if key in seen:
                     assert seen[key] is value, (sizes, rec[0])
@@ -534,6 +612,137 @@ class TestSharedWork:
             table = _nonzero_summands(formal_moment_space(), a_word(2 * p), (p, p))
             distinct = {id(product) for _, product in table}
             assert 4 * len(distinct) < len(table), (p, len(distinct), len(table))
+
+
+class _PlainRecursion:
+    """kappa_n and kappa_{p,q} by their defining sums over the enumerated
+    families: each element's blocks in min-point order, each product left to
+    right and stopped at a zero factor, each sum a left-to-right fold from 0.
+    Its own memo; it reads no plan and no library memo."""
+
+    def __init__(self, model):
+        self.model, self.memo = model, {}
+
+    def kappa(self, args1, args2=None):
+        key = (args1, args2)
+        if key not in self.memo:
+            self.memo[key] = self._solve(args1, args2)
+        return self.memo[key]
+
+    def _solve(self, args1, args2):
+        if args2 is None:
+            n = len(args1)
+            if n == 1:
+                return self.model.phi(args1[0])
+            moment = self.model.phi(tuple(itertools.chain(*args1)))
+            top = full_cycle(n)
+            elements = [(pi == top, [(c,) for c in pi.cycles]) for pi in enumerate_nc(n)]
+            args = args1
+        else:
+            shape = AnnulusShape(len(args1), len(args2))
+            moment = self.model.phi2(tuple(itertools.chain(*args1)), tuple(itertools.chain(*args2)))
+            top = shape.gamma()
+            elements = [(vp.perm == top, vp.block_cycles()) for vp in enumerate_psnc(shape)]
+            args = args1 + args2
+        assert sum(is_top for is_top, _ in elements) == 1
+        total = 0
+        for is_top, blocks in elements:
+            if not is_top:
+                total = total + self._product(args, blocks)
+        return moment - total
+
+    def _product(self, args, blocks):
+        value = None
+        for block in blocks:
+            words = [tuple(args[i - 1] for i in cycle) for cycle in block]
+            factor = self.kappa(*words)
+            value = factor if value is None else value * factor
+            if not value:
+                break
+        return value
+
+
+def _zero_phi(word):
+    # kappa_1 of b is an int 0, of a a Fraction; longer words have Fraction moments.
+    if len(word) == 1:
+        return 0 if word[0][0] == "b" else Fraction(1, 2)
+    return Fraction(len(word), 2)
+
+
+INT_ZERO_SINGLETONS = MomentOracle(
+    "int-zero-singletons", _zero_phi, lambda w1, w2: Fraction(len(w1) + len(w2), 5)
+)
+
+
+class TestBlockOrder:
+    def test_recursions_match_a_min_point_order_recursion(self):
+        clear_caches()
+        plains = {}
+        for total in range(1, 7):
+            for model, word in (*model_cases(total), (MIXED, a_word(total))):
+                plain = plains.setdefault(model, _PlainRecursion(model))
+                args = letters(word)
+                got, want = kappa_n(model, args), plain.kappa(args)
+                assert got == want and type(got) is type(want), (model.name, word)
+                for p in range(1, total):
+                    got, want = kappa_pq(model, args[:p], args[p:]), plain.kappa(args[:p], args[p:])
+                    assert got == want and type(got) is type(want), (model.name, word, p)
+
+    def test_blocks_behind_an_int_zero_head_are_never_evaluated(self):
+        # On four points every block of three, and on the (2, 2) annulus every
+        # glued block of two, comes with a singleton, whose kappa_1 is an int
+        # 0 and is the head, so no kappa_3, kappa_{2,1} or kappa_{1,1} is ever
+        # asked for.
+        clear_caches()
+        calls = []
+
+        def phi(word):
+            calls.append((len(word),))
+            return _zero_phi(word)
+
+        def phi2(w1, w2):
+            calls.append((len(w1), len(w2)))
+            return Fraction(len(w1) + len(w2), 5)
+
+        model = MomentOracle("counting", phi, phi2)
+        args = tuple((("b", i),) for i in range(1, 5))
+        got_n, got_pq = kappa_n(model, args), kappa_pq(model, args[:2], args[2:])
+        assert {(1,), (2,), (4,), (2, 2)} <= set(calls)
+        assert not {(3,), (2, 1), (1, 2), (1, 1)} & set(calls), sorted(set(calls))
+        plain = _PlainRecursion(model)
+        assert got_n == plain.kappa(args) and got_pq == plain.kappa(args[:2], args[2:])
+        clear_caches()
+
+    def test_zero_products_take_the_type_of_the_first_zero_in_size_order(self):
+        clear_caches()
+        model = INT_ZERO_SINGLETONS
+        b4 = letters((("b", 1),) * 4)
+        # In min-point order (1,2,3)(4) is kappa_3 * kappa_1 = Fraction(0);
+        # smallest first it stops at kappa_1, an int 0.
+        min_point = kappa_n(model, b4[:3]) * kappa_n(model, b4[3:])
+        assert min_point == 0 and type(min_point) is Fraction
+        got = kappa_pi(model, b4, Permutation.parse("(1,2,3)(4)"))
+        assert got == 0 and type(got) is int
+        vp = next(
+            vp for vp in enumerate_psnc(AnnulusShape(2, 2))
+            if vp.block_cycles() == (((1, 2), (3,)), ((4,),))
+        )
+        got = kappa_vp(model, b4, vp)
+        assert got == 0 and type(got) is int
+        # Equal sizes keep min-point order: a Fraction head times the int 0
+        # of b is a Fraction zero, and b first is the int 0 itself.
+        ab = letters((("a", 1), ("b", 1)))
+        got = kappa_pi(model, ab, Permutation.identity(2))
+        assert got == 0 and type(got) is Fraction
+        got = kappa_pi(model, ab[::-1], Permutation.identity(2))
+        assert got == 0 and type(got) is int
+        # The walk leaves out exactly the records behind an int-zero head.
+        records, runs = _plan((4,))
+        walked = dict(_kappa_blocks(model, b4, records, runs))
+        for i, (blocks, _) in enumerate(records):
+            assert (i in walked) == (len(blocks[0][0]) > 1), blocks
+        pairs = next(i for i, (blocks, _) in enumerate(records) if blocks == (((1, 2),), ((3, 4),)))
+        assert walked[pairs] == 1
 
 
 class TestCountsAndMobius:
