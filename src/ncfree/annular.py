@@ -382,8 +382,8 @@ def enumerate_psnc(shape: AnnulusShape) -> tuple[PartitionedPermutation, ...]:
     """All annular partitioned permutations of the shape.
 
     Disc-type elements come first, in ``enumerate_snc`` order; then the
-    tunnel elements, ordered by (outer factor, inner factor, glued pair).
-    Memoized per shape.
+    tunnel elements, ordered by (outer factor, inner factor, glued pair), so
+    one permutation's elements are adjacent.  Memoized per shape.
     """
     _check_bound(shape.total)
     return _psnc(shape.p, shape.q)

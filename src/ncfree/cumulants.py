@@ -43,16 +43,17 @@ The test suite checks both against the direct recursions on the grouped
 words; neither is assumed.
 
 Every sum above walks a plan built once per size (n,) or shape (p, q),
-``_plan(sizes) = (records, runs)``: per element its blocks, the
-enumeration's own 1-based cycle tuples smallest first, and the cycle labels
-of its complement pi^-1 gamma; ``runs`` are the index ranges of records
-sharing a first block, the solved-for element (permutation gamma) last and
-alone.  ``_kappa_blocks`` is the only code that multiplies cumulants over
-blocks: it evaluates each distinct block and product once per call, of any
-scalar type, stops a product at its first zero factor and skips a run whose
-first block is an int zero (kappa_1(u) = 0 empties every Haar element with
-a singleton).  So a zero product is the running product at its first zero
-in size order: (1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
+``_plan(sizes)``: one ``(blocks, labels)`` record per element, its blocks
+the enumeration's own 1-based cycle tuples smallest first and its labels
+those of the cycles of its complement pi^-1 gamma; records sharing a first
+block are adjacent and the solved-for element (permutation gamma) is last.
+``_kappa_blocks`` is the only code that multiplies cumulants over blocks:
+it evaluates each distinct block and product once per call, of any scalar
+type, stops a product at its first zero factor and skips the records
+behind a first block that is an int zero (kappa_1(u) = 0 empties every
+Haar element with a singleton).  So a zero product is the running product
+at its first zero in size order: (1,2,3)(4) is 0 where kappa_1 is, not
+kappa_3 * 0 = Fraction(0).
 
 Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
@@ -72,7 +73,7 @@ Every public entry point checks its total before it reads any of them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 
 from .annular import (
@@ -146,34 +147,34 @@ def _points(block) -> int:
 
 
 @lru_cache(maxsize=None)
-def _plan(sizes: tuple[int, ...]):
-    """Per element of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q): its
-    blocks by point count, ties in min-point order, and its complement's cycle
-    labels; and the ranges of records sharing a first block, the top last and
-    alone: the one element whose complement is the identity (gamma_pq has no
-    through cycle).  Equal blocks are one object, as are one permutation's labels."""
+def _plan(sizes: tuple[int, ...]) -> tuple:
+    """One ``(blocks, labels)`` record per element of NC(n), sizes (n,), or of
+    PS_NC(p, q), sizes (p, q): its blocks by point count, ties in min-point
+    order, and its complement's cycle labels.  Records sharing a first block
+    are adjacent, and the top is last: the one element whose complement is
+    the identity (gamma_pq has no through cycle).  Equal blocks are one
+    object, as are one permutation's labels: its elements are adjacent."""
     if len(sizes) == 1:
         elements = [(pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
     else:
         elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
-    pool, labels, runs, identity = {}, {}, {}, tuple(range(sum(sizes)))
+    pool, by_head, last, identity = {}, {}, None, tuple(range(sum(sizes)))
     for pi, blocks in elements:
+        if pi is not last:
+            last, labels = pi, _complement_labels(sizes, pi)
         blocks = tuple([pool.setdefault(b, b) for b in sorted(blocks, key=_points)])
-        own = labels.get(id(pi)) or labels.setdefault(id(pi), _complement_labels(sizes, pi))
-        runs.setdefault(None if own == identity else id(blocks[0]), []).append((blocks, own))
-    runs[None] = runs.pop(None)  # the top, last
-    bounds = tuple(accumulate(map(len, runs.values()), initial=0))
-    records = tuple(rec for run in runs.values() for rec in run)
-    return records, tuple(map(range, bounds, bounds[1:]))
+        by_head.setdefault(None if labels == identity else blocks[0], []).append((blocks, labels))
+    by_head[None] = by_head.pop(None)  # the top, last
+    return tuple(rec for group in by_head.values() for rec in group)
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, records, runs) -> list[tuple[int, Scalar]]:
-    """``(index, product)`` of each record in ``runs``, index sequences of
-    records sharing a first block, whose product is not an int zero: over the
-    record's first item, a list of blocks of 1-based cycles, kappa_n of each
-    one-cycle block's arguments times kappa_{s,t} of each two-cycle one's,
-    left to right, stopped at its first zero factor.  A run ends at its first
-    record if its first block is an int zero.
+def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[tuple[object, Scalar]]:
+    """``(tag, product)`` of each ``(blocks, tag)`` record whose product is not
+    an int zero: over ``blocks``, a list of blocks of 1-based cycles, kappa_n
+    of each one-cycle block's arguments times kappa_{s,t} of each two-cycle
+    one's, left to right, stopped at its first zero factor.  A first block
+    that is an int zero also leaves out the records after it that share that
+    block object, as a plan lists them together.
 
     A block object is evaluated once per call: in a plan, ``_plan`` made
     equal blocks one object.  Each product is computed once per pair of
@@ -184,43 +185,46 @@ def _kappa_blocks(model: MomentOracle, args: Args, records, runs) -> list[tuple[
     args = (None, *args)  # cycles count from 1
     factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
     products: dict[tuple[int, int], Scalar] = {}  # by ids: both operands are held
-    out: list[tuple[int, Scalar]] = []
-    for run in runs:
-        for index in run:
-            value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
-            blocks = records[index][0]
-            for block in blocks:
-                factor = factors.get(id(block))
-                if factor is None:
-                    if len(block) == 1:
-                        factor = _kappa_n(model, tuple([args[i] for i in block[0]]))
-                    else:
-                        first, second = block
-                        factor = _kappa_pq(
-                            model, tuple([args[i] for i in first]), tuple([args[i] for i in second])
-                        )
-                    factors[id(block)] = factor
-                if value is None:
-                    value = factor
+    out: list[tuple[object, Scalar]] = []
+    dead = None  # the last first block that was an int zero
+    for blocks, tag in records:
+        if blocks[0] is dead:
+            continue
+        value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
+        for block in blocks:
+            factor = factors.get(id(block))
+            if factor is None:
+                if len(block) == 1:
+                    factor = _kappa_n(model, tuple([args[i] for i in block[0]]))
                 else:
-                    key = (id(value), id(factor))
-                    product = products.get(key)
-                    if product is None:
-                        product = products[key] = value * factor
-                    value = product
-                if not value:
-                    break
-            if value or type(value) is not int:
-                out.append((index, value))
-            elif block is blocks[0]:
-                break  # an int zero head: every product of the run is 0
+                    words = tuple([args[i] for i in block[0]]), tuple([args[i] for i in block[1]])
+                    factor = _kappa_pq(model, *words)
+                factors[id(block)] = factor
+            if value is None:
+                value = factor
+            else:
+                key = (id(value), id(factor))
+                product = products.get(key)
+                if product is None:
+                    product = products[key] = value * factor
+                value = product
+            if not value:
+                break
+        if value or type(value) is not int:
+            out.append((tag, value))
+        elif block is blocks[0]:
+            dead = block
     return out
 
 
 def _block_product(model: MomentOracle, args: Args, blocks) -> Scalar:
     """kappa over ``blocks``, multiplied smallest first as in a plan."""
-    walked = _kappa_blocks(model, args, [(sorted(blocks, key=_points),)], [(0,)])
-    return walked[0][1] if walked else 0
+    return _summed(model, args, [(sorted(blocks, key=_points), None)])
+
+
+def _summed(model: MomentOracle, args: Args, records) -> Scalar:
+    """The sum of the products of ``records`` on ``args``."""
+    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, records))
 
 
 @lru_cache(maxsize=None)
@@ -228,16 +232,16 @@ def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     n = len(args)
     if n == 1:
         return model.phi(args[0])
-    records, runs = _plan((n,))
-    parts = [v for _, v in _kappa_blocks(model, args, records, runs[:-1])]
-    return model.phi(concat_words(args)) - CumulantPolynomial.sum(parts)
+    records = _plan((n,))
+    below = _summed(model, args, islice(records, len(records) - 1))
+    return model.phi(concat_words(args)) - below
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
-    records, runs = _plan((len(args1), len(args2)))
-    parts = [v for _, v in _kappa_blocks(model, args1 + args2, records, runs[:-1])]
-    return model.phi2(concat_words(args1), concat_words(args2)) - CumulantPolynomial.sum(parts)
+    records = _plan((len(args1), len(args2)))
+    below = _summed(model, args1 + args2, islice(records, len(records) - 1))
+    return model.phi2(concat_words(args1), concat_words(args2)) - below
 
 
 @lru_cache(maxsize=128)
@@ -249,14 +253,12 @@ def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -
 
     An int zero adds nothing to a sum and leaves its type alone, unlike a
     Fraction or polynomial zero.  A record whose complement joins the ends
-    of the two circles leaves its run: every composition's endpoints hold
+    of the two circles is left out: every composition's endpoints hold
     both.  The disc has one end, so there every record stays.
     """
     ends = tuple(accumulate(sizes))
-    records, runs = _plan(sizes)
-    runs = [kept for run in runs if (kept := [i for i in run if _separated(records[i][1], ends)])]
-    walked = _kappa_blocks(model, tuple([(letter,) for letter in word]), records, runs)
-    return tuple((records[i][1], v) for i, v in walked)
+    kept = (rec for rec in _plan(sizes) if _separated(rec[1], ends))
+    return tuple(_kappa_blocks(model, tuple([(letter,) for letter in word]), kept))
 
 
 _MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _plan, _nonzero_summands)}
@@ -319,24 +321,25 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
 def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     (args,) = _norm_args(args)
-    records, runs = _plan((len(args),))
-    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, records, runs))
+    return _summed(model, args, _plan((len(args),)))
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
     args1, args2 = _norm_args(args1, args2)
-    records, runs = _plan((len(args1), len(args2)))
-    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args1 + args2, records, runs))
+    return _summed(model, args1 + args2, _plan((len(args1), len(args2))))
 
 
 # -- cumulants with products as arguments ------------------------------
 
 
-def _grouped_args(word: Word, comp: Composition) -> list[Word]:
+def _composed_word(word, comp: Composition) -> Word:
+    """``word`` as a tuple, refused unless ``comp`` exhausts it and its total is in bound."""
+    word = tuple(word)
     if comp.total != len(word):
         raise ValueError("composition does not exhaust the word")
-    return [tuple(word[end - n : end]) for n, end in zip(comp.parts, comp.boundary_points)]
+    _check_bound(comp.total)  # bounds the part count too: the parts are positive
+    return word
 
 
 def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -351,10 +354,7 @@ def ks_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     """
     if comp.split is not None:
         raise ValueError("use a split composition with main_product_cumulant")
-    word = tuple(word)
-    if comp.total != len(word):
-        raise ValueError("composition does not exhaust the word")
-    return _separated_sum(model, word, (_check_bound(comp.total),), comp.boundary_points)
+    return _separated_sum(model, _composed_word(word, comp), (comp.total,), comp.boundary_points)
 
 
 def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
@@ -366,12 +366,8 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
     endpoints.  The contract (checked by the suite, not assumed) is
     equality with kappa_{r,s} of the grouped words.
     """
-    word = tuple(word)
-    shape = comp.shape()
-    if comp.total != len(word):
-        raise ValueError("composition does not exhaust the word")
-    _check_bound(comp.total)
-    return _separated_sum(model, word, (shape.p, shape.q), comp.boundary_points)
+    sizes = (comp.p, comp.q)  # refuses an unsplit composition first
+    return _separated_sum(model, _composed_word(word, comp), sizes, comp.boundary_points)
 
 
 def _separated_sum(model: MomentOracle, word: Word, sizes: tuple[int, ...], points) -> Scalar:
@@ -382,9 +378,8 @@ def _separated_sum(model: MomentOracle, word: Word, sizes: tuple[int, ...], poin
 
 def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:
     """The independent route: the direct recursion on the grouped words."""
-    word = tuple(word)
-    groups = _grouped_args(word, comp)
-    _check_bound(comp.total)  # bounds the part count too: the groups are nonempty tuples
+    word = _composed_word(word, comp)
+    groups = [word[end - n : end] for n, end in zip(comp.parts, comp.boundary_points)]
     if comp.split is None:
         return _kappa_n(model, tuple(groups))
     r = comp.split

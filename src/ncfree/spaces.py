@@ -243,8 +243,10 @@ class CumulantPolynomial:
         if terms:
             for monomial, coeff in terms.items():
                 # int first: a Fraction test runs ABCMeta's instance hook in Python
-                if not isinstance(coeff, int) and isinstance(coeff, Fraction):
-                    coeff = int(coeff) if coeff.denominator == 1 else coeff
+                if type(coeff) is not int:
+                    if not isinstance(coeff, (int, Fraction)):
+                        raise ValueError(f"coefficient {coeff!r} is neither an int nor a Fraction")
+                    coeff = int(coeff) if isinstance(coeff, int) or coeff.denominator == 1 else coeff
                 if coeff:
                     clean[tuple(monomial)] = coeff
         self.terms = clean

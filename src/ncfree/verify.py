@@ -8,7 +8,8 @@ suites (see SUITES); the default bounds are the ones the acceptance tests
 run at.  Passing an explicit bound substitutes it where a sweep can absorb
 it; checks built on a quadratic scan of a full symmetric group clamp the
 bound to a feasible ceiling instead; suites that enumerate at their bound
-refuse one past ``annular._check_bound`` before any cell runs.
+refuse one past ``annular._check_bound``, and the squares suite and ``all``
+one past ``SQUARE_BOUND``, before any cell runs.
 
 Suites built from independent cells (one per annulus shape, or one per
 check) fan out over a process pool when ``jobs > 1``, with never more
@@ -1096,12 +1097,15 @@ def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[Chec
 SQUARE_BOUND = PAIRING_BOUND // 4
 
 
-def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    bound = _bound(max_total, 4)
-    if bound > SQUARE_BOUND:
+def _square_bound(max_total: int | None) -> int:
+    if (bound := _bound(max_total, 4)) > SQUARE_BOUND:
         raise ValueError(f"the squares suite runs to a bound of at most {SQUARE_BOUND}")
-    cells = [(p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)]
-    return _cells(_square_cell, cells, jobs)
+    return bound
+
+
+def suite_semicircular_square(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
+    sides = range(1, _square_bound(max_total) + 1)
+    return _cells(_square_cell, [(p, q) for p in sides for q in sides], jobs)
 
 
 def suite_haar(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
@@ -1180,10 +1184,8 @@ def suite_names() -> list[str]:
 def run_suite(name: str, max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run one suite (or ``all``) and return its results in order; a bound below 1 is refused."""
     if name == "all":
-        out: list[CheckResult] = []
-        for key in SUITES:
-            out.extend(SUITES[key](max_total, jobs))
-        return out
+        _square_bound(max_total)  # refused before any suite runs
+        return [result for suite in SUITES.values() for result in suite(max_total, jobs)]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(suite_names())}")
     return SUITES[name](max_total, jobs)

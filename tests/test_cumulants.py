@@ -385,30 +385,28 @@ class TestProductsAsEntries:
                 assert all(product or type(product) is not int for _, product in table)
 
     def test_plans_leave_out_only_the_solved_for_element(self):
-        # The runs cover the records in order, each shares one first block
-        # object that no other run starts with, and the solved-for element is
-        # the last run, alone.
-        def check_runs(records, runs, top_blocks, where):
-            assert [i for run in runs for i in run] == list(range(len(records))), where
-            assert all(isinstance(run, range) for run in runs), where
-            heads = [records[run[0]][0][0] for run in runs]
-            assert len({id(h) for h in heads}) == len(runs), where
-            for run, head in zip(runs, heads):
-                assert all(records[i][0][0] is head for i in run), where
+        # A plan is a flat tuple of (blocks, labels) pairs.  Records sharing a
+        # first block object are adjacent: no object heads two separate runs
+        # of records.  The solved-for element is the last record, alone.
+        def check_records(records, top_blocks, where):
+            assert isinstance(records, tuple) and all(len(rec) == 2 for rec in records), where
+            heads = [blocks[0] for blocks, _ in records]
+            starts = [i for i, head in enumerate(heads) if i == 0 or head is not heads[i - 1]]
+            assert len({id(heads[i]) for i in starts}) == len(starts), where
             assert [i for i, rec in enumerate(records) if rec[0] == top_blocks] == [len(records) - 1], where
-            assert runs[-1] == range(len(records) - 1, len(records)), where
+            assert starts[-1] == len(records) - 1, where
 
         for n in range(1, 8):
-            records, runs = _plan((n,))
+            records = _plan((n,))
             assert len(records) == len(enumerate_nc(n))
-            check_runs(records, runs, ((tuple(range(1, n + 1)),),), n)
+            check_records(records, ((tuple(range(1, n + 1)),),), n)
         for total in range(2, 7):
             for p in range(1, total):
                 q = total - p
-                records, runs = _plan((p, q))
+                records = _plan((p, q))
                 assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
                 glued = ((tuple(range(1, p + 1)), tuple(range(p + 1, total + 1))),)
-                check_runs(records, runs, glued, (p, q))
+                check_records(records, glued, (p, q))
 
     def test_plan_labels_are_the_complement_cycles(self):
         # Each record's labels index the cycles of its complement pi^-1 gamma,
@@ -422,7 +420,7 @@ class TestProductsAsEntries:
             return tuple(out)
 
         for n in range(1, 8):
-            records, _ = _plan((n,))
+            records = _plan((n,))
             want = [
                 (_size_order([(c,) for c in pi.cycles]), cycle_labels(pi.inverse() * full_cycle(n)))
                 for pi in enumerate_nc(n)
@@ -432,7 +430,7 @@ class TestProductsAsEntries:
         for total in range(2, 7):
             for p in range(1, total):
                 shape = AnnulusShape(p, total - p)
-                records, _ = _plan((shape.p, shape.q))
+                records = _plan((shape.p, shape.q))
                 want = [
                     (_size_order(vp.block_cycles()), cycle_labels(kreweras(shape, vp.perm)))
                     for vp in enumerate_psnc(shape)
@@ -447,7 +445,7 @@ class TestProductsAsEntries:
         for total in range(2, 8):
             for p in range(1, total):
                 family = enumerate_psnc(AnnulusShape(p, total - p))
-                records, _ = _plan((p, total - p))
+                records = _plan((p, total - p))
                 by_blocks = {rec[0]: rec for rec in records}
                 assert len(by_blocks) == len(records) == len(family), (p, total - p)
                 by_perm = {}
@@ -460,7 +458,7 @@ class TestProductsAsEntries:
                     assert by_perm.setdefault(id(vp.perm), rec[1]) is rec[1], (p, total - p)
                 assert total == 2 or len(by_perm) < len(family), (p, total - p)
         for n in range(1, 8):
-            records, _ = _plan((n,))
+            records = _plan((n,))
             assert sorted(blocks for blocks, _ in records) == sorted(
                 _size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(n)
             ), n
@@ -547,11 +545,16 @@ def _plain_product(model, args, blocks):
     return value
 
 
+def _by_index(records):
+    """A plan's records tagged with their index instead of their labels."""
+    return [(blocks, i) for i, (blocks, _) in enumerate(records)]
+
+
 class TestSharedWork:
     def test_walk_matches_plain_products_on_mixed_scalars(self):
         # Every walked record's product is its plain product, in value and
         # type; every record left out has the plain product int 0.  Haar
-        # words have int-zero heads, so there runs are skipped.
+        # words have int-zero heads, so there records behind them are skipped.
         clear_caches()
         haar = haar_unitary_space()
         skipped = 0
@@ -559,8 +562,8 @@ class TestSharedWork:
             plans = [(_plan((n,)), letters(word(n))) for n in range(1, 7)]
             for p, q in itertools.product(range(1, 4), repeat=2):
                 plans.append((_plan((p, q)), letters(word(p + q))))
-            for (records, runs), args in plans:
-                walked = _kappa_blocks(model, args, records, runs)
+            for records, args in plans:
+                walked = _kappa_blocks(model, args, _by_index(records))
                 assert [i for i, _ in walked] == sorted({i for i, _ in walked}), len(args)
                 got = dict(walked)
                 for i, rec in enumerate(records):
@@ -592,8 +595,8 @@ class TestSharedWork:
         )
         for sizes in ((6,), (3, 2), (3, 3)):
             args = letters(a_word(sum(sizes)))
-            records, runs = _plan(sizes)
-            walked = _kappa_blocks(model, args, records, runs)
+            records = _plan(sizes)
+            walked = _kappa_blocks(model, args, _by_index(records))
             assert len(walked) == len(records), sizes  # no zero heads
             seen, repeats = {}, 0
             for i, value in walked:
@@ -737,8 +740,8 @@ class TestBlockOrder:
         got = kappa_pi(model, ab[::-1], Permutation.identity(2))
         assert got == 0 and type(got) is int
         # The walk leaves out exactly the records behind an int-zero head.
-        records, runs = _plan((4,))
-        walked = dict(_kappa_blocks(model, b4, records, runs))
+        records = _plan((4,))
+        walked = dict(_kappa_blocks(model, b4, _by_index(records)))
         for i, (blocks, _) in enumerate(records):
             assert (i in walked) == (len(blocks[0][0]) > 1), blocks
         pairs = next(i for i, (blocks, _) in enumerate(records) if blocks == (((1, 2),), ((3, 4),)))

@@ -1,5 +1,6 @@
 """Moment oracles, words, and the exact polynomial ring."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,17 @@ class TestPolynomialRing:
             k1 * 1.5
         with pytest.raises(TypeError):
             k1 + "x"
+
+    def test_constructor_refuses_floats_and_stores_bools_as_ints(self):
+        # The constructor used to keep a float, and a bool serialised as true.
+        for bad in (0.5, 1.0, "1", None):
+            with pytest.raises(ValueError, match="neither an int nor a Fraction"):
+                CumulantPolynomial({("k1",): bad})
+        with pytest.raises(ValueError):
+            CumulantPolynomial.constant(2.0)
+        poly = CumulantPolynomial({("k1",): True, ("k2",): False})
+        assert poly.terms == {("k1",): 1} and type(poly.terms[("k1",)]) is int
+        assert json.dumps(poly.to_json_obj()) == '[{"coeff": 1, "monomial": ["k1"]}]'
 
     @given(polynomials(), polynomials(), polynomials())
     def test_ring_laws(self, a, b, c):

@@ -28,8 +28,10 @@ from ncfree.annular import (
 )
 from ncfree.perm import (
     Permutation,
+    SetPartition,
     _compose0,
     _cycle_count0,
+    _cycle_labels0,
     _gamma0,
     _inverse0,
     _is_nc0,
@@ -104,6 +106,17 @@ class TestSuiteRegistry:
         for name, suite in verify.SUITES.items():
             with pytest.raises(ValueError, match="below 1"):
                 suite(0)
+
+    def test_all_refuses_a_squares_bound_before_any_suite(self, monkeypatch):
+        # It used to run main-theorem, ks and semicircular first.
+        calls = []
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda *args, name=name: calls.append(name) or [])
+        with pytest.raises(ValueError, match=f"bound of at most {verify.SQUARE_BOUND}$"):
+            run_suite("all", verify.SQUARE_BOUND + 1)
+        assert calls == []
+        assert run_suite("all", verify.SQUARE_BOUND) == []
+        assert calls == list(verify.SUITES)
 
     def test_enumerating_suites_refuse_past_the_ceiling_before_any_cell(self, monkeypatch):
         # They used to ignore NCFREE_MAX_TOTAL and run every cell.
@@ -373,6 +386,79 @@ class TestCounterexamples:
             points = {x for t in through for x in t}
             connecting = Permutation([sigma(x) if x in points else x for x in range(1, shape.total + 1)])
             assert not mutant(_along(connecting, outer + inner), len(outer))
+
+    @pytest.mark.parametrize("kind", ["straddle", "count", "sides"])
+    def test_order_corollary_names_a_mislabelled_complement(self, monkeypatch, kind):
+        # The complement's cycle labels miscomputed.  straddle: its last point
+        # moves to the cycle labelled 1; count: every point labelled 0; sides:
+        # every label shifted by one, so a label names the next cycle.
+        def mutant(image0):
+            lab, c = _cycle_labels0(image0)
+            if kind == "straddle":
+                if c > 1 and lab.count(lab[-1]) > 1:
+                    lab[-1] = 1
+                return lab, c
+            if kind == "count":
+                return [0] * len(lab), 1
+            return [(x + 1) % c for x in lab], c
+
+        cases = check_order_corollary(5).cases
+        monkeypatch.setattr(verify, "_cycle_labels0", mutant)
+        got = check_order_corollary(5)
+        assert (got.passed, got.cases) == (False, cases)
+        shape = _shape(got.detail)
+        named = re.search(r"sigma=(Permutation\[[^\]]*\]), pi=(Permutation\[[^\]]*\])", got.detail)
+        sigma, pi = _perm(named[1]), _perm(named[2])
+        p = shape.p
+        gp = shape.gamma() * pi.inverse()
+        gcycles = sorted(gp.cycles, key=min)
+        lab = mutant(tuple(x - 1 for x in gp.image))[0]
+        through = [c for c in sigma.cycles if len({x <= p for x in c}) == 2]
+        met = {g for g in gcycles for t in through if set(g) & set(t)}
+        # with the real labels the connecting cycles meet one cycle per circle
+        assert sorted(g[0] <= p for g in met) == [False, True]
+        labels = {lab[x - 1] for t in through for x in t}
+        if kind == "straddle":
+            cycle = ast.literal_eval(re.search(r"local cycle (\(.*\)) straddles", got.detail)[1])
+            assert cycle in sigma.cycles and len({x <= p for x in cycle}) == 1
+            assert any(set(cycle) <= set(g) for g in gcycles)
+            assert len({lab[x - 1] for x in cycle}) > 1
+        elif kind == "count":
+            assert got.detail.endswith(f"connecting cycles meet {len(labels)} complement cycles")
+            assert len(labels) != 2
+        else:
+            assert got.detail.endswith("the two met complement cycles are not one per circle")
+            assert len(labels) == 2 and len({gcycles[t][0] <= p for t in labels}) == 1
+
+    def test_order_structure_names_a_coarser_witness(self, monkeypatch):
+        # _join0 counts every pair of distinct points as a union, joined or
+        # not, so a witness coarser than the cycles of pi^-1 sigma seems to
+        # add lengths.  Such a witness is a case next to the cycles' own, so
+        # the mutant adds cases: none reaches this problem keeping the count.
+        def mutant(n, pairs):
+            pairs = list(pairs)
+            return _join0(n, pairs)[0], n - sum(a != b for a, b in pairs)
+
+        cases = check_order_structure(4).cases
+        monkeypatch.setattr(verify, "_join0", mutant)
+        got = check_order_structure(4)
+        assert got.passed is False and got.cases > cases
+        shape = _shape(got.detail)
+        by_repr = {repr(el): el for el in enumerate_psnc(shape)}
+        found = re.fullmatch(r"shape .*, a=(.*), b=(.*): (.*)", got.detail)
+        a, b = by_repr[found[1]], by_repr[found[2]]
+        assert found[3] == "a coarser witness partition also multiplies"
+        w = a.perm.inverse() * b.perm
+        assert pp_product(a, PartitionedPermutation.disc(w)) == b
+        # two cycles of w in one block of a: merging them leaves the join
+        # with a's partition alone, but the lengths no longer add
+        block = next(blk for blk in a.partition.blocks if sum(c[0] in blk for c in w.cycles) > 1)
+        first, second = [c for c in w.cycles if c[0] in block][:2]
+        rest = [c for c in w.cycles if c not in (first, second)]
+        coarser = SetPartition(w.size, [first + second, *rest])
+        assert partition_join(a.partition, coarser) == b.partition
+        witness = PartitionedPermutation(coarser, w)
+        assert a.length + witness.length != b.length
 
     @pytest.mark.parametrize("kind", ["join", "left"])
     def test_order_structure_names_a_witnessed_product(self, monkeypatch, kind):
