@@ -33,8 +33,9 @@ validating constructor.  Each ``enumerate_psnc`` build makes one partition
 per distinct labels tuple, with ``SetPartition.from_labels`` from its factors'
 cycle labels, and one tuple per distinct cycle and block.  ``element_lines``
 writes the JSON Lines of ``ncfree enumerate`` without ``json``, each perm's and
-each distinct block's text once.  The complement-separation test of the product
-formulas runs on the 0-based kernels ``_cycle_labels0`` and ``_separated``.
+each distinct block's text once.  The complement-separation tests here run on
+the 0-based kernels ``_cycle_labels0`` and ``_separated``; the product formulas
+in ``cumulants`` test a pair mask built once per plan from ``_complement_labels``.
 """
 
 from __future__ import annotations

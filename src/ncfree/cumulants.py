@@ -43,17 +43,18 @@ The test suite checks both against the direct recursions on the grouped
 words; neither is assumed.
 
 Every sum above walks a plan built once per size (n,) or shape (p, q),
-``_plan(sizes)``: one ``(blocks, labels)`` record per element, its blocks
-the enumeration's own 1-based cycle tuples smallest first and its labels
-those of the cycles of its complement pi^-1 gamma; records sharing a first
-block are adjacent and the solved-for element (permutation gamma) is last.
-``_kappa_blocks`` is the only code that multiplies cumulants over blocks:
-it evaluates each distinct block and product once per call, of any scalar
-type, stops a product at its first zero factor and skips the records
-behind a first block that is an int zero (kappa_1(u) = 0 empties every
-Haar element with a singleton).  So a zero product is the running product
-at its first zero in size order: (1,2,3)(4) is 0 where kappa_1 is, not
-kappa_3 * 0 = Fraction(0).
+``_plan(sizes)``: one ``(blocks, mask)`` record per element, its blocks the
+enumeration's own 1-based cycle tuples smallest first, its mask a bit per
+pair of points in one cycle of the complement pi^-1 gamma: a point set is
+separated when its own pair mask meets the record's in no bit.  Records
+come in stretches, one per first block, the solved-for element (permutation
+gamma) last and alone.  ``_kappa_blocks`` is the only code that multiplies
+cumulants over blocks: it gathers a distinct block's words with one
+itemgetter and evaluates it, and each product, once per call, of any scalar
+type, stops a product at its first zero factor and leaves a stretch whose
+first block is an int zero (kappa_1(u) = 0 empties every Haar element with a
+singleton).  So a zero product is the running product at its first zero in
+size order: (1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
 
 Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
 and ``_kappa_pq``, keyed by the model object and the words; and
@@ -73,8 +74,9 @@ Every public entry point checks its total before it reads any of them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, combinations, islice
 from math import comb
+from operator import itemgetter
 
 from .annular import (
     AnnulusShape,
@@ -88,7 +90,7 @@ from .annular import (
     enumerate_snc,
     is_nc_disc,
 )
-from .perm import Permutation, _separated
+from .perm import Permutation
 from .spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -146,35 +148,46 @@ def _points(block) -> int:
     return len(block[0]) if len(block) == 1 else len(block[0]) + len(block[1])
 
 
+def _pair_mask(n: int, groups) -> int:
+    """Bit i*n + j for each pair i < j of 0-based points in one of ``groups``, each ascending."""
+    return sum(1 << (i * n + j) for group in groups for i, j in combinations(group, 2))
+
+
 @lru_cache(maxsize=None)
 def _plan(sizes: tuple[int, ...]) -> tuple:
-    """One ``(blocks, labels)`` record per element of NC(n), sizes (n,), or of
-    PS_NC(p, q), sizes (p, q): its blocks by point count, ties in min-point
-    order, and its complement's cycle labels.  Records sharing a first block
-    are adjacent, and the top is last: the one element whose complement is
-    the identity (gamma_pq has no through cycle).  Equal blocks are one
-    object, as are one permutation's labels: its elements are adjacent."""
+    """The elements of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q), as
+    stretches: one tuple of ``(blocks, mask)`` records per first block, the
+    top last and alone: the one element whose complement is the identity
+    (gamma_pq has no through cycle).  Blocks go by point count, ties in
+    min-point order, equal blocks one object; ``mask`` is the complement
+    cycles' ``_pair_mask``, one object per permutation, whose elements are adjacent."""
     if len(sizes) == 1:
         elements = [(pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
     else:
         elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
-    pool, by_head, last, identity = {}, {}, None, tuple(range(sum(sizes)))
+    n, pool, by_head, last = sum(sizes), {}, {}, None
     for pi, blocks in elements:
         if pi is not last:
-            last, labels = pi, _complement_labels(sizes, pi)
+            ids = _complement_labels(sizes, pi)
+            last, mask = pi, _pair_mask(n, [[i for i in range(n) if ids[i] == c] for c in set(ids)])
         blocks = tuple([pool.setdefault(b, b) for b in sorted(blocks, key=_points)])
-        by_head.setdefault(None if labels == identity else blocks[0], []).append((blocks, labels))
+        by_head.setdefault(blocks[0] if mask else None, []).append((blocks, mask))
     by_head[None] = by_head.pop(None)  # the top, last
-    return tuple(rec for group in by_head.values() for rec in group)
+    return tuple(map(tuple, by_head.values()))
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[tuple[object, Scalar]]:
-    """``(tag, product)`` of each ``(blocks, tag)`` record whose product is not
-    an int zero: over ``blocks``, a list of blocks of 1-based cycles, kappa_n
-    of each one-cycle block's arguments times kappa_{s,t} of each two-cycle
-    one's, left to right, stopped at its first zero factor.  A first block
-    that is an int zero also leaves out the records after it that share that
-    block object, as a plan lists them together.
+def _words(args: tuple, cycle: tuple[int, ...]) -> Args:
+    # one C call: a slice for one point, as a one-index itemgetter returns the item
+    return args[cycle[0] : cycle[0] + 1] if len(cycle) == 1 else itemgetter(*cycle)(args)
+
+
+def _kappa_blocks(model: MomentOracle, args: Args, stretches) -> list[tuple[object, Scalar]]:
+    """``(tag, product)`` of each ``(blocks, tag)`` record of ``stretches``
+    whose product is not an int zero: over ``blocks``, a list of blocks of
+    1-based cycles, kappa_n of each one-cycle block's arguments times
+    kappa_{s,t} of each two-cycle one's, left to right, stopped at its first
+    zero factor.  The records of a stretch share their first block, so one
+    whose first block is an int zero ends its stretch.
 
     A block object is evaluated once per call: in a plan, ``_plan`` made
     equal blocks one object.  Each product is computed once per pair of
@@ -186,45 +199,42 @@ def _kappa_blocks(model: MomentOracle, args: Args, records) -> list[tuple[object
     factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
     products: dict[tuple[int, int], Scalar] = {}  # by ids: both operands are held
     out: list[tuple[object, Scalar]] = []
-    dead = None  # the last first block that was an int zero
-    for blocks, tag in records:
-        if blocks[0] is dead:
-            continue
-        value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
-        for block in blocks:
-            factor = factors.get(id(block))
-            if factor is None:
-                if len(block) == 1:
-                    factor = _kappa_n(model, tuple([args[i] for i in block[0]]))
+    for stretch in stretches:
+        for blocks, tag in stretch:
+            value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
+            for block in blocks:
+                factor = factors.get(id(block))
+                if factor is None:
+                    if len(block) == 1:
+                        factor = _kappa_n(model, _words(args, block[0]))
+                    else:
+                        factor = _kappa_pq(model, _words(args, block[0]), _words(args, block[1]))
+                    factors[id(block)] = factor
+                if value is None:
+                    value = factor
                 else:
-                    words = tuple([args[i] for i in block[0]]), tuple([args[i] for i in block[1]])
-                    factor = _kappa_pq(model, *words)
-                factors[id(block)] = factor
-            if value is None:
-                value = factor
-            else:
-                key = (id(value), id(factor))
-                product = products.get(key)
-                if product is None:
-                    product = products[key] = value * factor
-                value = product
-            if not value:
+                    key = (id(value), id(factor))
+                    product = products.get(key)
+                    if product is None:
+                        product = products[key] = value * factor
+                    value = product
+                if not value:
+                    break
+            if value or type(value) is not int:
+                out.append((tag, value))
+            elif block is blocks[0]:
                 break
-        if value or type(value) is not int:
-            out.append((tag, value))
-        elif block is blocks[0]:
-            dead = block
     return out
 
 
 def _block_product(model: MomentOracle, args: Args, blocks) -> Scalar:
     """kappa over ``blocks``, multiplied smallest first as in a plan."""
-    return _summed(model, args, [(sorted(blocks, key=_points), None)])
+    return _summed(model, args, [[(sorted(blocks, key=_points), None)]])
 
 
-def _summed(model: MomentOracle, args: Args, records) -> Scalar:
-    """The sum of the products of ``records`` on ``args``."""
-    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, records))
+def _summed(model: MomentOracle, args: Args, stretches) -> Scalar:
+    """The sum of the products of the records of ``stretches`` on ``args``."""
+    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, stretches))
 
 
 @lru_cache(maxsize=None)
@@ -232,32 +242,32 @@ def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
     n = len(args)
     if n == 1:
         return model.phi(args[0])
-    records = _plan((n,))
-    below = _summed(model, args, islice(records, len(records) - 1))
+    stretches = _plan((n,))
+    below = _summed(model, args, islice(stretches, len(stretches) - 1))
     return model.phi(concat_words(args)) - below
 
 
 @lru_cache(maxsize=None)
 def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
-    records = _plan((len(args1), len(args2)))
-    below = _summed(model, args1 + args2, islice(records, len(records) - 1))
+    stretches = _plan((len(args1), len(args2)))
+    below = _summed(model, args1 + args2, islice(stretches, len(stretches) - 1))
     return model.phi2(concat_words(args1), concat_words(args2)) - below
 
 
 @lru_cache(maxsize=128)
 def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -> tuple:
     """The summands of ``_plan(sizes)`` on the letters of ``word``: per record
-    whose product is not an int zero, its complement labels and that product,
-    one object for records with the same factors.  Built in one walk and
-    never changed; a composition only selects from it.
+    whose product is not an int zero, its complement's pair mask and that
+    product, one object for records with the same factors.  Built in one walk
+    and never changed; a composition only selects from it.
 
     An int zero adds nothing to a sum and leaves its type alone, unlike a
     Fraction or polynomial zero.  A record whose complement joins the ends
     of the two circles is left out: every composition's endpoints hold
     both.  The disc has one end, so there every record stays.
     """
-    ends = tuple(accumulate(sizes))
-    kept = (rec for rec in _plan(sizes) if _separated(rec[1], ends))
+    ends = _pair_mask(sum(sizes), [[end - 1 for end in accumulate(sizes)]])
+    kept = ([rec for rec in stretch if not rec[1] & ends] for stretch in _plan(sizes))
     return tuple(_kappa_blocks(model, tuple([(letter,) for letter in word]), kept))
 
 
@@ -373,7 +383,8 @@ def main_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scala
 def _separated_sum(model: MomentOracle, word: Word, sizes: tuple[int, ...], points) -> Scalar:
     """The sum of the summands at ``sizes`` whose complement separates ``points``."""
     table = _nonzero_summands(model, word, sizes)
-    return CumulantPolynomial.sum(v for labels, v in table if _separated(labels, points))
+    ends = _pair_mask(len(word), [[pt - 1 for pt in points]])
+    return CumulantPolynomial.sum(v for mask, v in table if not mask & ends)
 
 
 def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Scalar:

@@ -417,14 +417,15 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
-#                          _complement_labels (the plans of cumulants), annular._psnc, V
+#                          _complement_labels (the pair masks of cumulants' plans), annular._psnc, V
 # _through0(img, p)        0 < p: some cycle meets [0, p) and [p, n), i.e. some point below p
 #                          maps to p or above; _is_nc0, V, the annular generators
 #                          (enumerate_snc, count_snc_pairings)
 # _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
 #                          V (separation sweeps, order table and structure)
-# _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V
+# _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V;
+#                          the tests check the pair masks of cumulants' plans against it
 # _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
 #                          sweeps, fattening, order corollary), the tests

@@ -275,7 +275,8 @@ class CumulantPolynomial:
 
         Each polynomial object is counted (and held, so its id stays its
         own) and its terms are added once, times its count.  Value and type
-        are those of the left-to-right ``+`` fold from 0."""
+        are those of the left-to-right ``+`` fold from 0.  A value that is
+        not an int, a Fraction or a polynomial is a ValueError."""
         counts: dict[int, list] = {}  # id -> [polynomial, count]
         plain: Coeff = 0
         for v in values:
@@ -285,8 +286,10 @@ class CumulantPolynomial:
                     counts[id(v)] = [v, 1]
                 else:
                     entry[1] += 1
-            else:
+            elif type(v) is int or isinstance(v, (int, Fraction)):
                 plain += v
+            else:
+                raise ValueError(f"{v!r} is not an int, a Fraction or a polynomial")
         if not counts:
             return plain
         acc: dict[tuple[str, ...], Coeff] = {}

@@ -19,8 +19,9 @@ results are gathered in table order, so the report is the same either way.
 
 Sweeps reuse work within one call, in tables local to it:
 ``check_restriction_lemma`` the verdict per restricted image,
-``check_fattening`` the complements per small family and the fattened images
-per composition, ``check_separates`` the verdicts per cycle shape,
+``check_restriction_commutes`` each permutation's restriction per point
+set, ``check_fattening`` the complements per small family and the fattened
+images per composition, ``check_separates`` the verdicts per cycle shape,
 ``check_tunnel_product`` the objects per gamma pi^-1, ``check_order_structure``
 the witness joins per partition of a cycle set, and the sweeps over
 ``_below_images0`` the NC(k) options per cycle length.  The restriction sweeps
@@ -34,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from math import comb
 from operator import itemgetter
@@ -325,17 +325,16 @@ def check_restriction_commutes(max_n: int):
         for k in range(1, n + 1):
             subs = [(t, _composer0(t)) for t in itertools.permutations(range(k))]
             for pts in itertools.combinations(range(n), k):
-                restrict0 = _restricter0(pts, n)
+                restricted = dict(zip(perms, map(_restricter0(pts, n), perms)))
                 # sigma pi is times_lift(sigma), pi = t moved onto pts
                 lifts = []
                 for t, times_t in subs:
                     moved = dict(zip(pts, [pts[j] for j in t]))
                     lifts.append((times_t, _composer0(tuple([moved.get(x, x) for x in range(n)]))))
-                for s in perms:
-                    rs = restrict0(s)
+                for s, rs in restricted.items():
                     for times_t, times_lift in lifts:
                         cases += 1
-                        if restrict0(times_lift(s)) != times_t(rs) and fail is None:
+                        if restricted[times_lift(s)] != times_t(rs) and fail is None:
                             fail = (
                                 f"n={n}, N={tuple(x + 1 for x in pts)}: restriction of the "
                                 f"product differs from the product of restrictions for "
@@ -1062,6 +1061,7 @@ def _cells(fn, cells, jobs: int, costs=None) -> list[CheckResult]:
     workers = min(jobs, len(cells))
     if workers <= 1:
         return [fn(c) for c in cells]
+    from concurrent.futures import ProcessPoolExecutor  # here: it imports multiprocessing
     order = range(len(cells))
     if costs is not None:
         order = sorted(order, key=lambda i: -costs[i])

@@ -20,6 +20,7 @@ from ncfree.annular import (
 from ncfree.cumulants import (
     _kappa_blocks,
     _nonzero_summands,
+    _pair_mask,
     _plan,
     clear_caches,
     haar_kappa_pq,
@@ -42,7 +43,14 @@ from ncfree.cumulants import (
     symbolic_phi2_expansion,
     symbolic_phi_expansion,
 )
-from ncfree.perm import Permutation, SetPartition, full_cycle, orbit_partition, partition_join
+from ncfree.perm import (
+    Permutation,
+    SetPartition,
+    _separated,
+    full_cycle,
+    orbit_partition,
+    partition_join,
+)
 from ncfree.spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -95,6 +103,40 @@ def _points(block):
 def _size_order(blocks):
     """Blocks smallest first by point count, ties in their given order."""
     return tuple(sorted(blocks, key=_points))
+
+
+def _records(stretches):
+    """A plan's records, stretch after stretch."""
+    return [rec for stretch in stretches for rec in stretch]
+
+
+def _cycle_labels(a):
+    """Label i at every point of the i-th cycle of ``a``."""
+    out = [0] * a.size
+    for ci, cycle in enumerate(a.cycles):
+        for pt in cycle:
+            out[pt - 1] = ci
+    return tuple(out)
+
+
+def _same_cycle_pairs(a):
+    """Bit (i-1)*n + (j-1) for each pair of points i < j in one cycle of ``a``."""
+    n = a.size
+    return sum(
+        1 << ((i - 1) * n + j - 1) for cycle in a.cycles for i, j in itertools.combinations(sorted(cycle), 2)
+    )
+
+
+def _complements(sizes):
+    """Each element's size-ordered blocks, mapped to its complement pi^-1 gamma
+    by public Permutation arithmetic; the blocks determine the element."""
+    if len(sizes) == 1:
+        return {
+            _size_order([(c,) for c in pi.cycles]): pi.inverse() * full_cycle(sizes[0])
+            for pi in enumerate_nc(sizes[0])
+        }
+    shape = AnnulusShape(*sizes)
+    return {_size_order(vp.block_cycles()): kreweras(shape, vp.perm) for vp in enumerate_psnc(shape)}
 
 
 class TestFirstOrder:
@@ -385,67 +427,75 @@ class TestProductsAsEntries:
                 assert all(product or type(product) is not int for _, product in table)
 
     def test_plans_leave_out_only_the_solved_for_element(self):
-        # A plan is a flat tuple of (blocks, labels) pairs.  Records sharing a
-        # first block object are adjacent: no object heads two separate runs
-        # of records.  The solved-for element is the last record, alone.
-        def check_records(records, top_blocks, where):
-            assert isinstance(records, tuple) and all(len(rec) == 2 for rec in records), where
-            heads = [blocks[0] for blocks, _ in records]
-            starts = [i for i, head in enumerate(heads) if i == 0 or head is not heads[i - 1]]
-            assert len({id(heads[i]) for i in starts}) == len(starts), where
+        # A plan is a tuple of stretches, each a nonempty tuple of (blocks,
+        # mask) pairs sharing one first block object, and no object heads two
+        # stretches.  The solved-for element is the last record, and its
+        # stretch holds nothing else.
+        def check_stretches(stretches, top_blocks, where):
+            assert isinstance(stretches, tuple), where
+            assert all(isinstance(stretch, tuple) and stretch for stretch in stretches), where
+            records = _records(stretches)
+            assert all(len(rec) == 2 for rec in records), where
+            heads = [stretch[0][0][0] for stretch in stretches]
+            for head, stretch in zip(heads, stretches):
+                assert all(blocks[0] is head for blocks, _ in stretch), where
+            assert len({id(head) for head in heads}) == len(heads), where
             assert [i for i, rec in enumerate(records) if rec[0] == top_blocks] == [len(records) - 1], where
-            assert starts[-1] == len(records) - 1, where
+            assert len(stretches[-1]) == 1, where
+            return records
 
         for n in range(1, 8):
-            records = _plan((n,))
+            records = check_stretches(_plan((n,)), ((tuple(range(1, n + 1)),),), n)
             assert len(records) == len(enumerate_nc(n))
-            check_records(records, ((tuple(range(1, n + 1)),),), n)
         for total in range(2, 7):
             for p in range(1, total):
                 q = total - p
-                records = _plan((p, q))
-                assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
                 glued = ((tuple(range(1, p + 1)), tuple(range(p + 1, total + 1))),)
-                check_records(records, glued, (p, q))
+                records = check_stretches(_plan((p, q)), glued, (p, q))
+                assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
 
     def test_plan_labels_are_the_complement_cycles(self):
-        # Each record's labels index the cycles of its complement pi^-1 gamma,
-        # computed here by public Permutation arithmetic.  Records are matched
-        # to elements by their blocks, which determine the element.
-        def cycle_labels(a):
-            out = [0] * a.size
-            for ci, cycle in enumerate(a.cycles):
-                for pt in cycle:
-                    out[pt - 1] = ci
-            return tuple(out)
+        # Each record's mask holds the pairs of points that share a cycle of
+        # its complement pi^-1 gamma, computed here by public Permutation
+        # arithmetic.  Records are matched to elements by their blocks,
+        # which determine the element.
+        sizes_list = [(n,) for n in range(1, 8)]
+        sizes_list += [(p, total - p) for total in range(2, 7) for p in range(1, total)]
+        for sizes in sizes_list:
+            records = _records(_plan(sizes))
+            want = [(blocks, _same_cycle_pairs(k)) for blocks, k in _complements(sizes).items()]
+            assert len(records) == len(want), sizes
+            assert sorted(records) == sorted(want), sizes
 
-        for n in range(1, 8):
-            records = _plan((n,))
-            want = [
-                (_size_order([(c,) for c in pi.cycles]), cycle_labels(pi.inverse() * full_cycle(n)))
-                for pi in enumerate_nc(n)
-            ]
-            assert len(records) == len(want), n
-            assert sorted(records) == sorted(want), n
-        for total in range(2, 7):
+    def test_masks_separate_exactly_where_the_labels_do(self):
+        # For every record and every composition's endpoint set, no pair of
+        # the endpoints' mask is in the record's mask exactly when the
+        # complement's labels, by public Permutation arithmetic, differ at
+        # the endpoints.
+        pairs = 0
+        for total in range(1, 8):
+            plans = [((total,), [c.boundary_points for c in _compositions(total)])]
             for p in range(1, total):
-                shape = AnnulusShape(p, total - p)
-                records = _plan((shape.p, shape.q))
-                want = [
-                    (_size_order(vp.block_cycles()), cycle_labels(kreweras(shape, vp.perm)))
-                    for vp in enumerate_psnc(shape)
-                ]
-                assert len(records) == len(want), shape
-                assert sorted(records) == sorted(want), shape
+                comps = [c for c in _split_compositions(total) if c.p == p]
+                plans.append(((p, total - p), [c.boundary_points for c in comps]))
+            for sizes, point_sets in plans:
+                complements = _complements(sizes)
+                ends = [(points, _pair_mask(total, [[pt - 1 for pt in points]])) for points in point_sets]
+                for blocks, mask in _records(_plan(sizes)):
+                    labels = _cycle_labels(complements[blocks])
+                    for points, end_mask in ends:
+                        assert (not mask & end_mask) == _separated(labels, points), (blocks, points)
+                        pairs += 1
+        assert pairs == 338_155
 
     def test_plan_blocks_are_the_enumerations_cycles(self):
         # The blocks are the enumeration's own cycle tuples, not copies, in
         # size order, and elements that share a permutation object share one
-        # labels tuple.
+        # mask object.
         for total in range(2, 8):
             for p in range(1, total):
                 family = enumerate_psnc(AnnulusShape(p, total - p))
-                records = _plan((p, total - p))
+                records = _records(_plan((p, total - p)))
                 by_blocks = {rec[0]: rec for rec in records}
                 assert len(by_blocks) == len(records) == len(family), (p, total - p)
                 by_perm = {}
@@ -458,7 +508,7 @@ class TestProductsAsEntries:
                     assert by_perm.setdefault(id(vp.perm), rec[1]) is rec[1], (p, total - p)
                 assert total == 2 or len(by_perm) < len(family), (p, total - p)
         for n in range(1, 8):
-            records = _plan((n,))
+            records = _records(_plan((n,)))
             assert sorted(blocks for blocks, _ in records) == sorted(
                 _size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(n)
             ), n
@@ -545,9 +595,11 @@ def _plain_product(model, args, blocks):
     return value
 
 
-def _by_index(records):
-    """A plan's records tagged with their index instead of their labels."""
-    return [(blocks, i) for i, (blocks, _) in enumerate(records)]
+def _by_index(stretches):
+    """A plan's stretches, each record tagged with its index among the plan's
+    records instead of its mask."""
+    index = itertools.count()
+    return [[(blocks, next(index)) for blocks, _ in stretch] for stretch in stretches]
 
 
 class TestSharedWork:
@@ -562,8 +614,9 @@ class TestSharedWork:
             plans = [(_plan((n,)), letters(word(n))) for n in range(1, 7)]
             for p, q in itertools.product(range(1, 4), repeat=2):
                 plans.append((_plan((p, q)), letters(word(p + q))))
-            for records, args in plans:
-                walked = _kappa_blocks(model, args, _by_index(records))
+            for stretches, args in plans:
+                records = _records(stretches)
+                walked = _kappa_blocks(model, args, _by_index(stretches))
                 assert [i for i, _ in walked] == sorted({i for i, _ in walked}), len(args)
                 got = dict(walked)
                 for i, rec in enumerate(records):
@@ -595,8 +648,9 @@ class TestSharedWork:
         )
         for sizes in ((6,), (3, 2), (3, 3)):
             args = letters(a_word(sum(sizes)))
-            records = _plan(sizes)
-            walked = _kappa_blocks(model, args, _by_index(records))
+            stretches = _plan(sizes)
+            records = _records(stretches)
+            walked = _kappa_blocks(model, args, _by_index(stretches))
             assert len(walked) == len(records), sizes  # no zero heads
             seen, repeats = {}, 0
             for i, value in walked:
@@ -740,8 +794,9 @@ class TestBlockOrder:
         got = kappa_pi(model, ab[::-1], Permutation.identity(2))
         assert got == 0 and type(got) is int
         # The walk leaves out exactly the records behind an int-zero head.
-        records = _plan((4,))
-        walked = dict(_kappa_blocks(model, b4, _by_index(records)))
+        stretches = _plan((4,))
+        walked = dict(_kappa_blocks(model, b4, _by_index(stretches)))
+        records = _records(stretches)
         for i, (blocks, _) in enumerate(records):
             assert (i in walked) == (len(blocks[0][0]) > 1), blocks
         pairs = next(i for i, (blocks, _) in enumerate(records) if blocks == (((1, 2),), ((3, 4),)))

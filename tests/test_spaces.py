@@ -251,6 +251,20 @@ class TestPolynomialRing:
         assert poly.terms == {("k1",): 1} and type(poly.terms[("k1",)]) is int
         assert json.dumps(poly.to_json_obj()) == '[{"coeff": 1, "monomial": ["k1"]}]'
 
+    def test_sum_and_substitute_refuse_floats(self):
+        # Both used to pass a float through: sum([0.5, 1]) was the float 1.5.
+        k1 = CumulantPolynomial.from_symbol("k1")
+        for values in ([0.5, 1], [1, 0.5], [Fraction(1, 2), 1.0], [k1, 0.5], ["1"], [None]):
+            with pytest.raises(ValueError, match="not an int, a Fraction or a polynomial"):
+                CumulantPolynomial.sum(values)
+        with pytest.raises(ValueError, match="not an int, a Fraction or a polynomial"):
+            k1.substitute({"k1": 0.5})
+        for values, want in (([True, 2], 3), ([Fraction(1, 2), 1], Fraction(3, 2)), ([k1, 1], k1 + 1)):
+            got = CumulantPolynomial.sum(values)
+            assert got == want and type(got) is type(want), values
+        got = k1.substitute({"k1": Fraction(1, 2)})
+        assert got == Fraction(1, 2) and type(got) is Fraction
+
     @given(polynomials(), polynomials(), polynomials())
     def test_ring_laws(self, a, b, c):
         assert a + b == b + a

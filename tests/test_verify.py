@@ -7,6 +7,7 @@ with ``pytest -m extended``.
 """
 
 import ast
+import concurrent.futures
 import itertools
 import re
 from concurrent.futures import Future
@@ -208,7 +209,7 @@ class TestPoolSize:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         assert len(run_suite("lemmas", max_total=2, jobs=500)) == 15
         assert len(run_suite("order", max_total=2, jobs=2)) == 3
         assert len(suite_main_theorem(3, jobs=100)) == 3
