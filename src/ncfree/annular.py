@@ -35,7 +35,7 @@ cycle labels, and one tuple per distinct cycle and block.  ``element_lines``
 writes the JSON Lines of ``ncfree enumerate`` without ``json``, each perm's and
 each distinct block's text once.  The complement-separation tests here run on
 the 0-based kernels ``_cycle_labels0`` and ``_separated``; the product formulas
-in ``cumulants`` test a pair mask built once per plan from ``_complement_labels``.
+in ``cumulants`` test a pair mask that ``_plan`` builds from the complement's cycles.
 """
 
 from __future__ import annotations
@@ -497,12 +497,7 @@ def kreweras_cycle_ids(shape: AnnulusShape, a: Permutation) -> tuple[int, ...]:
     """
     if a.size != shape.total:
         raise ValueError(f"size {a.size} does not match shape {shape}")
-    return _complement_labels((shape.p, shape.q), a)
-
-
-def _complement_labels(sizes: tuple[int, ...], a: Permutation) -> tuple[int, ...]:
-    """Cycle labels of a^-1 gamma, gamma = _gamma0(*sizes): gamma_n or gamma_pq."""
-    k0 = _compose0(_inverse0(tuple(x - 1 for x in a.image)), _gamma0(*sizes))
+    k0 = _compose0(_inverse0([x - 1 for x in a.image]), _gamma0(shape.p, shape.q))
     return tuple(_cycle_labels0(k0)[0])
 
 

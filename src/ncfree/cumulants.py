@@ -56,8 +56,9 @@ first block is an int zero (kappa_1(u) = 0 empties every Haar element with a
 singleton).  So a zero product is the running product at its first zero in
 size order: (1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
 
-Memoised, each as an ``lru_cache``: ``_plan``; the recursions ``_kappa_n``
-and ``_kappa_pq``, keyed by the model object and the words; and
+Memoised, each as an ``lru_cache``: ``_plan``; the one recursion of both
+orders, ``_kappa(model, groups)``, keyed by the model object and one
+argument tuple (kappa_n) or two (kappa_{p,q}); and
 ``_nonzero_summands``, at most 128 (model, word, sizes) tables of the
 products that are not an int zero, each built in one walk and never
 changed.  A composition only selects summands, so a product formula call
@@ -83,14 +84,13 @@ from .annular import (
     Composition,
     PartitionedPermutation,
     _check_bound,
-    _complement_labels,
     count_snc_pairings,
     enumerate_nc,
     enumerate_psnc,
     enumerate_snc,
     is_nc_disc,
 )
-from .perm import Permutation
+from .perm import Permutation, _composer0, _cycles0, _gamma0, _inverse0
 from .spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -166,10 +166,11 @@ def _plan(sizes: tuple[int, ...]) -> tuple:
     else:
         elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
     n, pool, by_head, last = sum(sizes), {}, {}, None
+    times_gamma = _composer0(_gamma0(*sizes))
     for pi, blocks in elements:
         if pi is not last:
-            ids = _complement_labels(sizes, pi)
-            last, mask = pi, _pair_mask(n, [[i for i in range(n) if ids[i] == c] for c in set(ids)])
+            complement = times_gamma(_inverse0([x - 1 for x in pi.image]))
+            last, mask = pi, _pair_mask(n, map(sorted, _cycles0(complement)))
         blocks = tuple([pool.setdefault(b, b) for b in sorted(blocks, key=_points)])
         by_head.setdefault(blocks[0] if mask else None, []).append((blocks, mask))
     by_head[None] = by_head.pop(None)  # the top, last
@@ -206,9 +207,9 @@ def _kappa_blocks(model: MomentOracle, args: Args, stretches) -> list[tuple[obje
                 factor = factors.get(id(block))
                 if factor is None:
                     if len(block) == 1:
-                        factor = _kappa_n(model, _words(args, block[0]))
+                        factor = _kappa(model, (_words(args, block[0]),))
                     else:
-                        factor = _kappa_pq(model, _words(args, block[0]), _words(args, block[1]))
+                        factor = _kappa(model, (_words(args, block[0]), _words(args, block[1])))
                     factors[id(block)] = factor
                 if value is None:
                     value = factor
@@ -238,20 +239,14 @@ def _summed(model: MomentOracle, args: Args, stretches) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _kappa_n(model: MomentOracle, args: Args) -> Scalar:
-    n = len(args)
-    if n == 1:
-        return model.phi(args[0])
-    stretches = _plan((n,))
+def _kappa(model: MomentOracle, groups: tuple[Args, ...]) -> Scalar:
+    """kappa_n of one argument tuple, kappa_{p,q} of two: the moment of the
+    concatenated words less every summand of the plan but the solved-for one."""
+    stretches = _plan(tuple(map(len, groups)))
+    args = groups[0] if len(groups) == 1 else groups[0] + groups[1]
     below = _summed(model, args, islice(stretches, len(stretches) - 1))
-    return model.phi(concat_words(args)) - below
-
-
-@lru_cache(maxsize=None)
-def _kappa_pq(model: MomentOracle, args1: Args, args2: Args) -> Scalar:
-    stretches = _plan((len(args1), len(args2)))
-    below = _summed(model, args1 + args2, islice(stretches, len(stretches) - 1))
-    return model.phi2(concat_words(args1), concat_words(args2)) - below
+    words = tuple(map(concat_words, groups))
+    return (model.phi(*words) if len(words) == 1 else model.phi2(*words)) - below
 
 
 @lru_cache(maxsize=128)
@@ -271,11 +266,11 @@ def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -
     return tuple(_kappa_blocks(model, tuple([(letter,) for letter in word]), kept))
 
 
-_MEMOS = {m.__name__[1:]: m for m in (_kappa_n, _kappa_pq, _plan, _nonzero_summands)}
+_MEMOS = {m.__name__[1:]: m for m in (_kappa, _plan, _nonzero_summands)}
 
 
 def clear_caches() -> None:
-    """Empty the ``kappa_n`` and ``kappa_pq`` memos, the summation plans and
+    """Empty the cumulant memo of both orders, the summation plans and
     the product formulas' summands; the enumerations (one tuple per size or
     shape) stay."""
     for memo in _MEMOS.values():
@@ -289,7 +284,7 @@ def memo_info() -> dict[str, dict[str, int]]:
 
 def kappa_n(model: MomentOracle, args) -> Scalar:
     """The free cumulant of the argument list, by the disc recursion."""
-    return _kappa_n(model, *_norm_args(args))
+    return _kappa(model, _norm_args(args))
 
 
 def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
@@ -304,7 +299,7 @@ def kappa_pi(model: MomentOracle, args, pi: Permutation) -> Scalar:
 
 def kappa_pq(model: MomentOracle, args1, args2) -> Scalar:
     """The second order cumulant, by the annular recursion."""
-    return _kappa_pq(model, *_norm_args(args1, args2))
+    return _kappa(model, _norm_args(args1, args2))
 
 
 def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
@@ -391,10 +386,8 @@ def oracle_product_cumulant(model: MomentOracle, word, comp: Composition) -> Sca
     """The independent route: the direct recursion on the grouped words."""
     word = _composed_word(word, comp)
     groups = [word[end - n : end] for n, end in zip(comp.parts, comp.boundary_points)]
-    if comp.split is None:
-        return _kappa_n(model, tuple(groups))
     r = comp.split
-    return _kappa_pq(model, tuple(groups[:r]), tuple(groups[r:]))
+    return _kappa(model, (tuple(groups),) if r is None else (tuple(groups[:r]), tuple(groups[r:])))
 
 
 # -- symbolic tables ---------------------------------------------------

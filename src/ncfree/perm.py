@@ -417,21 +417,22 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
-#                          _complement_labels (the pair masks of cumulants' plans), annular._psnc, V
+#                          kreweras_cycle_ids, annular._psnc, V
 # _through0(img, p)        0 < p: some cycle meets [0, p) and [p, n), i.e. some point below p
 #                          maps to p or above; _is_nc0, V, the annular generators
 #                          (enumerate_snc, count_snc_pairings)
-# _cycles0(img)            the cycles as tuples, in Permutation.cycles order; V
+# _cycles0(img)            the cycles as tuples, in Permutation.cycles order; cumulants._plan, V
 # _join0(n, pairs)         (labels, count) of the join, first-appearance labels; partition_join,
 #                          V (separation sweeps, order table and structure)
 # _separated(labels, pts)  distinct labels at 1-based pts, range unchecked; separation callers, V;
 #                          the tests check the pair masks of cumulants' plans against it
-# _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular, V
+# _gamma0(*sizes)          full cycles on consecutive runs: gamma_n or gamma_pq; annular,
+#                          cumulants._plan, V
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
 #                          sweeps, fattening, order corollary), the tests
 # _inverse0, _compose0     inverse; composition, right factor first; everywhere
 # _composer0(b)            the map a -> _compose0(a, b) as one C call (an itemgetter); _is_nc0,
-#                          V wherever the right factor b stays fixed across an inner loop
+#                          cumulants._plan, V: wherever the right factor b stays fixed in a loop
 # _restricter0(pts0, n)    the map img -> first-return map of img on pts0, relabelled by
 #                          position in pts0, positions tabulated once per point set; V
 #                          (restriction lemmas, order corollary)
@@ -440,8 +441,7 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # scans mark visited points in a list, which indexes faster than a bytearray.
 #
 # Separation callers: separates_points, count_snc_pairings on its generated pairings,
-# main_summand_filter on kreweras_cycle_ids labels, ks_product_cumulant and
-# main_product_cumulant on the complement labels of their memoised nonzero summands.
+# main_summand_filter on kreweras_cycle_ids labels.
 
 
 def _cycle_count0(image0: tuple[int, ...]) -> int:

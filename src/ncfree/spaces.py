@@ -169,30 +169,27 @@ def haar_phi2(w1: Word, w2: Word) -> int:
 # -- symbols and polynomials ------------------------------------------
 
 
+def _symbol(kind: str, *orders: int) -> str:
+    """``kind`` and the ascending orders, or ValueError unless each is a positive int."""
+    if not all(type(n) is int and n >= 1 for n in orders):  # not isinstance: True is an int
+        raise ValueError(f"symbol orders must be positive ints, got {orders!r}")
+    return kind + ",".join(map(str, sorted(orders)))
+
+
 def kappa_symbol(n: int) -> str:
-    if n < 1:
-        raise ValueError("cumulant order must be positive")
-    return f"k{n}"
+    return _symbol("k", n)
 
 
 def kappa2_symbol(s: int, t: int) -> str:
-    if s < 1 or t < 1:
-        raise ValueError("cumulant orders must be positive")
-    s, t = sorted((s, t))
-    return f"k{s},{t}"
+    return _symbol("k", s, t)
 
 
 def alpha_symbol(n: int) -> str:
-    if n < 1:
-        raise ValueError("moment order must be positive")
-    return f"a{n}"
+    return _symbol("a", n)
 
 
 def alpha2_symbol(s: int, t: int) -> str:
-    if s < 1 or t < 1:
-        raise ValueError("moment orders must be positive")
-    s, t = sorted((s, t))
-    return f"a{s},{t}"
+    return _symbol("a", s, t)
 
 
 def _symbol_parts(sym: str) -> tuple[str, tuple[int, ...]]:

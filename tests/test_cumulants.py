@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncfree import cumulants
 from ncfree.annular import (
     AnnulusShape,
     Composition,
@@ -880,7 +881,7 @@ class TestModelEvaluations:
         clear_caches()
         main_product_cumulant(formal_moment_space(), a_word(4), Composition((1, 1, 2), split=2))
         info = memo_info()
-        assert set(info) == {"kappa_n", "kappa_pq", "plan", "nonzero_summands"}
+        assert set(info) == {"kappa", "plan", "nonzero_summands"}
         assert all(memo["misses"] > 0 for memo in info.values()), info
         # one entry per (model, word, shape): bounded, so a long-lived process stays flat
         assert info["nonzero_summands"]["maxsize"] is not None
@@ -921,3 +922,53 @@ def _split_compositions(total):
                     Composition(left.parts + right.parts, split=left.part_count)
                 )
     return out
+
+
+def _least_rotation(word):
+    text = "".join(generator for generator, _ in word)
+    return min(text[i:] + text[:i] for i in range(len(text)))
+
+
+# Nine distinct letters "1" ... "9", exponent +1, whose moments are free
+# symbols canonical only under rotation (and, for phi2, swapping the
+# circles): every cumulant sees the order of its arguments.
+ORDERED = MomentOracle(
+    "ordered-letters",
+    lambda w: sym("a" + _least_rotation(w)),
+    lambda w1, w2: sym("a" + ",".join(sorted([_least_rotation(w1), _least_rotation(w2)]))),
+)
+
+
+def _ordered_cases(max_total):
+    """(formula, word 1 ... N, composition) for every composition of total <= max_total."""
+    for total in range(1, max_total + 1):
+        word = tuple((str(i), 1) for i in range(1, total + 1))
+        for comp in _compositions(total):
+            yield ks_product_cumulant, word, comp
+        for comp in _split_compositions(total):
+            yield main_product_cumulant, word, comp
+
+
+class TestArgumentOrder:
+    def test_product_formulas_on_ordered_letters(self):
+        cases = 0
+        for formula, word, comp in _ordered_cases(6):
+            assert formula(ORDERED, word, comp) == oracle_product_cumulant(ORDERED, word, comp), comp
+            cases += 1
+        assert cases == 192
+
+    def test_reversed_arguments_are_caught(self, monkeypatch):
+        # A mutant that reads every cycle's arguments backwards leaves the
+        # one-letter models blind; the ordered letters are not.
+        words = cumulants._words
+        clear_caches()
+        try:
+            monkeypatch.setattr(cumulants, "_words", lambda args, cycle: words(args, cycle[::-1]))
+            mismatches = sum(
+                formula(ORDERED, word, comp) != oracle_product_cumulant(ORDERED, word, comp)
+                for formula, word, comp in _ordered_cases(5)
+            )
+        finally:
+            monkeypatch.undo()
+            clear_caches()  # the mutant's values are in the memos
+        assert mismatches > 0  # 73 of the 80 cases

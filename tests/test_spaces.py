@@ -127,6 +127,24 @@ class TestSymbols:
         assert alpha2_symbol(2, 1) == "a1,2"
         assert kappa_symbol(2) == "k2"
 
+    @pytest.mark.parametrize(
+        "symbol, orders",
+        [
+            (kappa_symbol, (2.0,)),
+            (kappa_symbol, (True,)),
+            (kappa_symbol, (0,)),
+            (kappa2_symbol, (1, 2.5)),
+            (kappa2_symbol, (False, 2)),
+            (alpha_symbol, (Fraction(3),)),
+            (alpha_symbol, ("3",)),
+            (alpha2_symbol, (2, 1.0)),
+            (alpha2_symbol, (1, -1)),
+        ],
+    )
+    def test_orders_must_be_positive_ints(self, symbol, orders):
+        with pytest.raises(ValueError, match="positive ints"):
+            symbol(*orders)
+
 
 class TestPolynomialRing:
     @pytest.mark.parametrize("other", [3.0, "3", None], ids=["float", "str", "none"])
