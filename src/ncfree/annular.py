@@ -30,12 +30,13 @@ shape, each in an ``lru_cache`` behind a public function that checks the
 arguments, sizes with ``_check_bound``, the program's one size limit;
 ``cumulants.clear_caches()`` never empties them; every element passes its
 validating constructor.  Each ``enumerate_psnc`` build makes one partition
-per distinct labels tuple, with ``SetPartition.from_labels`` from its factors'
-cycle labels, and one tuple per distinct cycle and block.  ``element_lines``
-writes the JSON Lines of ``ncfree enumerate`` without ``json``, each perm's and
-each distinct block's text once.  The complement-separation tests here run on
-the 0-based kernels ``_cycle_labels0`` and ``_separated``; the product formulas
-in ``cumulants`` test a pair mask that ``_plan`` builds from the complement's cycles.
+per distinct labels tuple, with ``SetPartition.from_labels`` from a disc-type
+element's pooled cycles or a tunnel's factors' cycle labels, and one tuple per
+distinct cycle and block.  ``element_lines`` writes the JSON Lines of ``ncfree
+enumerate`` without ``json``, each distinct cycle's and block's text once.  The
+complement-separation tests here run on the 0-based kernels ``_cycle_labels0`` and
+``_separated``; the product formulas in ``cumulants`` test a pair mask that
+``_plan`` builds from the complement's cycles.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ __all__ = [
 
 # The ceiling of ``_check_bound`` unless NCFREE_MAX_TOTAL is set.  Every
 # family of total 12 finishes: on a 2-CPU Xeon VM under Python 3.11 the
-# largest, psnc of the (6,6) shape, takes 43-55 s and 0.78 GB peak RSS
-# (snc alone 19 s and 0.3 GB), and 59-64 s and 0.78 GB as ``ncfree
-# enumerate``, three and two runs.
+# largest, psnc of the (6,6) shape, takes 28-29 s and 0.78 GB peak RSS as
+# ``ncfree enumerate`` (two runs); the cycle texts ``element_lines`` keeps
+# for it are 36 990 entries, about 4 MB of that peak.
 ENUMERATION_BOUND = 12
 
 # ``count_snc_pairings`` refuses shapes of more points than this.  It holds
@@ -401,8 +402,10 @@ def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
 
     out = []
     for a in _snc(p, q):
-        a._share_cycles(pool)
-        labels = _cycle_labels0([x - 1 for x in a.image])[0]
+        labels = [0] * (p + q)
+        for c, cycle in enumerate(a._share_cycles(pool)):
+            for pt in cycle:
+                labels[pt - 1] = c
         out.append(PartitionedPermutation(partition(labels), a))
     inners = [(tuple(v + p for v in b.image), *_cycle_labels0([x - 1 for x in b.image]))
               for b in _nc(q)]
@@ -606,14 +609,20 @@ def element_lines(family: Iterable[Permutation | PartitionedPermutation]) -> Ite
     {"perm": "(1)(2)", "partition": [[1, 2]], "kind": "tunnel"}
     """
     text: dict[tuple[int, ...], str] = {}  # each distinct block's JSON
+    ctext: dict[tuple[int, ...], str] = {}  # each distinct cycle's text, "(1,3,2)"
+
+    def perm_text(a: Permutation) -> str:  # a.cycle_string()
+        return "".join([ctext.get(c) or ctext.setdefault(c, f"({','.join(map(str, c))})")
+                        for c in a.cycles])
+
     perm = head = None
     for x in family:
         if isinstance(x, Permutation):
-            yield f'{{"perm": "{x.cycle_string()}"}}'
+            yield f'{{"perm": "{perm_text(x)}"}}'
             continue
         if x.perm is not perm:
             perm = x.perm
-            head = f'{{"perm": "{perm.cycle_string()}", "partition": ['
+            head = f'{{"perm": "{perm_text(perm)}", "partition": ['
         blocks = ", ".join([text.get(b) or text.setdefault(b, str(list(b)))
                             for b in x.partition.blocks])
         yield f'{head}{blocks}], "kind": "{x.kind}"}}'

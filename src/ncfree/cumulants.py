@@ -272,7 +272,8 @@ _MEMOS = {m.__name__[1:]: m for m in (_kappa, _plan, _nonzero_summands)}
 def clear_caches() -> None:
     """Empty the cumulant memo of both orders, the summation plans and
     the product formulas' summands; the enumerations (one tuple per size or
-    shape) stay."""
+    shape) stay.  The cumulant memo is unbounded and keyed by the model object:
+    every model a cumulant call was given stays referenced until this call."""
     for memo in _MEMOS.values():
         memo.cache_clear()
 

@@ -134,25 +134,25 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition, singletons included."""
         if self._cycles is None:
-            image = self.image
-            n = len(image)
-            seen = [False] * n
+            image = (0,) + self.image  # padded: image[j] is the image of point j
+            seen = [False] * len(image)
             cycles = []
-            for start in range(1, n + 1):
-                if seen[start - 1]:
+            for start in range(1, len(image)):
+                if seen[start]:
                     continue
-                cycle = []
-                j = start
-                while not seen[j - 1]:
-                    seen[j - 1] = True
+                cycle = [start]  # start is the least point of its cycle: no later start meets it
+                j = image[start]
+                while j != start:
+                    seen[j] = True
                     cycle.append(j)
-                    j = image[j - 1]
+                    j = image[j]
                 cycles.append(tuple(cycle))
             self._cycles = tuple(cycles)
         return self._cycles
 
-    def _share_cycles(self, pool: dict) -> None:  # each cycle becomes its equal in pool
-        self._cycles = tuple([pool.setdefault(c, c) for c in self.cycles])
+    def _share_cycles(self, pool: dict) -> tuple:  # each cycle becomes its equal in pool
+        self._cycles = cycles = tuple([pool.setdefault(c, c) for c in self.cycles])
+        return cycles
 
     @property
     def cycle_count(self) -> int:
@@ -417,7 +417,7 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 #
 # _cycle_count0(img)       number of cycles; _is_nc0, V
 # _cycle_labels0(img)      (labels, count), label i = Permutation.cycles[i]; separation callers,
-#                          kreweras_cycle_ids, annular._psnc, V
+#                          kreweras_cycle_ids, annular._psnc (the nc factors only), V
 # _through0(img, p)        0 < p: some cycle meets [0, p) and [p, n), i.e. some point below p
 #                          maps to p or above; _is_nc0, V, the annular generators
 #                          (enumerate_snc, count_snc_pairings)

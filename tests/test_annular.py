@@ -343,6 +343,22 @@ class TestPartitionedPermutations:
         mixed = [*tunnels[::-3], *family, *tunnels[:50]]
         assert list(element_lines(mixed)) == [_dumps(element_record(vp)) for vp in mixed]
 
+    def test_lines_share_cycle_texts_across_kinds(self):
+        # One call over nc, snc and psnc members, so equal cycles arrive as distinct
+        # tuples: each nc perm and fresh copy walks its own, a psnc build pools its own.
+        members = []
+        for total in range(1, 8):
+            members.extend(enumerate_nc(total))
+            for p in range(1, total):
+                shape = AnnulusShape(p, total - p)
+                members.extend(enumerate_snc(shape))
+                members.extend(enumerate_psnc(shape))
+        members.extend(Permutation(x.image) for x in members[::7] if isinstance(x, Permutation))
+        mixed = [*reversed(members), *members[::5]]
+        want = [_dumps({"perm": x.cycle_string()} if isinstance(x, Permutation) else element_record(x))
+                for x in mixed]
+        assert list(element_lines(mixed)) == want
+
     def test_records_round_trip(self):
         for vp in enumerate_psnc(AnnulusShape(2, 1)):
             rec = element_record(vp)

@@ -1,5 +1,6 @@
 """Command line interface: every subcommand plus the size ceiling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -65,6 +66,21 @@ class TestEnumerate:
                 want = [dumps({"perm": a.cycle_string()}) for a in family]
             want.append(dumps({"count": len(family)}))
             assert res.output.splitlines() == want, (kind, sizes)
+
+    # sha256 of the whole output, count line included: the benchmark's frozen digests
+    DIGESTS = {
+        "nc 7": "0d618adb4eec7e8a9718c2e7682c630228caaadc086b825d63aee5cde74a926d",
+        "snc 3 4": "d43f132f8f923ab7e5eefbf5f51f73359dcf11ad0b17b57deb7f159f0d332540",
+        "snc 4 3": "14c322a68111609e5f3461b5b7768a729360780e795ecd0af15b0f8afccf3ac9",
+        "psnc 3 4": "e7ab29e27fa7c107caf2656cf048fd4e2c97b5336aa56fea66581087950a3e55",
+        "psnc 4 4": "1a03440ce046ebb1946fd7c60658e13c188c647b55730751fdc59d8d142b81d7",
+    }
+
+    @pytest.mark.parametrize("argv", list(DIGESTS))
+    def test_output_digests(self, argv):
+        res = run("enumerate", *argv.split())
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == self.DIGESTS[argv]
 
     def test_size_arity(self):
         assert run("enumerate", "nc", "2", "1").exit_code != 0

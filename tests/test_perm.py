@@ -90,6 +90,28 @@ class TestPermutationBasics:
         a = Permutation.parse("(5,2,4)(3,1)")
         assert a.cycles == ((1, 3), (2, 4, 5))
 
+    def test_cycles_of_every_permutation_up_to_six(self):
+        def orbit_cycles(image):
+            # oracle from the image alone: each orbit walked from its least point, by least points
+            out = []
+            for pt in range(1, len(image) + 1):
+                orbit = [pt]
+                while image[orbit[-1] - 1] != pt:
+                    orbit.append(image[orbit[-1] - 1])
+                if min(orbit) == pt:
+                    out.append(tuple(orbit))
+            return tuple(out)
+
+        for n in range(1, 7):
+            for image in itertools.permutations(range(1, n + 1)):
+                a = Permutation(image)
+                assert a.cycles == orbit_cycles(image)
+                assert all(c[0] == min(c) for c in a.cycles)
+                firsts = [c[0] for c in a.cycles]
+                assert all(x < y for x, y in zip(firsts, firsts[1:]))
+                assert Permutation.from_cycles(n, a.cycles) == a
+                assert Permutation.parse(a.cycle_string()) == a
+
     def test_parse_round_trip(self):
         text = "(1,2,12,9,8)(3,4)(5,10,11)(6)(7)"
         a = Permutation.parse(text)
