@@ -28,11 +28,14 @@ filter and the Mingo-Nica counts.  The enumerators wrap only their results
 in ``Permutation``, sort them by one-line image and memoize them per size or
 shape, each in an ``lru_cache`` behind a public function that checks the
 arguments, sizes with ``_check_bound``, the program's one size limit;
-``cumulants.clear_caches()`` never empties them; every element passes its
-validating constructor.  Each ``enumerate_psnc`` build makes one partition
-per distinct labels tuple, with ``SetPartition.from_labels`` from a disc-type
-element's pooled cycles or a tunnel's factors' cycle labels, and one tuple per
-distinct cycle and block.  ``element_lines`` writes the JSON Lines of ``ncfree
+``cumulants.clear_caches()`` never empties them (``memo_info()`` shows
+them); every element passes its validating constructor.  The
+``enumerate_psnc`` builds of one total share one pool (``_pools``): one
+partition per distinct labels tuple, made by ``SetPartition.from_labels``
+from a disc-type element's pooled cycles or a tunnel's factors' cycle
+labels, and one tuple per distinct cycle and block.  A build pauses the
+cyclic collector (``_gc_paused``): it makes no reference cycle, so reference
+counting frees its temporaries.  ``element_lines`` writes the JSON Lines of ``ncfree
 enumerate`` without ``json``, each distinct cycle's and block's text once.  The
 complement-separation tests here run on the 0-based kernels ``_cycle_labels0`` and
 ``_separated``; the product formulas in ``cumulants`` test a pair mask that
@@ -41,10 +44,11 @@ complement-separation tests here run on the 0-based kernels ``_cycle_labels0`` a
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -86,13 +90,15 @@ __all__ = [
     "pp_leq",
     "element_record",
     "element_lines",
+    "memo_info",
 ]
 
 # The ceiling of ``_check_bound`` unless NCFREE_MAX_TOTAL is set.  Every
 # family of total 12 finishes: on a 2-CPU Xeon VM under Python 3.11 the
-# largest, psnc of the (6,6) shape, takes 28-29 s and 0.78 GB peak RSS as
+# largest, psnc of the (6,6) shape, takes 25-33 s and 0.78 GB peak RSS as
 # ``ncfree enumerate`` (two runs); the cycle texts ``element_lines`` keeps
-# for it are 36 990 entries, about 4 MB of that peak.
+# for it are 36 990 entries, about 4 MB of that peak, and its pool's dict of
+# 866 844 partitions, 40 MB, stays as long as the family.
 ENUMERATION_BOUND = 12
 
 # ``count_snc_pairings`` refuses shapes of more points than this.  It holds
@@ -234,6 +240,22 @@ def _check_bound(total: int) -> int:
     return total
 
 
+def _gc_paused(build):
+    """``build`` with the cyclic collector off while it runs, then as on entry."""
+
+    @wraps(build)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def _nc_images0(n: int) -> list[tuple[int, ...]]:
     """0-based images of the disc non-crossing permutations of [n], sorted.
 
@@ -262,6 +284,7 @@ def _nc_images0(n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+@_gc_paused
 def _nc(n: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(v + 1 for v in img0) for img0 in _nc_images0(n))
 
@@ -298,6 +321,7 @@ def _rotation_conjugates(discs0: list[tuple[int, ...]], p: int, q: int) -> set[t
 
 
 @lru_cache(maxsize=None)
+@_gc_paused
 def _snc(p: int, q: int) -> tuple[Permutation, ...]:
     return tuple(map(Permutation, sorted(_rotation_conjugates(_nc_images0(p + q), p, q))))
 
@@ -392,9 +416,15 @@ def enumerate_psnc(shape: AnnulusShape) -> tuple[PartitionedPermutation, ...]:
 
 
 @lru_cache(maxsize=None)
+def _pools(total: int) -> tuple[dict, dict]:
+    """The cycle-and-block pool and labels-to-partition dict of every psnc shape of ``total``."""
+    return {}, {}
+
+
+@lru_cache(maxsize=None)
+@_gc_paused
 def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
-    pool: dict = {}  # each distinct cycle and block tuple of the build, once
-    by_labels: dict = {}  # the partition of each distinct labels tuple, made once
+    pool, by_labels = _pools(p + q)
 
     def partition(labels: list[int]) -> SetPartition:
         key = tuple(labels)
@@ -420,6 +450,11 @@ def _psnc(p: int, q: int) -> tuple[PartitionedPermutation, ...]:
                     glued = [i if c == j else k1 + c - (c > j) for c in in_labels]
                     out.append(PartitionedPermutation(partition(out_labels + glued), perm))
     return tuple(out)
+
+
+def memo_info() -> dict[str, dict[str, int]]:
+    """Hits, misses and size of the family memos and the per-total psnc pools."""
+    return {m.__name__[1:]: m.cache_info()._asdict() for m in (_nc, _snc, _psnc, _pools)}
 
 
 # -- pairings ----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Annular families, partitioned permutations, and inflation."""
 
+import gc
 import itertools
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ncfree import annular
 from ncfree.annular import (
     ENUMERATION_BOUND,
     PAIRING_BOUND,
@@ -26,11 +28,12 @@ from ncfree.annular import (
     kreweras,
     kreweras_cycle_ids,
     main_summand_filter,
+    memo_info,
     pp_leq,
     pp_product,
     tau_of,
 )
-from ncfree.cumulants import semicircular_square_kappa, snc_closed_form
+from ncfree.cumulants import clear_caches, semicircular_square_kappa, snc_closed_form
 from ncfree.perm import (
     Permutation,
     SetPartition,
@@ -61,6 +64,11 @@ def filtered(n, p):
         for img0 in itertools.permutations(range(n))
         if _is_nc0(img0, p)
     )
+
+
+def psnc_of_total(total):
+    """Every psnc element of every shape of the total, shape by shape."""
+    return [vp for p in range(1, total) for vp in enumerate_psnc(AnnulusShape(p, total - p))]
 
 
 def pairings0(points):
@@ -215,6 +223,65 @@ class TestAnnularFamily:
         assert is_snc(a, AnnulusShape(2, 2))
 
 
+class TestFamilyBuilds:
+    """A build pauses the cyclic collector; the psnc shapes of a total share one pool."""
+
+    @pytest.fixture(autouse=True)
+    def keep_gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_build_leaves_the_collector_as_it_found_it(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        # __wrapped__ skips the memo, so the family is built again
+        assert annular._psnc.__wrapped__(2, 3) == enumerate_psnc(AnnulusShape(2, 3))
+        assert gc.isenabled() is enabled
+
+    def test_nested_builds_leave_the_collector_paused(self, monkeypatch):
+        seen = []
+
+        def spy(build):
+            def call(*args):
+                seen.append((build.__name__, gc.isenabled()))
+                out = build(*args)
+                seen.append((build.__name__, gc.isenabled()))
+                return out
+
+            return call
+
+        for name in ("_nc", "_snc"):
+            monkeypatch.setattr(annular, name, spy(getattr(annular, name).__wrapped__))
+        gc.enable()
+        annular._psnc.__wrapped__(2, 3)
+        assert gc.isenabled()
+        assert sorted(set(seen)) == [("_nc", False), ("_snc", False)]
+
+    def test_a_failed_build_resumes_the_collector(self, monkeypatch):
+        def fail(p, q):
+            raise RuntimeError("no snc")
+
+        monkeypatch.setattr(annular, "_snc", fail)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="no snc"):
+            annular._psnc.__wrapped__(2, 3)
+        assert gc.isenabled()
+
+    def test_memo_info(self):
+        shape = AnnulusShape(2, 3)
+        enumerate_psnc(shape)
+        before = memo_info()
+        assert set(before) == {"nc", "snc", "psnc", "pools"}
+        assert all(memo["currsize"] >= 1 and memo["maxsize"] is None for memo in before.values())
+        enumerate_psnc(shape)
+        clear_caches()  # empties the cumulant memos only
+        after = memo_info()
+        assert after["psnc"]["hits"] == before["psnc"]["hits"] + 1
+        assert after["pools"] == before["pools"]  # a memo hit reads no pool
+        assert all(after[name]["currsize"] == memo["currsize"] for name, memo in before.items())
+
+
 class TestKreweras:
     def test_complement_is_inverse_times_gamma(self):
         shape = AnnulusShape(2, 2)
@@ -284,16 +351,16 @@ class TestPartitionedPermutations:
                     assert x.partition.blocks == y.partition.blocks
                     assert x.partition.labels == y.partition.labels
 
+    # the psnc shapes of one total share one pool
     def test_equal_cycles_and_blocks_are_one_tuple(self):
-        family = enumerate_psnc(AnnulusShape(4, 4))
-        tuples = [t for vp in family for t in (*vp.perm.cycles, *vp.partition.blocks)]
-        assert len({id(t) for t in tuples}) == len(set(tuples))
+        for total in range(2, 9):
+            tuples = [t for vp in psnc_of_total(total) for t in (*vp.perm.cycles, *vp.partition.blocks)]
+            assert len({id(t) for t in tuples}) == len(set(tuples)), total
 
     def test_equal_partitions_are_one_object(self):
         for total in range(2, 8):
-            for p in range(1, total):
-                family = enumerate_psnc(AnnulusShape(p, total - p))
-                assert len({id(vp.partition) for vp in family}) == len({vp.partition for vp in family})
+            family = psnc_of_total(total)
+            assert len({id(vp.partition) for vp in family}) == len({vp.partition.labels for vp in family})
 
     def test_family_sizes(self):
         assert len(enumerate_psnc(AnnulusShape(1, 1))) == 2

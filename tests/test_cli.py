@@ -82,6 +82,14 @@ class TestEnumerate:
         assert res.exit_code == 0
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == self.DIGESTS[argv]
 
+    def test_output_digest_past_the_frozen_totals(self):
+        # psnc 4 6 fills the total-10 pools first, so psnc 5 5 takes partitions from them
+        enumerate_psnc(AnnulusShape(4, 6))
+        res = run("enumerate", "psnc", "5", "5")
+        assert res.exit_code == 0
+        digest = "7d9d51c9be5c2bad15713a43d6e1a79d92c4fd24e1452ad0c0f3a3b413731c2a"
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
     def test_size_arity(self):
         assert run("enumerate", "nc", "2", "1").exit_code != 0
         assert run("enumerate", "snc", "2").exit_code != 0
