@@ -22,12 +22,14 @@ Sweeps reuse work within one call, in tables local to it:
 ``check_restriction_commutes`` each permutation's restriction per point
 set, ``check_fattening`` the complements per small family and the fattened
 images per composition, ``check_separates`` the verdicts per cycle shape,
-``check_tunnel_product`` the objects per gamma pi^-1, ``check_order_structure``
-the witness joins per partition of a cycle set, and the sweeps over
-``_below_images0`` the NC(k) options per cycle length.  The restriction sweeps
-build one ``perm._restricter0`` getter per point set; ``check_annular_order``
-looks the members of each complement's geodesic interval up in the family.  The
-one module-level memo is ``_sn_below``, an ``lru_cache`` of 8 entries.
+``check_tunnel_product`` sigma's pairs per sigma, ``check_order_corollary``
+sigma's cycles per sigma and the restricters per gamma pi^-1,
+``check_order_structure`` the witness joins per partition of a cycle set,
+and the sweeps over ``_below_images0`` the NC(k) options per cycle length.
+The restriction sweeps build one ``perm._restricter0`` getter per point set;
+``check_annular_order`` looks the members of each complement's geodesic
+interval up in the family.  The one module-level memo is ``_sn_below``, an
+``lru_cache`` of 8 entries.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .annular import (
     PAIRING_BOUND,
     AnnulusShape,
     Composition,
-    PartitionedPermutation,
     _check_bound,
     _set_partitions,
     count_snc_pairings,
@@ -52,7 +53,6 @@ from .annular import (
     enumerate_snc,
     fatten,
     pp_leq,
-    pp_product,
     tau_of,
 )
 from .cumulants import (
@@ -66,6 +66,7 @@ from .cumulants import (
 )
 from .perm import (
     Permutation,
+    SetPartition,
     _compose0,
     _composer0,
     _cycle_count0,
@@ -78,8 +79,6 @@ from .perm import (
     _restricter0,
     _separated,
     _through0,
-    orbit_partition,
-    partition_join,
 )
 from .spaces import (
     a_word,
@@ -686,25 +685,26 @@ def check_tunnel_product(max_total: int):
     """The two-sided complement product lands on the glued element.
 
     For pi a disc pair below sigma's complement, multiplying sigma by
-    sigma^-1 gamma pi^-1 is defined and produces gamma pi^-1 carrying
-    the join of sigma with it as its partition.
+    w = sigma^-1 gamma pi^-1 is defined (|sigma| + |w| = 2|V| - |sigma w|
+    for V the join of sigma and w, as ``pp_product`` tests) and produces
+    gamma pi^-1 carrying the join of sigma with it as its partition.
     """
     cases, fail = 0, None
-    complements = {}  # gamma pi^-1, 0-based -> its Permutation and orbit partition
     by_sigma = itertools.groupby(_tunnel_hypotheses(max_total), itemgetter(0, 1))
     for (shape, sigma0), group in by_sigma:
-        sigma = _perm1(sigma0)
-        left, sigma_inv = PartitionedPermutation.disc(sigma), sigma.inverse()
+        n, sigma_inv = len(sigma0), _inverse0(sigma0)
+        ls, spairs = n - _cycle_count0(sigma0), list(enumerate(sigma0))
         for _shape, _sigma0, pi0, gp0 in group:
             cases += 1
-            if gp0 not in complements:
-                gp = _perm1(gp0)
-                complements[gp0] = gp, orbit_partition(gp)
-            gp, gp_orbits = complements[gp0]
-            got = pp_product(left, PartitionedPermutation.disc(sigma_inv * gp))
-            want = PartitionedPermutation(partition_join(left.partition, gp_orbits), gp)
-            if got != want and fail is None:
-                fail = f"shape {shape}, sigma={sigma!r}, pi={_perm1(pi0)!r}: product gave {got!r}"
+            w0 = _compose0(sigma_inv, gp0)
+            prod0 = _compose0(sigma0, w0)
+            joined, blocks = _join0(n, [*spairs, *enumerate(w0)])
+            defined = ls + n - _cycle_count0(w0) == n - 2 * blocks + _cycle_count0(prod0)
+            want = _join0(n, [*spairs, *enumerate(gp0)])[0]
+            if not (defined and prod0 == gp0 and joined == want) and fail is None:
+                got = f"{_perm1(prod0)!r} on {SetPartition.from_labels(joined)!r}"
+                named = f"shape {shape}, sigma={_perm1(sigma0)!r}, pi={_perm1(pi0)!r}"
+                fail = f"{named}: product gave {got if defined else None}"
     return cases, fail
 
 
@@ -719,44 +719,50 @@ def check_order_corollary(max_total: int):
     union the connecting cycles form an annular non-crossing permutation.
     """
     cases, fail = 0, None
-    for shape, s0, pi0, gp0 in _tunnel_hypotheses(max_total):
-        cases += 1
-        p = shape.p
-        gcycles = _cycles0(gp0)
-        lab, _ = _cycle_labels0(gp0)
+    complements = {}  # gamma pi^-1, 0-based -> its cycles, their labels and restricters
+    by_sigma = itertools.groupby(_tunnel_hypotheses(max_total), itemgetter(0, 1))
+    for (shape, s0), group in by_sigma:
+        n, p = len(s0), shape.p
         scycles = _cycles0(s0)
         through = [c for c in scycles if len({x < p for x in c}) == 2]
         local = [c for c in scycles if len({x < p for x in c}) == 1]
-        problem = None
-        for c in local:
-            if len({lab[x] for x in c}) != 1:
-                problem = f"local cycle {tuple(x + 1 for x in c)} straddles complement cycles"
-                break
-        tlabels = sorted({lab[x] for tc in through for x in tc})
-        if problem is None:
-            if len(tlabels) != 2:
-                problem = f"connecting cycles meet {len(tlabels)} complement cycles"
-            else:
-                sides = sorted(gcycles[t][0] < p for t in tlabels)
-                if sides != [False, True]:
-                    problem = "the two met complement cycles are not one per circle"
-        # By (i) and (ii) sigma maps each complement cycle into itself, so
-        # restricting to one, read along the cycle, is sigma there.
-        if problem is None:
-            for t, c in enumerate(gcycles):
-                if t not in tlabels and not _is_nc0(_restricter0(c, len(s0))(s0), len(c)):
-                    c1 = tuple(x + 1 for x in c)
-                    problem = f"enclosed cycles crossing along complement cycle {c1}"
+        tpoints = {x for tc in through for x in tc}
+        connecting = tuple(s0[x] if x in tpoints else x for x in range(n))
+        for _shape, _s0, pi0, gp0 in group:
+            cases += 1
+            if gp0 not in complements:
+                gcycles = _cycles0(gp0)
+                restricters = [_restricter0(c, n) for c in gcycles]
+                complements[gp0] = gcycles, _cycle_labels0(gp0)[0], restricters
+            gcycles, lab, restricters = complements[gp0]
+            problem = None
+            for c in local:
+                if len({lab[x] for x in c}) != 1:
+                    problem = f"local cycle {tuple(x + 1 for x in c)} straddles complement cycles"
                     break
-        if problem is None:
-            outer = next(gcycles[t] for t in tlabels if gcycles[t][0] < p)
-            inner = next(gcycles[t] for t in tlabels if gcycles[t][0] >= p)
-            tpoints = {x for tc in through for x in tc}
-            connecting = tuple(s0[x] if x in tpoints else x for x in range(len(s0)))
-            if not _is_nc0(_restricter0(outer + inner, len(s0))(connecting), len(outer)):
-                problem = "connecting cycles not annular non-crossing on the union"
-        if problem is not None and fail is None:
-            fail = f"shape {shape}, sigma={_perm1(s0)!r}, pi={_perm1(pi0)!r}: {problem}"
+            tlabels = sorted({lab[x] for x in tpoints})
+            if problem is None:
+                if len(tlabels) != 2:
+                    problem = f"connecting cycles meet {len(tlabels)} complement cycles"
+                else:
+                    sides = sorted(gcycles[t][0] < p for t in tlabels)
+                    if sides != [False, True]:
+                        problem = "the two met complement cycles are not one per circle"
+            # By (i) and (ii) sigma maps each complement cycle into itself, so
+            # restricting to one, read along the cycle, is sigma there.
+            if problem is None:
+                for t, c in enumerate(gcycles):
+                    if t not in tlabels and not _is_nc0(restricters[t](s0), len(c)):
+                        c1 = tuple(x + 1 for x in c)
+                        problem = f"enclosed cycles crossing along complement cycle {c1}"
+                        break
+            if problem is None:
+                outer = next(gcycles[t] for t in tlabels if gcycles[t][0] < p)
+                inner = next(gcycles[t] for t in tlabels if gcycles[t][0] >= p)
+                if not _is_nc0(_restricter0(outer + inner, n)(connecting), len(outer)):
+                    problem = "connecting cycles not annular non-crossing on the union"
+            if problem is not None and fail is None:
+                fail = f"shape {shape}, sigma={_perm1(s0)!r}, pi={_perm1(pi0)!r}: {problem}"
     return cases, fail
 
 
@@ -1133,8 +1139,8 @@ _LEMMA_CHECKS = (
     (check_restriction_lemma, 8, 5.7),
     (check_fattening, 9, 7.2),
     (check_annular_order, 7, 0.9),
-    (check_tunnel_product, 6, 0.7),
-    (check_order_corollary, 6, 0.3),
+    (check_tunnel_product, 6, 0.1),
+    (check_order_corollary, 6, 0.12),
 )
 
 _ORDER_CHECKS = (

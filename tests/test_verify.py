@@ -54,6 +54,7 @@ from ncfree.verify import (
     check_order_structure,
     check_restriction_lemma,
     check_separates,
+    check_tunnel_product,
     run_suite,
     suite_ks,
     suite_main_theorem,
@@ -301,6 +302,48 @@ class TestRestrictionVerdicts:
         assert (got.passed, got.cases, got.detail) == (False, cases, detail)
 
 
+def _glued_by_objects(sigma: Permutation, gp: Permutation) -> tuple:
+    """The tunnel product on objects: pp_product of the disc elements of
+    sigma and sigma^-1 gp, and the glued element (join(sigma, gp), gp)."""
+    disc = PartitionedPermutation.disc
+    product = pp_product(disc(sigma), disc(sigma.inverse() * gp))
+    glued = PartitionedPermutation(partition_join(orbit_partition(sigma), orbit_partition(gp)), gp)
+    return product, glued
+
+
+class TestTunnelProduct:
+    """``check_tunnel_product`` decides on 0-based images what ``pp_product``
+    decides on partitioned permutations."""
+
+    def test_every_bound_5_hypothesis_by_objects(self):
+        hypotheses = list(verify._tunnel_hypotheses(5))
+        assert len(hypotheses) == 1031
+        for _shape, s0, _pi0, gp0 in hypotheses:
+            sigma, gp = Permutation(x + 1 for x in s0), Permutation(x + 1 for x in gp0)
+            product, glued = _glued_by_objects(sigma, gp)
+            assert product == glued
+        got = check_tunnel_product(5)
+        assert (got.passed, got.cases) == (True, 1031)
+
+    def test_kernels_agree_on_every_pair_of_permutations(self, monkeypatch):
+        # Off the hypothesis the product can be undefined: the check, fed one
+        # pair at a time, must fail exactly where pp_product misses.
+        seen = set()
+        for n in range(2, 5):
+            shape, g0 = AnnulusShape(1, n - 1), _gamma0(1, n - 1)
+            perms = list(itertools.permutations(range(n)))
+            for s0, gp0 in itertools.product(perms, perms):
+                pi0 = _compose0(_inverse0(gp0), g0)  # gp = gamma pi^-1
+                monkeypatch.setattr(verify, "_tunnel_hypotheses", lambda _m: [(shape, s0, pi0, gp0)])
+                got = check_tunnel_product(n)
+                sigma, gp = Permutation(x + 1 for x in s0), Permutation(x + 1 for x in gp0)
+                product, glued = _glued_by_objects(sigma, gp)
+                assert got.passed == (product == glued)
+                assert got.detail.endswith("product gave None") == (product is None)
+                seen.add(got.passed)
+        assert seen == {False, True}
+
+
 def _perm(text: str) -> Permutation:
     return Permutation.parse(re.fullmatch(r"Permutation\[(.*)\]", text)[1])
 
@@ -326,6 +369,24 @@ class TestCounterexamples:
     """A check run with one kernel broken fails, keeps its case count, and
     names a case on which the statement really fails when the broken
     kernel stands in for the real one."""
+
+    def test_tunnel_product_names_an_undefined_product(self, monkeypatch):
+        def mutant(n, pairs):
+            # every pair touching the last point dropped: that point's block splits off
+            return _join0(n, [(a, b) for a, b in pairs if a != n - 1 and b != n - 1])
+
+        monkeypatch.setattr(verify, "_join0", mutant)
+        got = check_tunnel_product(5)
+        assert (got.passed, got.cases) == (False, 1031)
+        shape = _shape(got.detail)
+        named = re.search(r"sigma=(Permutation\[[^\]]*\]), pi=(Permutation\[[^\]]*\])", got.detail)
+        sigma, pi = _perm(named[1]), _perm(named[2])
+        assert (shape.p, shape.q) == (1, 1)
+        assert (sigma, pi) == (Permutation.parse("(1,2)"), Permutation.parse("(1)(2)"))
+        assert got.detail.endswith("product gave None")
+        # with the real kernels the product is defined and glued
+        product, glued = _glued_by_objects(sigma, shape.gamma() * pi.inverse())
+        assert product is not None and product == glued
 
     def test_separates_names_sigma_whose_join_misses(self, monkeypatch):
         def mutant(labels, points):
@@ -518,3 +579,8 @@ class TestExtendedBounds:
 
     def test_semicircular_square_bound_5(self):
         assert_all_pass(suite_semicircular_square(5))
+
+    def test_tunnel_lemmas_total_7(self):
+        results = [check_tunnel_product(7), check_order_corollary(7)]
+        assert_all_pass(results)
+        assert [r.cases for r in results] == [61750, 61750]
