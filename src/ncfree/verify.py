@@ -26,6 +26,9 @@ images per composition, ``check_separates`` the verdicts per cycle shape,
 sigma's cycles per sigma and the restricters per gamma pi^-1,
 ``check_order_structure`` the witness joins per partition of a cycle set,
 and the sweeps over ``_below_images0`` the NC(k) options per cycle length.
+Sweeps whose cases lie in S_n read cycle counts from ``_count_table``, one
+table of S_n per size, and ``check_snc_rotation`` the disc verdicts from
+one table of S_n per total.
 The restriction sweeps build one ``perm._restricter0`` getter per point set;
 ``check_annular_order`` looks the members of each complement's geodesic
 interval up in the family.  The one module-level memo is ``_sn_below``, an
@@ -178,22 +181,27 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _count_table(n: int) -> dict[tuple[int, ...], int]:
+    """The cycle count of every permutation of [n], 0-based, in ``itertools.permutations`` order."""
+    return {p: _cycle_count0(p) for p in itertools.permutations(range(n))}
+
+
 @functools.lru_cache(maxsize=8)
 def _sn_below(n: int):
     """For each permutation of [n], the bitmask of those on a geodesic below it.
 
     ``below[j]`` has bit ``i`` set when ``|pi_i| + |pi_i^-1 pi_j| = |pi_j|``.
     """
-    perms = tuple(itertools.permutations(range(n)))
+    count = _count_table(n)
+    perms, counts = tuple(count), list(count.values())
     invs = [_inverse0(p) for p in perms]
-    counts = [_cycle_count0(p) for p in perms]
     below = []
     for sigma, cs in zip(perms, counts):
         # |pi_i| + |pi_i^-1 sigma| = |sigma| in cycle counts: c_i + c(pi_i^-1 sigma) = n + c_sigma
         times_sigma, want = _composer0(sigma), n + cs
         mask = 0
         for i, (ci, inv) in enumerate(zip(counts, invs)):
-            if ci + _cycle_count0(times_sigma(inv)) == want:
+            if ci + count[times_sigma(inv)] == want:
                 mask |= 1 << i
         below.append(mask)
     return perms, tuple(below)
@@ -299,18 +307,18 @@ def check_conjugation_invariance(max_n: int):
     """
     cases, fail = 0, None
     for n in range(1, max_n + 1):
-        perms = list(itertools.permutations(range(n)))
+        count = _count_table(n)
         if n <= 5:
-            gens = perms
+            gens = list(count)
         else:  # the transposition (1,2) and the full cycle
             gens = [_gamma0(2, *[1] * (n - 2)), _gamma0(n)]
         # g p g^-1 is times_ginv(times_p(g)): two getter calls per case
-        factors = [(p, _composer0(p), _cycle_count0(p)) for p in perms]
+        factors = [(p, _composer0(p), c) for p, c in count.items()]
         for g in gens:
             times_ginv = _composer0(_inverse0(g))
-            for p, times_p, count in factors:
+            for p, times_p, c in factors:
                 cases += 1
-                if _cycle_count0(times_ginv(times_p(g))) != count and fail is None:
+                if count[times_ginv(times_p(g))] != c and fail is None:
                     fail = f"n={n}: conjugating {_perm1(p)!r} by {_perm1(g)!r} changed the length"
     return cases, fail
 
@@ -377,9 +385,12 @@ def check_snc_rotation(max_total: int):
     when some pair of rotations of the two circles conjugates it to a
     disc non-crossing permutation.
     """
-    cases, fail = 0, None
+    cases, fail, discs = 0, None, {}
     for p, q in _shape_cells(max_total):
         n = p + q
+        disc = discs.get(n)  # the disc verdict on every permutation of [n]
+        if disc is None:
+            disc = discs[n] = {x: _is_nc0(x, n) for x in itertools.permutations(range(n))}
         rotations = []
         gp = _gamma0(p, *[1] * q)  # turns the outer circle only
         gq = _gamma0(*[1] * p, q)  # turns the inner circle only
@@ -387,7 +398,7 @@ def check_snc_rotation(max_total: int):
         for _u in range(p):
             rv = r
             for _v in range(q):
-                rotations.append((rv, _inverse0(rv)))
+                rotations.append((_composer0(_inverse0(rv)), rv.__getitem__))
                 rv = _compose0(gq, rv)
             r = _compose0(gp, r)
         for s0 in itertools.permutations(range(n)):
@@ -395,9 +406,8 @@ def check_snc_rotation(max_total: int):
                 continue
             cases += 1
             member = _is_nc0(s0, p)
-            rotated = any(
-                _is_nc0(_compose0(rot, _compose0(s0, rinv)), n) for rot, rinv in rotations
-            )
+            # rot s0 rot^-1: times_rinv gives s0 rot^-1, mapping through rot puts rot first
+            rotated = any(disc[tuple(map(rot, times_rinv(s0)))] for times_rinv, rot in rotations)
             if member != rotated and fail is None:
                 fail = (
                     f"shape ({p},{q}): {_perm1(s0)!r} has membership {member} "
@@ -512,12 +522,12 @@ def check_tracial_inequality(max_n: int):
     """Complementation swaps sides: tau below sigma^-1 gamma iff sigma below gamma tau^-1."""
     cases, fail = 0, None
     for n in range(1, max_n + 1):
-        data = _complement_data(enumerate_nc(n), _gamma0(n))
+        data, count = _complement_data(enumerate_nc(n), _gamma0(n)), _count_table(n)
         for lt, tinv, _tr, _tlr, times_tleft, tll in data:
             for ls, sinv, times_sright, slr, _sl, _sll in data:
                 cases += 1
-                lhs = lt + n - _cycle_count0(times_sright(tinv)) == slr
-                rhs = ls + n - _cycle_count0(times_tleft(sinv)) == tll
+                lhs = lt + n - count[times_sright(tinv)] == slr
+                rhs = ls + n - count[times_tleft(sinv)] == tll
                 if lhs != rhs and fail is None:
                     fail = f"n={n}: one-sided complement order is not symmetric"
     return cases, fail
@@ -630,9 +640,10 @@ def check_annular_order(max_total: int):
     ``_below_images0`` of sigma^-1 gamma; the tests compare them with a
     scan of all pairs.
     """
-    cases, fail, options = 0, None, {}
+    cases, fail, options, count_of = 0, None, {}, functools.cache(_count_table)
     for p, q in _shape_cells(max_total):
         n = p + q
+        count = count_of(n)
         g0 = _gamma0(p, q)
         snc = enumerate_snc(AnnulusShape(p, q))
         data = _complement_data(snc, g0)
@@ -641,7 +652,7 @@ def check_annular_order(max_total: int):
             for i in below:
                 cases += 1
                 *_rest, times_lefti, lli = data[i]
-                if lj + n - _cycle_count0(times_lefti(invj)) != lli and fail is None:
+                if lj + n - count[times_lefti(invj)] != lli and fail is None:
                     fail = (
                         f"shape ({p},{q}): pi={snc[i]!r} below the complement of "
                         f"sigma={snc[j]!r} but not conversely"
@@ -662,8 +673,10 @@ def _below_complements(family, g0, options: dict) -> list[list[int]]:
 def _tunnel_hypotheses(max_total: int):
     """(shape, sigma, pi, gamma pi^-1), 0-based, for sigma annular
     non-crossing and pi a disc pair below sigma's complement."""
+    count_of = functools.cache(_count_table)  # one table per total, for this walk
     for p, q in _shape_cells(max_total):
         n = p + q
+        count = count_of(n)
         shape = AnnulusShape(p, q)
         g0 = _gamma0(p, q)
         ncpairs = []
@@ -671,12 +684,12 @@ def _tunnel_hypotheses(max_total: int):
             for pi2 in _images0(enumerate_nc(q)):
                 pi0 = pi1 + tuple(x + p for x in pi2)
                 inv = _inverse0(pi0)
-                ncpairs.append((pi0, inv, n - _cycle_count0(pi0), _compose0(g0, inv)))
+                ncpairs.append((pi0, inv, n - count[pi0], _compose0(g0, inv)))
         for sigma0 in _images0(enumerate_snc(shape)):
             right = _compose0(_inverse0(sigma0), g0)
-            times_right, lr = _composer0(right), n - _cycle_count0(right)
+            times_right, lr = _composer0(right), n - count[right]
             for pi0, inv, lp, gp0 in ncpairs:
-                if lp + n - _cycle_count0(times_right(inv)) == lr:
+                if lp + n - count[times_right(inv)] == lr:
                     yield shape, sigma0, pi0, gp0
 
 
@@ -689,17 +702,18 @@ def check_tunnel_product(max_total: int):
     for V the join of sigma and w, as ``pp_product`` tests) and produces
     gamma pi^-1 carrying the join of sigma with it as its partition.
     """
-    cases, fail = 0, None
+    cases, fail, count_of = 0, None, functools.cache(_count_table)
     by_sigma = itertools.groupby(_tunnel_hypotheses(max_total), itemgetter(0, 1))
     for (shape, sigma0), group in by_sigma:
         n, sigma_inv = len(sigma0), _inverse0(sigma0)
-        ls, spairs = n - _cycle_count0(sigma0), list(enumerate(sigma0))
+        count = count_of(n)
+        ls, spairs = n - count[sigma0], list(enumerate(sigma0))
         for _shape, _sigma0, pi0, gp0 in group:
             cases += 1
             w0 = _compose0(sigma_inv, gp0)
             prod0 = _compose0(sigma0, w0)
             joined, blocks = _join0(n, [*spairs, *enumerate(w0)])
-            defined = ls + n - _cycle_count0(w0) == n - 2 * blocks + _cycle_count0(prod0)
+            defined = ls + n - count[w0] == n - 2 * blocks + count[prod0]
             want = _join0(n, [*spairs, *enumerate(gp0)])[0]
             if not (defined and prod0 == gp0 and joined == want) and fail is None:
                 got = f"{_perm1(prod0)!r} on {SetPartition.from_labels(joined)!r}"
@@ -1126,21 +1140,21 @@ def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResul
 # (check, default bound, seconds): the seconds are one serial run at the
 # default bound on a 2-CPU machine; a pool starts the slowest checks first.
 _LEMMA_CHECKS = (
-    (check_nc_counts, 9, 0.04),
-    (check_metric_triangle, 6, 0.7),
-    (check_metric_order, 6, 0.09),
-    (check_conjugation_invariance, 6, 0.02),
-    (check_restriction_commutes, 6, 1.9),
-    (check_order_refinement, 6, 0.1),
-    (check_snc_rotation, 6, 0.1),
-    (check_first_sep, 8, 0.9),
-    (check_separates, 8, 1.1),
-    (check_tracial_inequality, 6, 0.03),
-    (check_restriction_lemma, 8, 5.7),
-    (check_fattening, 9, 7.2),
-    (check_annular_order, 7, 0.9),
-    (check_tunnel_product, 6, 0.1),
-    (check_order_corollary, 6, 0.12),
+    (check_nc_counts, 9, 0.03),
+    (check_metric_triangle, 6, 0.17),
+    (check_metric_order, 6, 0.05),
+    (check_conjugation_invariance, 6, 0.01),
+    (check_restriction_commutes, 6, 0.6),
+    (check_order_refinement, 6, 0.05),
+    (check_snc_rotation, 6, 0.03),
+    (check_first_sep, 8, 0.5),
+    (check_separates, 8, 0.8),
+    (check_tracial_inequality, 6, 0.01),
+    (check_restriction_lemma, 8, 4.5),
+    (check_fattening, 9, 5.9),
+    (check_annular_order, 7, 0.4),
+    (check_tunnel_product, 6, 0.07),
+    (check_order_corollary, 6, 0.1),
 )
 
 _ORDER_CHECKS = (

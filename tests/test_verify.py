@@ -9,6 +9,7 @@ with ``pytest -m extended``.
 import ast
 import concurrent.futures
 import itertools
+import math
 import re
 from concurrent.futures import Future
 
@@ -47,13 +48,19 @@ from ncfree.verify import (
     _below_complements,
     _psnc_raw,
     check_annular_order,
+    check_conjugation_invariance,
     check_fluctuations,
+    check_metric_order,
+    check_metric_triangle,
     check_mobius_recurrence,
     check_nc_counts,
     check_order_corollary,
+    check_order_refinement,
     check_order_structure,
     check_restriction_lemma,
     check_separates,
+    check_snc_rotation,
+    check_tracial_inequality,
     check_tunnel_product,
     run_suite,
     suite_ks,
@@ -265,6 +272,16 @@ class TestAnnularOrderPairs:
         _assert_annular_order_pairs(7, (7,))
 
 
+class TestCountTable:
+    def test_counts_are_the_cycle_counts_of_the_objects(self):
+        # the sweeps read cycle counts from this table, not from the kernel
+        for n in range(1, 7):
+            table = verify._count_table(n)
+            assert len(table) == math.factorial(n)
+            for img, count in table.items():
+                assert count == Permutation(x + 1 for x in img).cycle_count, img
+
+
 class TestRestrictionVerdicts:
     """``check_restriction_lemma`` reuses verdicts within one call."""
 
@@ -387,6 +404,51 @@ class TestCounterexamples:
         # with the real kernels the product is defined and glued
         product, glued = _glued_by_objects(sigma, shape.gamma() * pi.inverse())
         assert product is not None and product == glued
+
+    def test_count_tables_carry_a_bad_cycle_count(self, monkeypatch):
+        # One transposition gets a cycle too many.  The sweeps build their
+        # count tables with the kernel they find in verify, so every check
+        # that reads one fails, and the named cases fail under the mutant.
+        def mutant(image0):
+            n = len(image0)
+            return _cycle_count0(image0) + (n > 2 and image0 == (1, 0, *range(2, n)))
+
+        verify._sn_below.cache_clear()
+        try:
+            monkeypatch.setattr(verify, "_cycle_count0", mutant)
+            conjugation = check_conjugation_invariance(4)
+            tracial = check_tracial_inequality(4)
+            annular = check_annular_order(4)
+            tunnel = check_tunnel_product(4)
+            trio = (check_metric_triangle, check_metric_order, check_order_refinement)
+            metric = [check(4) for check in trio]
+        finally:
+            verify._sn_below.cache_clear()
+        assert (conjugation.passed, conjugation.cases) == (False, 617)
+        assert conjugation.detail == (
+            "n=3: conjugating Permutation[(1,2)(3)] by Permutation[(1)(2,3)] changed the length"
+        )
+        p, g = Permutation.parse("(1,2)(3)"), Permutation.parse("(1)(2,3)")
+        conjugate = g * p * g.inverse()
+        assert mutant((1, 0, 2)) != mutant(tuple(x - 1 for x in conjugate.image))
+        assert (tracial.passed, tracial.cases) == (False, 226)
+        assert (annular.passed, annular.cases) == (False, 199)
+        assert annular.detail.startswith("shape (1,2): pi=Permutation[(1,2)(3)] below ")
+        assert (tunnel.passed, tunnel.cases) == (False, 102)
+        assert [r.passed for r in metric] == [False, False, False]
+
+    def test_snc_rotation_reads_the_disc_verdicts_of_the_kernel(self, monkeypatch):
+        # The full cycle of [3] reads as crossing on the disc, so no rotation
+        # of (1,2,3) on the annulus (1,2) reaches a disc member.
+        def mutant(image0, p):
+            return not (p == 3 and image0 == (1, 2, 0)) and _is_nc0(image0, p)
+
+        monkeypatch.setattr(verify, "_is_nc0", mutant)
+        got = check_snc_rotation(4)
+        assert (got.passed, got.cases) == (False, 65)
+        assert got.detail == (
+            "shape (1,2): Permutation[(1,2,3)] has membership True but rotation criterion False"
+        )
 
     def test_separates_names_sigma_whose_join_misses(self, monkeypatch):
         def mutant(labels, points):
@@ -579,6 +641,12 @@ class TestExtendedBounds:
 
     def test_semicircular_square_bound_5(self):
         assert_all_pass(suite_semicircular_square(5))
+
+    def test_count_table_checks_at_their_ceilings(self):
+        checks = ((check_conjugation_invariance, 8), (check_tracial_inequality, 8), (check_snc_rotation, 7))
+        results = [check(bound) for check, bound in checks]
+        assert_all_pass(results)
+        assert [r.cases for r in results] == [107177, 2248355, 31733]
 
     def test_tunnel_lemmas_total_7(self):
         results = [check_tunnel_product(7), check_order_corollary(7)]
