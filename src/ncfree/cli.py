@@ -32,10 +32,17 @@ from .annular import (
 from .cumulants import snc_closed_form, symbolic_kappa_pq, symbolic_phi2_expansion
 from .draw import render_svg
 from .perm import Permutation, SetPartition
+from .spaces import CumulantPolynomial, alpha2_symbol, kappa2_symbol
 from .verify import SQUARE_BOUND, run_suite, suite_names
 
 
 _ECHO_CHUNK = 4096  # lines per write of ``enumerate``: its output is never held whole
+
+# ``table --direction``: the expansion of shape (p, q) and the symbol it expands
+_TABLES = {
+    "alpha-in-kappa": (symbolic_phi2_expansion, alpha2_symbol),
+    "kappa-in-alpha": (symbolic_kappa_pq, kappa2_symbol),
+}
 
 
 def _check_total(total: int) -> None:
@@ -97,7 +104,7 @@ def counts(max_total: int) -> None:
 @click.argument("max_q", type=int)
 @click.option(
     "--direction",
-    type=click.Choice(["alpha-in-kappa", "kappa-in-alpha"]),
+    type=click.Choice(list(_TABLES)),
     default="alpha-in-kappa",
     show_default=True,
     help="expand second order moments in cumulants, or the reverse",
@@ -114,19 +121,12 @@ def table(max_p: int, max_q: int, direction: str, fmt: str) -> None:
     if max_p < 1 or max_q < 1:
         raise click.ClickException("sizes must be at least 1")
     _check_total(max_p + max_q)
+    expansion, symbol = _TABLES[direction]
     for p in range(1, max_p + 1):
         for q in range(p, max_q + 1):
-            poly = (
-                symbolic_phi2_expansion(p, q)
-                if direction == "alpha-in-kappa"
-                else symbolic_kappa_pq(p, q)
-            )
+            poly = expansion(p, q)
             if fmt == "latex":
-                lhs = (
-                    f"\\alpha_{{{p},{q}}}"
-                    if direction == "alpha-in-kappa"
-                    else f"\\kappa_{{{p},{q}}}"
-                )
+                lhs = CumulantPolynomial.from_symbol(symbol(p, q)).to_latex()
                 click.echo(f"{lhs} = {poly.to_latex()}")
             else:
                 click.echo(
@@ -167,6 +167,8 @@ def verify(ctx: click.Context, suite: str, max_total: int | None, jobs: int, fmt
         results = run_suite(suite, max_total, jobs)
     except ValueError as exc:  # a suite's default bound past the ceiling
         raise click.ClickException(str(exc))
+    if not results:  # only a bound below every cell: the default bounds all check something
+        raise click.ClickException(f"suite {suite} checks nothing at --max {max_total}")
     if fmt == "text":
         for res in results:
             click.echo(res.line())

@@ -477,6 +477,7 @@ def mobius_recurrence_residual(p: int, q: int) -> int:
 
 def haar_kappa_pq(p: int, q: int, signs) -> Scalar:
     """kappa_{p,q} of a Haar unitary word with the given exponent signs."""
+    AnnulusShape(p, q)  # refuses p or q below 1 before the letters are cut
     signs = tuple(signs)
     if len(signs) != p + q:
         raise ValueError("sign pattern length must be p + q")

@@ -15,12 +15,19 @@ A word is a tuple of letters ``(generator, exponent)`` with exponent +1 or
 All scalars are exact: Python integers, fractions, or
 ``CumulantPolynomial`` (integer coefficients, sparse monomials over the
 symbols k_n, k_{s,t}, a_n, a_{s,t}).  No floating point is used anywhere.
+
+A symbol is ``k`` (cumulant) or ``a`` (moment), then positive decimal
+orders without leading zeros joined by commas: ``a1,3`` is alpha_{1,3}.
+The cached ``_symbol_key`` is the one reader of that text: products sort
+by its (kind, arity, orders), printing and LaTeX read them, and
+``from_symbol`` refuses what it does not parse.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +64,9 @@ Word = tuple[Letter, ...]
 
 
 def gen_word(name: str, n: int) -> Word:
-    """n copies of the generator, exponent +1."""
+    """n copies of the generator, exponent +1; a negative n is a ValueError."""
+    if n < 0:
+        raise ValueError(f"word length must be at least 0, got {n}")
     return ((name, 1),) * n
 
 
@@ -192,22 +201,21 @@ def alpha2_symbol(s: int, t: int) -> str:
     return _symbol("a", s, t)
 
 
-def _symbol_parts(sym: str) -> tuple[str, tuple[int, ...]]:
-    kind, rest = sym[0], sym[1:]
-    return kind, tuple(int(x) for x in rest.split(","))
-
-
 # Polynomial products sort by this key; the cache parses each symbol once.
 @lru_cache(maxsize=1024)
-def _symbol_key(sym: str):
-    kind, orders = _symbol_parts(sym)
-    return (kind, len(orders), orders)
+def _symbol_key(sym: str) -> tuple[str, int, tuple[int, ...]]:
+    """(kind, arity, orders) of a symbol, or ValueError for text that is not one."""
+    match = re.fullmatch(r"([ka])([1-9][0-9]*(?:,[1-9][0-9]*)*)", sym)
+    if match is None:
+        raise ValueError(f"{sym!r} is not a symbol: k or a, then positive orders joined by commas")
+    orders = tuple(map(int, match[2].split(",")))
+    return match[1], len(orders), orders
 
 
 # display: first-order symbols (ascending order) before the two-point one
 def _display_symbol_key(sym: str):
-    kind, orders = _symbol_parts(sym)
-    return (len(orders), kind, orders)
+    kind, arity, orders = _symbol_key(sym)
+    return (arity, kind, orders)
 
 
 def _monomial(symbols: Iterable[str]) -> tuple[str, ...]:
@@ -258,6 +266,7 @@ class CumulantPolynomial:
 
     @classmethod
     def from_symbol(cls, sym: str) -> "CumulantPolynomial":
+        _symbol_key(sym)  # refuses text that is not a symbol
         return cls({(sym,): 1})
 
     @classmethod
@@ -299,25 +308,15 @@ class CumulantPolynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _add_terms(self, other: "Scalar", negate: bool):
-        if isinstance(other, CumulantPolynomial):
-            items = other.terms.items()
-        elif isinstance(other, int) or isinstance(other, Fraction):
-            items = (((), other),) if other else ()
-        else:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in items:
-            out[m] = out.get(m, 0) + (-c if negate else c)
-        return CumulantPolynomial(out)
-
     def __add__(self, other):
-        return self._add_terms(other, negate=False)
+        if not isinstance(other, (int, Fraction, CumulantPolynomial)):
+            return NotImplemented
+        return CumulantPolynomial.sum((self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._add_terms(other, negate=True)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -393,13 +392,9 @@ class CumulantPolynomial:
     def _display_terms(self) -> list[tuple[tuple[str, ...], Coeff]]:
         def term_key(item):
             monomial, _ = item
-            two_point = [s for s in monomial if "," in s]
+            two_point = [_symbol_key(s)[2] for s in monomial if _symbol_key(s)[1] > 1]
             # two-point monomials first, heavier symbols first, then text order
-            return (
-                0 if two_point else 1,
-                tuple(-sum(_symbol_parts(s)[1]) for s in two_point),
-                monomial,
-            )
+            return (0 if two_point else 1, tuple(-sum(orders) for orders in two_point), monomial)
 
         return sorted(self.terms.items(), key=term_key)
 
@@ -410,9 +405,9 @@ class CumulantPolynomial:
 
     def to_latex(self) -> str:
         def symbol(sym: str) -> str:
-            kind, orders = _symbol_parts(sym)
+            kind, arity, orders = _symbol_key(sym)
             name = "\\kappa" if kind == "k" else "\\alpha"
-            if len(orders) == 1 and orders[0] < 10:
+            if arity == 1 and orders[0] < 10:
                 return f"{name}_{orders[0]}"
             return f"{name}_{{{','.join(map(str, orders))}}}"
 

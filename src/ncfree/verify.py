@@ -855,7 +855,8 @@ def check_order_axioms(max_total: int):
 
 @_check("glued elements never drop to disc elements", ceiling=6)
 def check_order_kinds(max_total: int):
-    """Glued elements never sit below disc elements; other mixes occur."""
+    """Glued elements never sit below disc elements; from total 3 on, the
+    three other mixes occur (at total 2 only disc below tunnel can)."""
     cases, fail = 0, None
     seen = {("disc", "disc"): 0, ("disc", "tunnel"): 0, ("tunnel", "tunnel"): 0}
     for p, q in _shape_cells(max_total):
@@ -869,10 +870,9 @@ def check_order_kinds(max_total: int):
                     fail = f"shape {shape}: glued {els[i]!r} below disc {els[j]!r}"
                 if pair in seen:
                     seen[pair] += 1
-    if fail is None:
-        missing = [pair for pair, k in seen.items() if k == 0]
-        if missing:
-            fail = f"expected strict relations never realized: {missing}"
+    missing = [pair for pair, k in seen.items() if k == 0]
+    if fail is None and missing and max_total >= 3:
+        fail = f"expected strict relations never realized: {missing}"
     return cases, fail
 
 

@@ -239,6 +239,20 @@ class TestTable:
             == "\\kappa_{1,1} = \\alpha_{1,1} + \\alpha_1^2 - \\alpha_2"
         )
 
+    # sha256 of the whole output of ``table 4 4``, per direction and format
+    DIGESTS = {
+        ("alpha-in-kappa", "latex"): "a32d2db7b211c12ba58f6ac3bc40dc2c1d3bb2ffd3dad54a1b880ae741f1b058",
+        ("alpha-in-kappa", "json"): "c93004124780b0465fe9cef9c62756581ceb2fcf58ddb1ce7baf8e7d407436e1",
+        ("kappa-in-alpha", "latex"): "08ce15a35a2236b4e36f111d9a7da18eb7517463a65e7286e3f895a78ce2db5e",
+        ("kappa-in-alpha", "json"): "9bf3756b07f6839967af5ddf2fd1224fa7932f5f8b2509e9cd7339dba56e5d3f",
+    }
+
+    @pytest.mark.parametrize("direction, fmt", list(DIGESTS))
+    def test_output_digests(self, direction, fmt):
+        res = run("table", "4", "4", "--direction", direction, "--format", fmt)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == self.DIGESTS[direction, fmt]
+
 
 class TestVerify:
     def test_text_output(self):
@@ -266,6 +280,24 @@ class TestVerify:
         res = run("verify", "order", "--max", "4")
         assert res.exit_code == 0
         assert "3/3 checks passed" in res.output
+
+    def test_order_suite_below_total_3(self):
+        for bound in ("1", "2"):
+            res = run("verify", "order", "--max", bound)
+            assert res.exit_code == 0, res.output
+            assert "3/3 checks passed" in res.output
+
+    @pytest.mark.parametrize("suite", ["haar", "main-theorem"])
+    def test_a_suite_that_checks_nothing_fails(self, suite):
+        res = run("verify", suite, "--max", "1")
+        assert res.exit_code == 1
+        assert f"suite {suite} checks nothing at --max 1" in res.output
+        assert "checks passed" not in res.output
+
+    def test_a_suite_with_one_check_at_bound_1_passes(self):
+        res = run("verify", "ks", "--max", "1")
+        assert res.exit_code == 0
+        assert "1/1 checks passed" in res.output
 
     def test_squares_suite_ceiling(self, monkeypatch):
         # Refused before any cell runs: the (7,7) cell alone would need some 13 GB.

@@ -838,6 +838,12 @@ class TestModelEvaluations:
         with pytest.raises(ValueError):
             haar_kappa_pq(2, 2, (1, -1))
 
+    @pytest.mark.parametrize("p, q", [(-1, 3), (0, 2), (2, 0), (3, -1)])
+    def test_haar_circle_sizes_are_at_least_1(self, p, q):
+        # (-1, 3) used to cut a negative slice and return kappa_{1,1} of two letters
+        with pytest.raises(ValueError, match="at least one, on each circle"):
+            haar_kappa_pq(p, q, (1, -1))
+
     def test_square_values(self):
         assert semicircular_square_kappa(1, 1) == 1
         assert semicircular_square_kappa(2, 1) == 2

@@ -64,6 +64,13 @@ class TestWords:
         with pytest.raises(ValueError):
             u_word((1, 0))
 
+    def test_negative_lengths_are_refused(self):
+        # a negative length used to give the empty word, like length 0
+        assert gen_word("x", 0) == x_word(0) == ()
+        for make in (lambda n: gen_word("x", n), x_word, a_word):
+            with pytest.raises(ValueError, match="at least 0"):
+                make(-1)
+
 
 class TestSemicircular:
     def test_catalan(self):
@@ -144,6 +151,18 @@ class TestSymbols:
     def test_orders_must_be_positive_ints(self, symbol, orders):
         with pytest.raises(ValueError, match="positive ints"):
             symbol(*orders)
+
+    @pytest.mark.parametrize("text", ["aAB", "x", "k", "k0", "K1", "k01", "k1,", "a1,,2"])
+    def test_from_symbol_refuses_text_that_is_not_a_symbol(self, text):
+        # "aAB" used to be accepted, and failed in int() at its first product or print
+        with pytest.raises(ValueError, match="is not a symbol"):
+            CumulantPolynomial.from_symbol(text)
+
+    def test_from_symbol_reads_every_order(self):
+        # the forms of the ordered-letters model in the cumulant tests
+        poly = CumulantPolynomial.from_symbol("a12,3") * CumulantPolynomial.from_symbol("a123")
+        assert str(poly) == "a123*a12,3"
+        assert poly.to_latex() == "\\alpha_{123} \\alpha_{12,3}"
 
 
 class TestPolynomialRing:
@@ -257,6 +276,10 @@ class TestPolynomialRing:
             k1 * 1.5
         with pytest.raises(TypeError):
             k1 + "x"
+        with pytest.raises(TypeError):
+            k1 - 1.5
+        with pytest.raises(TypeError):
+            "x" - k1
 
     def test_constructor_refuses_floats_and_stores_bools_as_ints(self):
         # The constructor used to keep a float, and a bool serialised as true.

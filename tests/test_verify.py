@@ -55,6 +55,7 @@ from ncfree.verify import (
     check_mobius_recurrence,
     check_nc_counts,
     check_order_corollary,
+    check_order_kinds,
     check_order_refinement,
     check_order_structure,
     check_restriction_lemma,
@@ -270,6 +271,33 @@ class TestAnnularOrderPairs:
     @pytest.mark.extended
     def test_total_7(self):
         _assert_annular_order_pairs(7, (7,))
+
+
+class TestOrderKinds:
+    # the strict relations of each mix of disc and tunnel elements
+    MIXES = [("disc", "disc"), ("disc", "tunnel"), ("tunnel", "tunnel")]
+
+    def test_small_bounds_pass(self):
+        # below total 3 only disc-below-tunnel occurs: once, at total 2
+        for bound, cases in ((1, 0), (2, 1), (3, 25), (4, 321)):
+            got = check_order_kinds(bound)
+            assert (got.passed, got.cases) == (True, cases), got.line()
+
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_a_mix_that_never_occurs_fails_from_total_3(self, monkeypatch, mix):
+        order_table = verify._order_table
+
+        def mutant(shape):
+            els, below = order_table(shape)
+            return els, [
+                mask & ~sum(1 << i for i in range(len(els)) if i != j and (els[i].kind, els[j].kind) == mix)
+                for j, mask in enumerate(below)
+            ]
+
+        monkeypatch.setattr(verify, "_order_table", mutant)
+        got = check_order_kinds(3)
+        assert not got.passed
+        assert got.detail == f"expected strict relations never realized: {[mix]}"
 
 
 class TestCountTable:
