@@ -7,11 +7,12 @@ check suites; exit code 0 exactly when every check passes), and ``draw``
 (SVG annular diagrams).
 
 Every command is deterministic: identical invocations produce byte
-identical output.  Every command but ``draw``, which enumerates nothing,
-checks its sizes up front with the library's one size check,
-``annular._check_bound``: at most NCFREE_MAX_TOTAL, or 12 when that is
-unset, which every enumeration behind it obeys too.  Run as ``ncfree``
-or ``python -m ncfree.cli``.
+identical output.  ``enumerate``, ``counts`` and ``table`` check their
+sizes up front with the library's one size check, ``annular._check_bound``
+(at most NCFREE_MAX_TOTAL, or 12 when that is unset); ``verify`` leaves
+its bound and ``--jobs`` to ``verify.run_suite``.  The group reports the
+``ValueError`` of any refusal as ``Error: <message>`` with exit code 1.
+Run as ``ncfree`` or ``python -m ncfree.cli``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .cumulants import snc_closed_form, symbolic_kappa_pq, symbolic_phi2_expansi
 from .draw import render_svg
 from .perm import Permutation, SetPartition
 from .spaces import CumulantPolynomial, alpha2_symbol, kappa2_symbol
-from .verify import SQUARE_BOUND, run_suite, suite_names
+from .verify import run_suite, suite_names
 
 
 _ECHO_CHUNK = 4096  # lines per write of ``enumerate``: its output is never held whole
@@ -45,14 +46,17 @@ _TABLES = {
 }
 
 
-def _check_total(total: int) -> None:
-    try:
-        _check_bound(total)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+class _Reporting(click.Group):
+    """A group that reports a command's ``ValueError`` as ``Error: <message>``, exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise click.ClickException(str(exc)) from exc
 
 
-@click.group()
+@click.group(cls=_Reporting)
 def main() -> None:
     """Exact combinatorics of second order freeness.
 
@@ -75,9 +79,7 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
     want = 1 if kind == "nc" else 2
     if len(sizes) != want:
         raise click.ClickException(f"{kind} takes exactly {want} size argument(s)")
-    if any(s < 1 for s in sizes):
-        raise click.ClickException("sizes must be at least 1")
-    _check_total(sum(sizes))
+    _check_bound(sum(sizes))
     if kind == "nc":
         family = enumerate_nc(*sizes)
     else:
@@ -92,7 +94,7 @@ def enumerate_cmd(kind: str, sizes: tuple[int, ...]) -> None:
 @click.option("--max-total", "max_total", type=int, required=True, help="largest p+q to tabulate")
 def counts(max_total: int) -> None:
     """CSV of annular family sizes: header p,q,count then one row per shape."""
-    _check_total(max_total)
+    _check_bound(max_total)
     click.echo("p,q,count")
     for total in range(2, max_total + 1):
         for p in range(1, total):
@@ -120,7 +122,7 @@ def table(max_p: int, max_q: int, direction: str, fmt: str) -> None:
     """Symbolic second order tables for all shapes p <= q within the limits."""
     if max_p < 1 or max_q < 1:
         raise click.ClickException("sizes must be at least 1")
-    _check_total(max_p + max_q)
+    _check_bound(max_p + max_q)
     expansion, symbol = _TABLES[direction]
     for p in range(1, max_p + 1):
         for q in range(p, max_q + 1):
@@ -155,18 +157,7 @@ def verify(ctx: click.Context, suite: str, max_total: int | None, jobs: int, fmt
     Exit code is 0 exactly when every check passes; failures carry the
     first counterexample found.
     """
-    if jobs < 1:
-        raise click.ClickException("--jobs must be at least 1")
-    _check_total(max_total if max_total is not None else 1)
-    if suite in ("semicircular-square", "all") and (max_total or 0) > SQUARE_BOUND:
-        raise click.ClickException(
-            f"semicircular-square runs to --max {SQUARE_BOUND} at most: its cells hold "
-            f"every annular pairing of 2(p+q) points"
-        )
-    try:
-        results = run_suite(suite, max_total, jobs)
-    except ValueError as exc:  # a suite's default bound past the ceiling
-        raise click.ClickException(str(exc))
+    results = run_suite(suite, max_total, jobs)
     if not results:  # only a bound below every cell: the default bounds all check something
         raise click.ClickException(f"suite {suite} checks nothing at --max {max_total}")
     if fmt == "text":
@@ -194,19 +185,16 @@ def draw(perm: str, shape: tuple[int, int], partition_json: str | None, out: str
     p, q = shape
     if p < 1 or q < 1:
         raise click.ClickException("both circle sizes must be at least 1")
-    try:
-        pi = Permutation.parse(perm, size=p + q)
-        partition = None
-        if partition_json is not None:
-            blocks = json.loads(partition_json)
-            if not isinstance(blocks, list) or not all(
-                isinstance(b, list) and all(type(x) is int for x in b) for b in blocks
-            ):
-                raise ValueError("--partition must be a JSON list of lists of integers")
-            partition = SetPartition.of_blocks(p + q, blocks)
-        svg = render_svg(pi, AnnulusShape(p, q), partition)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise click.ClickException(str(exc))
+    pi = Permutation.parse(perm, size=p + q)
+    partition = None
+    if partition_json is not None:
+        blocks = json.loads(partition_json)
+        if not isinstance(blocks, list) or not all(
+            isinstance(b, list) and all(type(x) is int for x in b) for b in blocks
+        ):
+            raise click.ClickException("--partition must be a JSON list of lists of integers")
+        partition = SetPartition.of_blocks(p + q, blocks)
+    svg = render_svg(pi, AnnulusShape(p, q), partition)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(svg)
     click.echo(f"wrote {out}")

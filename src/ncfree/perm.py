@@ -205,7 +205,9 @@ class Permutation:
 class SetPartition:
     """A partition of [n] into disjoint blocks, in canonical form.
 
-    Blocks are sorted tuples, listed by their minima.
+    Blocks are sorted tuples, listed by their minima.  ``labels`` gives
+    the block index of each point 1..n: first-appearance labels, as from
+    ``_join0``.
 
     >>> v = SetPartition.of_blocks(3, [(3, 1), (2,)])
     >>> v.blocks
@@ -214,7 +216,7 @@ class SetPartition:
     1
     """
 
-    __slots__ = ("size", "blocks", "_index")
+    __slots__ = ("size", "blocks", "labels")
 
     def __init__(self, size: int, blocks: Iterable[Iterable[int]]):
         if not isinstance(size, int) or size < 1:
@@ -223,21 +225,21 @@ class SetPartition:
         if not all(isinstance(pt, int) for b in blocks for pt in b):
             raise ValueError(f"points must be ints: {blocks!r}")
         canon = sorted(tuple(sorted(b)) for b in blocks)
-        seen = [False] * size
-        for block in canon:
+        labels: list[int | None] = [None] * size
+        for bi, block in enumerate(canon):
             if not block:
                 raise ValueError("empty block")
             for pt in block:
-                if not (1 <= pt <= size) or seen[pt - 1]:
+                if not (1 <= pt <= size) or labels[pt - 1] is not None:
                     raise ValueError(f"blocks do not partition [{size}]: {canon!r}")
-                seen[pt - 1] = True
-        if not all(seen):
+                labels[pt - 1] = bi
+        if None in labels:
             raise ValueError(f"blocks do not cover [{size}]: {canon!r}")
         if type(canon[0][0]) is bool:  # True passed the loop as point 1, which leads canon
             canon[0] = (1,) + canon[0][1:]
         self.size = size
         self.blocks = tuple(canon)
-        self._index: tuple[int, ...] | None = None
+        self.labels = tuple(labels)
 
     @classmethod
     def of_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -264,7 +266,7 @@ class SetPartition:
         if not groups:
             raise ValueError("partitions live on [n] with n >= 1")
         self = cls.__new__(cls)
-        self.size, self._index = len(labels), labels
+        self.size, self.labels = len(labels), labels
         blocks = map(tuple, groups)
         self.blocks = tuple(blocks if pool is None else [pool.setdefault(b, b) for b in blocks])
         return self
@@ -285,17 +287,6 @@ class SetPartition:
     def metric_length(self) -> int:
         """n minus the number of blocks."""
         return self.size - len(self.blocks)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        """The block index of each point 1..n: first-appearance labels, as from ``_join0``."""
-        if self._index is None:
-            index = [0] * self.size
-            for bi, block in enumerate(self.blocks):
-                for pt in block:
-                    index[pt - 1] = bi
-            self._index = tuple(index)
-        return self._index
 
     def block_index(self, i: int) -> int:
         """Index into ``blocks`` of the block containing i."""

@@ -5,11 +5,12 @@ computations, or a computation against a definition-level brute force.
 All arithmetic is exact, so a check either passes on every case or
 reports the first counterexample it met.  Checks are grouped into named
 suites (see SUITES); the default bounds are the ones the acceptance tests
-run at.  Passing an explicit bound substitutes it where a sweep can absorb
-it; checks built on a quadratic scan of a full symmetric group clamp the
-bound to a feasible ceiling instead; suites that enumerate at their bound
-refuse one past ``annular._check_bound``, and the squares suite and ``all``
-one past ``SQUARE_BOUND``, before any cell runs.
+run at.  ``main-theorem``, ``ks`` and ``haar`` take an explicit bound as
+given and refuse one past ``annular._check_bound``, and the squares suite
+(so ``all``) one past ``SQUARE_BOUND``, before any cell runs;
+``semicircular`` and ``mobius`` clamp it at their check's ceiling, and
+``lemmas`` and ``order`` run each check at the lower of the bound and its
+default.  Every suite refuses a bound or ``jobs`` below 1.
 
 Suites built from independent cells (one per annulus shape, or one per
 check) fan out over a process pool when ``jobs > 1``, with never more
@@ -1078,6 +1079,8 @@ def _cells(fn, cells, jobs: int, costs=None) -> list[CheckResult]:
     """``fn`` of every cell, in cell order; over a pool of ``jobs`` workers,
     but never more than there are cells, when that is more than one.  The
     pool starts the cells by decreasing ``costs`` when they are given."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(cells))
     if workers <= 1:
         return [fn(c) for c in cells]
@@ -1109,17 +1112,18 @@ def suite_ks(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
 
 
 def suite_semicircular(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    del jobs
-    return [check_fluctuations(_bound(max_total, 10))]
+    return _cells(check_fluctuations, [_bound(max_total, 10)], jobs)
 
 
-# The cells count annular pairings of 2p + 2q points.
 SQUARE_BOUND = PAIRING_BOUND // 4
 
 
 def _square_bound(max_total: int | None) -> int:
     if (bound := _bound(max_total, 4)) > SQUARE_BOUND:
-        raise ValueError(f"the squares suite runs to a bound of at most {SQUARE_BOUND}")
+        raise ValueError(
+            f"semicircular-square runs to a bound of at most {SQUARE_BOUND}: "
+            "its cells hold every annular pairing of 2(p+q) points"
+        )
     return bound
 
 
@@ -1133,8 +1137,7 @@ def suite_haar(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]
 
 
 def suite_mobius(max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    del jobs
-    return [check_mobius_recurrence(_bound(max_total, 8))]
+    return _cells(check_mobius_recurrence, [_bound(max_total, 8)], jobs)
 
 
 # (check, default bound, seconds): the seconds are one serial run at the
@@ -1202,7 +1205,8 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_total: int | None = None, jobs: int = 1) -> list[CheckResult]:
-    """Run one suite (or ``all``) and return its results in order; a bound below 1 is refused."""
+    """Run one suite (or ``all``) and return its results in order; a bound or
+    ``jobs`` below 1 is refused."""
     if name == "all":
         _square_bound(max_total)  # refused before any suite runs
         return [result for suite in SUITES.values() for result in suite(max_total, jobs)]

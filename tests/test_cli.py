@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import ncfree
 from ncfree.annular import AnnulusShape, element_record, enumerate_nc, enumerate_psnc, enumerate_snc
 from ncfree.cli import main
+from ncfree.verify import CheckResult
 
 
 def run(*args, env=None):
@@ -164,6 +165,41 @@ class TestOneLimit:
         )
 
 
+# one library call behind each command, and the command that reaches it
+_CALLS = [
+    ("ncfree.cli.element_lines", ("enumerate", "nc", "2")),
+    ("ncfree.cli.snc_closed_form", ("counts", "--max-total", "2")),
+    ("ncfree.cli.CumulantPolynomial.from_symbol", ("table", "1", "1")),
+    ("ncfree.cli.run_suite", ("verify", "ks")),
+    ("ncfree.cli.render_svg", ("draw", "(1,2)", "--shape", "1", "1", "--out", "unused.svg")),
+]
+
+
+class TestErrorHandler:
+    """The group reports a command's ``ValueError`` as one error line; nothing else."""
+
+    @pytest.mark.parametrize("target, args", _CALLS)
+    def test_a_value_error_is_an_error_line(self, monkeypatch, target, args):
+        def refuse(*_args, **_kwargs):
+            raise ValueError("refused by the library")
+
+        monkeypatch.setattr(target, refuse)
+        res = run(*args)
+        assert res.exit_code == 1 and type(res.exception) is SystemExit
+        # the error is the last line: counts prints its header first
+        assert res.output.splitlines()[-1] == "Error: refused by the library"
+
+    @pytest.mark.parametrize("target, args", _CALLS)
+    def test_other_exceptions_propagate(self, monkeypatch, target, args):
+        def broken(*_args, **_kwargs):
+            raise TypeError("a bug, not a refusal")
+
+        monkeypatch.setattr(target, broken)
+        res = run(*args)
+        assert type(res.exception) is TypeError
+        assert "Error:" not in res.output
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_group(self):
         # Used to exit 0 with empty output: the module had no __main__ block.
@@ -274,7 +310,28 @@ class TestVerify:
 
     def test_jobs_must_be_positive(self):
         res = run("verify", "mobius", "--jobs", "0")
-        assert res.exit_code != 0 and "--jobs must be at least 1" in res.output
+        assert (res.exit_code, res.output) == (1, "Error: jobs must be at least 1, got 0\n")
+
+    @pytest.mark.parametrize("suite, ceiling", [("semicircular", 12), ("mobius", 9)])
+    def test_a_bound_past_the_ceiling_clamps(self, suite, ceiling):
+        # Both used to be refused at --max 13, against what README says.
+        above = run("verify", suite, "--max", "13", "--format", "json")
+        at = run("verify", suite, "--max", str(ceiling), "--format", "json")
+        assert (above.exit_code, at.exit_code) == (0, 0), above.output
+        strip = lambda out: [{**r, "seconds": None} for r in json.loads(out)]
+        assert strip(above.output) == strip(at.output)
+        assert [r["passed"] for r in json.loads(above.output)] == [True]
+
+    def test_a_failing_check_exits_1(self, monkeypatch):
+        failing = [CheckResult("broken check", False, 1, 0.0, "case 7")]
+        monkeypatch.setattr("ncfree.cli.run_suite", lambda *args: failing)
+        text = run("verify", "ks")
+        assert (text.exit_code, text.output) == (
+            1, "FAIL  broken check  (1 cases, 0.00s)  [case 7]\n0/1 checks passed\n"
+        )
+        payload = run("verify", "ks", "--format", "json")
+        assert payload.exit_code == 1
+        assert json.loads(payload.output) == [failing[0].to_json_obj()]
 
     def test_order_suite_small(self):
         res = run("verify", "order", "--max", "4")
@@ -301,15 +358,20 @@ class TestVerify:
 
     def test_squares_suite_ceiling(self, monkeypatch):
         # Refused before any cell runs: the (7,7) cell alone would need some 13 GB.
-        def no_run(*args):
-            raise AssertionError("a refused suite started")
+        def no_cell(*args):
+            raise AssertionError("a refused suite started a cell")
 
+        message = (
+            "Error: semicircular-square runs to a bound of at most 6: "
+            "its cells hold every annular pairing of 2(p+q) points\n"
+        )
         with monkeypatch.context() as patch:
-            patch.setattr("ncfree.cli.run_suite", no_run)
+            for cell in ("_product_cell", "_square_cell", "_haar_cell", "_run_check",
+                         "check_fluctuations", "check_mobius_recurrence"):
+                patch.setattr(f"ncfree.verify.{cell}", no_cell)
             for suite in ("semicircular-square", "all"):
                 res = run("verify", suite, "--max", "7")
-                assert res.exit_code != 0
-                assert "--max 6 at most" in res.output
+                assert (res.exit_code, res.output) == (1, message)
         res = run("verify", "semicircular-square", "--max", "1")
         assert res.exit_code == 0
         assert "1/1 checks passed" in res.output

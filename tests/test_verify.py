@@ -15,7 +15,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from ncfree import verify
+from ncfree import cumulants, verify
 from ncfree.annular import (
     AnnulusShape,
     Composition,
@@ -122,11 +122,24 @@ class TestSuiteRegistry:
         calls = []
         for name in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, name, lambda *args, name=name: calls.append(name) or [])
-        with pytest.raises(ValueError, match=f"bound of at most {verify.SQUARE_BOUND}$"):
+        message = (
+            f"semicircular-square runs to a bound of at most {verify.SQUARE_BOUND}: "
+            "its cells hold every annular pairing of 2(p+q) points"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_suite("all", verify.SQUARE_BOUND + 1)
         assert calls == []
         assert run_suite("all", verify.SQUARE_BOUND) == []
         assert calls == list(verify.SUITES)
+
+    def test_jobs_below_one_are_refused(self):
+        # They used to run serially.
+        for name, suite in verify.SUITES.items():
+            with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+                suite(1, jobs=0)
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+                run_suite("ks", 3, jobs=jobs)
 
     def test_enumerating_suites_refuse_past_the_ceiling_before_any_cell(self, monkeypatch):
         # They used to ignore NCFREE_MAX_TOTAL and run every cell.
@@ -194,6 +207,109 @@ class TestReducedBounds:
         assert [(r.name, r.passed, r.cases) for r in serial] == [
             (r.name, r.passed, r.cases) for r in parallel
         ]
+
+
+class TestMainTheoremMutant:
+    """The main theorem suite can fail: it catches a filter that leaves the
+    inner circle's last group endpoint, point p+q, out of the separation test."""
+
+    def test_endpoint_mutant_fails(self, monkeypatch):
+        real = cumulants._separated_sum
+
+        def mutant(model, word, sizes, points):
+            if len(sizes) == 2:
+                points = [pt for pt in points if pt != sum(sizes)]
+            return real(model, word, sizes, points)
+
+        cumulants.clear_caches()
+        try:
+            want = suite_main_theorem(3)
+            monkeypatch.setattr(cumulants, "_separated_sum", mutant)
+            got = suite_main_theorem(3)
+            at_6 = suite_main_theorem(6)
+        finally:
+            cumulants.clear_caches()
+        assert [(r.name, r.cases) for r in got] == [(r.name, r.cases) for r in want]
+        assert [r.passed for r in want] == [True, True, True]
+        assert [r.passed for r in got] == [True, False, False]  # shapes (1,1), (1,2), (2,1)
+        assert got[1].detail.startswith("parts (1, 1, 1) split 1, formal:")
+        assert (len(at_6), sum(not r.passed for r in at_6)) == (15, 14)
+
+
+class TestModelCounterexamples:
+    """A model check with its computed side wrong on one case fails, keeps
+    the case count of the real run, and names that case."""
+
+    def test_nc_counts(self, monkeypatch):
+        want = check_nc_counts(5)
+        real = verify.enumerate_nc
+        monkeypatch.setattr(verify, "enumerate_nc", lambda n: real(n)[: -1 if n == 3 else None])
+        got = check_nc_counts(5)
+        assert (got.passed, got.cases) == (False, want.cases)
+        assert got.detail == "n=3: enumerated 4, Catalan gives 5"
+
+    def test_haar_cell(self, monkeypatch):
+        want = verify._haar_cell((2, 2))
+        real, bad = verify.haar_kappa_pq, (1, -1, 1, -1)
+        monkeypatch.setattr(
+            verify, "haar_kappa_pq", lambda p, q, signs: real(p, q, signs) + (signs == bad)
+        )
+        got = verify._haar_cell((2, 2))
+        assert (got.passed, got.cases) == (False, want.cases)
+        assert got.detail == "signs (1, -1, 1, -1): cumulant 2, predicted 1"
+
+    def test_square_cell_count(self, monkeypatch):
+        want = verify._square_cell((1, 2))
+        real = verify.semicircular_square_kappa
+        monkeypatch.setattr(
+            verify, "semicircular_square_kappa", lambda p, q: real(p, q) + ((p, q) == (1, 2))
+        )
+        got = verify._square_cell((1, 2))
+        assert (got.name, got.passed, got.cases) == (want.name, False, want.cases)
+        assert got.name.endswith("shape (1,2)")
+        assert got.detail == "separated count 3, binomial sum 2, closed form 2"
+
+    def test_square_cell_general_machinery(self, monkeypatch):
+        want = verify._square_cell((1, 2))
+        real = verify.main_product_cumulant
+        monkeypatch.setattr(
+            verify, "main_product_cumulant", lambda model, word, comp: real(model, word, comp) + 1
+        )
+        got = verify._square_cell((1, 2))
+        assert (got.name, got.passed, got.cases) == (want.name, False, want.cases)
+        assert got.detail == "general machinery gives 3/2, pairing count gives 2"
+
+    def test_fluctuations_disagree(self, monkeypatch):
+        want = check_fluctuations(5)
+        real = verify.semicircular_phi2_closed
+        monkeypatch.setattr(
+            verify, "semicircular_phi2_closed", lambda p, q: real(p, q) + ((p, q) == (2, 2))
+        )
+        got = check_fluctuations(5)
+        assert (got.passed, got.cases) == (False, want.cases)
+        assert got.detail == "(p,q)=(2,2): sum 2, closed 3, pairings 2"
+
+    def test_fluctuations_odd_total(self, monkeypatch):
+        # all three sides agree, but on a value an odd total cannot have
+        want = check_fluctuations(5)
+        for name in ("semicircular_phi2", "semicircular_phi2_closed", "count_snc_pairings"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(
+                verify, name, lambda p, q, real=real: 7 if (p, q) == (1, 2) else real(p, q)
+            )
+        got = check_fluctuations(5)
+        assert (got.passed, got.cases) == (False, want.cases)
+        assert got.detail == "(p,q)=(1,2): odd total but value 7"
+
+    def test_mobius_recurrence(self, monkeypatch):
+        want = check_mobius_recurrence(5)
+        real = verify.mobius_recurrence_residual
+        monkeypatch.setattr(
+            verify, "mobius_recurrence_residual", lambda p, q: real(p, q) + ((p, q) == (2, 3))
+        )
+        got = check_mobius_recurrence(5)
+        assert (got.passed, got.cases) == (False, want.cases)
+        assert got.detail == "(p,q)=(2,3): residual 1"
 
 
 class TestPoolSize:
