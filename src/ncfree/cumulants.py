@@ -43,37 +43,37 @@ The test suite checks both against the direct recursions on the grouped
 words; neither is assumed.
 
 Every sum above walks a plan built once per size (n,) or shape (p, q),
-``_plan(sizes)``: one ``(blocks, mask)`` record per element, its blocks the
-enumeration's own 1-based cycle tuples smallest first, its mask a bit per
-pair of points in one cycle of the complement pi^-1 gamma: a point set is
-separated when its own pair mask meets the record's in no bit.  Records
-come in stretches, one per first block, the solved-for element (permutation
-gamma) last and alone.  ``_kappa_blocks`` is the only code that multiplies
-cumulants over blocks: it gathers a distinct block's words with one
-itemgetter and evaluates it, and each product, once per call, of any scalar
-type, stops a product at its first zero factor and leaves a stretch whose
-first block is an int zero (kappa_1(u) = 0 empties every Haar element with a
-singleton).  So a zero product is the running product at its first zero in
-size order: (1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
+``_plan(sizes)``: a table of the distinct blocks (the enumeration's own
+1-based cycle tuples, each cycle with a prebuilt getter of its arguments)
+and one ``(numbers, mask)`` record per element: its blocks' table indices
+smallest first, and a bit per pair of points in one cycle of the complement
+pi^-1 gamma, so a point set is separated when its own pair mask meets the
+record's in no bit.  Records come in stretches, one per first block, the
+solved-for element (permutation gamma) last and alone.  ``_kappa_blocks``
+is the only code that multiplies cumulants over blocks: it evaluates each
+block and each product once per call, of any scalar type, stops a product
+at its first zero factor and leaves a stretch whose first block is an int
+zero (kappa_1(u) = 0 empties every Haar element with a singleton).  So a
+zero product is the running product at its first zero in size order:
+(1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
 
-Memoised, each as an ``lru_cache``: ``_plan``; the one recursion of both
-orders, ``_kappa(model, groups)``, keyed by the model object and one
-argument tuple (kappa_n) or two (kappa_{p,q}); and
-``_nonzero_summands``, at most 128 (model, word, sizes) tables of the
+Memos: ``_kappa(model, groups)``, the one recursion of both orders, keeps
+kappa_n of one argument tuple and kappa_{p,q} of two in ``model.memo``, as
+long as the model lives.  ``_plan`` is an ``lru_cache``, as is
+``_nonzero_summands``: at most 128 (model, word, sizes) tables of the
 products that are not an int zero, each built in one walk and never
-changed.  A composition only selects summands, so a product formula call
-is one filtered sum over a table, and the first call at a size or shape
-pays for all of it.  Records whose factors agree share one product object,
-so a table holds far fewer distinct products than entries.  On a 2-CPU
-machine a lone formal-model call at (5 | 5), plans built, took about 1.6 s
-and peaked at 194 MB, and the next composition there under 0.1 s.
-``oracle_product_cumulant`` never reads the tables.  ``clear_caches()``
-empties all of these (``memo_info()`` shows them), not the enumerations.
-Every public entry point checks its total before it reads any of them.
+changed.  A composition only selects summands, so a product formula call is
+one filtered sum over a table, whose records share one product object where
+their factors agree.  On a 2-CPU machine a lone formal-model call at (5 | 5),
+plans built, took 0.6-1.0 s and peaked at 158 MB, and the next composition
+there under 0.02 s.  ``oracle_product_cumulant`` never reads the tables.
+``clear_caches()`` empties all of these, not the enumerations (``memo_info()``
+shows them); every public entry point checks its total before it reads one.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from math import comb
@@ -133,6 +133,8 @@ __all__ = [
 ]
 
 Args = tuple[Word, ...]
+_KAPPA_COUNTS = {"hits": 0, "misses": 0}  # of every ``model.memo``, as an lru_cache counts
+_MODELS: weakref.WeakSet[MomentOracle] = weakref.WeakSet()  # the live models with a memo entry
 
 
 def _norm_args(*groups) -> tuple[Args, ...]:
@@ -155,66 +157,71 @@ def _pair_mask(n: int, groups) -> int:
 
 @lru_cache(maxsize=None)
 def _plan(sizes: tuple[int, ...]) -> tuple:
-    """The elements of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q), as
-    stretches: one tuple of ``(blocks, mask)`` records per first block, the
-    top last and alone: the one element whose complement is the identity
-    (gamma_pq has no through cycle).  Blocks go by point count, ties in
-    min-point order, equal blocks one object; ``mask`` is the complement
+    """The elements of NC(n), sizes (n,), or of PS_NC(p, q), sizes (p, q), as ``_table``
+    of the distinct blocks and per first block a stretch of ``(numbers, mask)`` records,
+    the top (gamma_pq, whose complement has no through cycle) last and alone.  ``numbers``
+    index the table by point count, ties in min-point order; ``mask`` is the complement
     cycles' ``_pair_mask``, one object per permutation, whose elements are adjacent."""
     if len(sizes) == 1:
         elements = [(pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
     else:
         elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
-    n, pool, by_head, last = sum(sizes), {}, {}, None
+    n, numbers, by_head, last = sum(sizes), {}, {}, None
     times_gamma = _composer0(_gamma0(*sizes))
     for pi, blocks in elements:
         if pi is not last:
             complement = times_gamma(_inverse0([x - 1 for x in pi.image]))
             last, mask = pi, _pair_mask(n, map(sorted, _cycles0(complement)))
-        blocks = tuple([pool.setdefault(b, b) for b in sorted(blocks, key=_points)])
-        by_head.setdefault(blocks[0] if mask else None, []).append((blocks, mask))
+        record = tuple([numbers.setdefault(b, len(numbers)) for b in sorted(blocks, key=_points)])
+        by_head.setdefault(record[0] if mask else None, []).append((record, mask))
     by_head[None] = by_head.pop(None)  # the top, last
-    return tuple(map(tuple, by_head.values()))
+    return _table(numbers), tuple(map(tuple, by_head.values()))
 
 
-def _words(args: tuple, cycle: tuple[int, ...]) -> Args:
-    # one C call: a slice for one point, as a one-index itemgetter returns the item
-    return args[cycle[0] : cycle[0] + 1] if len(cycle) == 1 else itemgetter(*cycle)(args)
+def _table(blocks) -> tuple:
+    """``(block, *getters)`` per block of 1-based cycles: ``_getter`` of each cycle."""
+    return tuple([(block, *map(_getter, block)) for block in blocks])
 
 
-def _kappa_blocks(model: MomentOracle, args: Args, stretches) -> list[tuple[object, Scalar]]:
-    """``(tag, product)`` of each ``(blocks, tag)`` record of ``stretches``
-    whose product is not an int zero: over ``blocks``, a list of blocks of
-    1-based cycles, kappa_n of each one-cycle block's arguments times
-    kappa_{s,t} of each two-cycle one's, left to right, stopped at its first
-    zero factor.  The records of a stretch share their first block, so one
-    whose first block is an int zero ends its stretch.
+def _getter(cycle: tuple[int, ...]) -> itemgetter:
+    # one C call for the arguments: a slice for one point, as a one-index itemgetter returns the item
+    return itemgetter(*cycle) if len(cycle) > 1 else itemgetter(slice(cycle[0], cycle[0] + 1))
 
-    A block object is evaluated once per call: in a plan, ``_plan`` made
-    equal blocks one object.  Each product is computed once per pair of
-    operands, by identity, so records whose factors agree share every
-    running product, whatever the scalar type.  Every keyed operand is a
-    factor in ``factors`` or a product in ``products``, both kept until the
-    call returns, so no id is reused while it is a key."""
+
+def _kappa_blocks(model: MomentOracle, args: Args, table, stretches) -> list[tuple[object, Scalar]]:
+    """``(tag, product)`` of each ``(numbers, tag)`` record of ``stretches`` whose
+    product is not an int zero: over the blocks of ``table`` that ``numbers`` names,
+    kappa_n of each one-cycle block's arguments times kappa_{s,t} of each two-cycle
+    one's, left to right, stopped at its first zero factor.  The records of a stretch
+    share their first block, so one whose first block is an int zero ends its stretch.
+
+    A block is evaluated once per call, from ``model.memo`` if there, and each
+    product once per pair of operands, by identity, so records whose factors
+    agree share every running product, whatever the scalar type.  Every keyed
+    operand is held in ``factors`` or ``products`` until the call returns, so
+    no id is reused while it is a key."""
     args = (None, *args)  # cycles count from 1
-    factors: dict[int, Scalar] = {}  # by id: the blocks outlive the call
+    memo, hits = model.memo, 0
+    factors, ids = [None] * len(table), [None] * len(table)  # by block number: a factor, its id
     products: dict[tuple[int, int], Scalar] = {}  # by ids: both operands are held
     out: list[tuple[object, Scalar]] = []
     for stretch in stretches:
-        for blocks, tag in stretch:
+        for numbers, tag in stretch:
             value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
-            for block in blocks:
-                factor = factors.get(id(block))
+            for i in numbers:
+                factor = factors[i]
                 if factor is None:
-                    if len(block) == 1:
-                        factor = _kappa(model, (_words(args, block[0]),))
-                    else:
-                        factor = _kappa(model, (_words(args, block[0]), _words(args, block[1])))
-                    factors[id(block)] = factor
+                    entry = table[i]
+                    groups = (entry[1](args),) if len(entry) == 2 else (entry[1](args), entry[2](args))
+                    factor = memo.get(groups)
+                    hits += factor is not None
+                    if factor is None:
+                        factor = _kappa(model, groups)
+                    factors[i], ids[i] = factor, id(factor)
                 if value is None:
                     value = factor
                 else:
-                    key = (id(value), id(factor))
+                    key = (id(value), ids[i])
                     product = products.get(key)
                     if product is None:
                         product = products[key] = value * factor
@@ -223,30 +230,35 @@ def _kappa_blocks(model: MomentOracle, args: Args, stretches) -> list[tuple[obje
                     break
             if value or type(value) is not int:
                 out.append((tag, value))
-            elif block is blocks[0]:
+            elif i == numbers[0]:
                 break
+    _KAPPA_COUNTS["hits"] += hits
     return out
 
 
 def _block_product(model: MomentOracle, args: Args, blocks) -> Scalar:
     """kappa over ``blocks``, multiplied smallest first as in a plan."""
-    return _summed(model, args, [[(sorted(blocks, key=_points), None)]])
+    return _summed(model, args, _table(sorted(blocks, key=_points)), [[(range(len(blocks)), None)]])
 
 
-def _summed(model: MomentOracle, args: Args, stretches) -> Scalar:
+def _summed(model: MomentOracle, args: Args, table, stretches) -> Scalar:
     """The sum of the products of the records of ``stretches`` on ``args``."""
-    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, stretches))
+    return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, table, stretches))
 
 
-@lru_cache(maxsize=None)
 def _kappa(model: MomentOracle, groups: tuple[Args, ...]) -> Scalar:
-    """kappa_n of one argument tuple, kappa_{p,q} of two: the moment of the
-    concatenated words less every summand of the plan but the solved-for one."""
-    stretches = _plan(tuple(map(len, groups)))
-    args = groups[0] if len(groups) == 1 else groups[0] + groups[1]
-    below = _summed(model, args, islice(stretches, len(stretches) - 1))
-    words = tuple(map(concat_words, groups))
-    return (model.phi(*words) if len(words) == 1 else model.phi2(*words)) - below
+    """kappa_n of one argument tuple, kappa_{p,q} of two, kept in ``model.memo``: the
+    moment of the concatenated words less every summand of the plan but the solved-for one."""
+    value = model.memo.get(groups)
+    _KAPPA_COUNTS["hits" if value is not None else "misses"] += 1
+    if value is None:
+        table, stretches = _plan(tuple(map(len, groups)))
+        args = groups[0] if len(groups) == 1 else groups[0] + groups[1]
+        below = _summed(model, args, table, islice(stretches, len(stretches) - 1))
+        words = tuple(map(concat_words, groups))
+        value = model.memo[groups] = (model.phi if len(words) == 1 else model.phi2)(*words) - below
+        _MODELS.add(model)
+    return value
 
 
 @lru_cache(maxsize=128)
@@ -262,25 +274,27 @@ def _nonzero_summands(model: MomentOracle, word: Word, sizes: tuple[int, ...]) -
     both.  The disc has one end, so there every record stays.
     """
     ends = _pair_mask(sum(sizes), [[end - 1 for end in accumulate(sizes)]])
-    kept = ([rec for rec in stretch if not rec[1] & ends] for stretch in _plan(sizes))
-    return tuple(_kappa_blocks(model, tuple([(letter,) for letter in word]), kept))
-
-
-_MEMOS = {m.__name__[1:]: m for m in (_kappa, _plan, _nonzero_summands)}
+    table, stretches = _plan(sizes)
+    kept = ([rec for rec in stretch if not rec[1] & ends] for stretch in stretches)
+    return tuple(_kappa_blocks(model, tuple([(letter,) for letter in word]), table, kept))
 
 
 def clear_caches() -> None:
-    """Empty the cumulant memo of both orders, the summation plans and
+    """Empty the cumulant memo of every live model, the summation plans and
     the product formulas' summands; the enumerations (one tuple per size or
-    shape) stay.  The cumulant memo is unbounded and keyed by the model object:
-    every model a cumulant call was given stays referenced until this call."""
-    for memo in _MEMOS.values():
-        memo.cache_clear()
+    shape) stay.  A model's cumulant memo lives as long as the model."""
+    for model in _MODELS:
+        model.memo.clear()
+    _KAPPA_COUNTS.update(hits=0, misses=0)
+    _plan.cache_clear()
+    _nonzero_summands.cache_clear()
 
 
 def memo_info() -> dict[str, dict[str, int]]:
-    """Hits, misses and size of each memo that ``clear_caches`` empties."""
-    return {name: memo.cache_info()._asdict() for name, memo in _MEMOS.items()}
+    """Hits, misses and size of each memo that ``clear_caches`` empties, the live models' memos as one."""
+    kappa = dict(_KAPPA_COUNTS, maxsize=None, currsize=sum(len(model.memo) for model in _MODELS))
+    lru = {m.__name__[1:]: m.cache_info()._asdict() for m in (_plan, _nonzero_summands)}
+    return {"kappa": kappa, **lru}
 
 
 def kappa_n(model: MomentOracle, args) -> Scalar:
@@ -327,13 +341,13 @@ def kappa_vp(model: MomentOracle, args, vp: PartitionedPermutation) -> Scalar:
 def phi_via_cumulants(model: MomentOracle, args) -> Scalar:
     """Sum of kappa_pi over all disc non-crossing pi."""
     (args,) = _norm_args(args)
-    return _summed(model, args, _plan((len(args),)))
+    return _summed(model, args, *_plan((len(args),)))
 
 
 def phi2_via_cumulants(model: MomentOracle, args1, args2) -> Scalar:
     """Sum of kappa_(V,pi) over all annular partitioned permutations."""
     args1, args2 = _norm_args(args1, args2)
-    return _summed(model, args1 + args2, _plan((len(args1), len(args2))))
+    return _summed(model, args1 + args2, *_plan((len(args1), len(args2))))
 
 
 # -- cumulants with products as arguments ------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
@@ -449,13 +449,14 @@ Scalar = Union[int, Fraction, CumulantPolynomial]
 class MomentOracle:
     """A first and second order moment functional pair.
 
-    The cumulant layer keys its memo tables by the oracle object itself
-    (hash and equality by identity), so the models are module singletons.
+    ``memo`` holds the cumulant layer's values for this model, as long as the
+    model lives; hash and equality are by identity, so each model has its own.
     """
 
     name: str
     phi: Callable[[Word], Scalar]
     phi2: Callable[[Word, Word], Scalar]
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def _semicircular_phi2_words(w1: Word, w2: Word) -> int:

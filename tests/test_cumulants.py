@@ -1,5 +1,6 @@
 """First and second order cumulants: recursions, products, symbols."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -109,6 +110,15 @@ def _size_order(blocks):
 def _records(stretches):
     """A plan's records, stretch after stretch."""
     return [rec for stretch in stretches for rec in stretch]
+
+
+def _decoded(plan):
+    """A plan's stretches with each record's block numbers replaced by the
+    table's blocks."""
+    table, stretches = plan
+    return tuple(
+        tuple((tuple(table[i][0] for i in numbers), tag) for numbers, tag in stretch) for stretch in stretches
+    )
 
 
 def _cycle_labels(a):
@@ -428,19 +438,20 @@ class TestProductsAsEntries:
                 assert all(product or type(product) is not int for _, product in table)
 
     def test_plans_leave_out_only_the_solved_for_element(self):
-        # A plan is a tuple of stretches, each a nonempty tuple of (blocks,
-        # mask) pairs sharing one first block object, and no object heads two
-        # stretches.  The solved-for element is the last record, and its
-        # stretch holds nothing else.
-        def check_stretches(stretches, top_blocks, where):
-            assert isinstance(stretches, tuple), where
+        # A plan is a table and a tuple of stretches, each a nonempty tuple of
+        # (numbers, mask) pairs sharing one first block number, and no number
+        # heads two stretches.  The solved-for element is the last record, and
+        # its stretch holds nothing else.
+        def check_stretches(plan, top_blocks, where):
+            table, stretches = plan
+            assert isinstance(table, tuple) and isinstance(stretches, tuple), where
             assert all(isinstance(stretch, tuple) and stretch for stretch in stretches), where
-            records = _records(stretches)
-            assert all(len(rec) == 2 for rec in records), where
+            assert all(len(rec) == 2 for rec in _records(stretches)), where
             heads = [stretch[0][0][0] for stretch in stretches]
             for head, stretch in zip(heads, stretches):
-                assert all(blocks[0] is head for blocks, _ in stretch), where
-            assert len({id(head) for head in heads}) == len(heads), where
+                assert all(numbers[0] == head for numbers, _ in stretch), where
+            assert len(set(heads)) == len(heads), where
+            records = _records(_decoded(plan))
             assert [i for i, rec in enumerate(records) if rec[0] == top_blocks] == [len(records) - 1], where
             assert len(stretches[-1]) == 1, where
             return records
@@ -463,7 +474,7 @@ class TestProductsAsEntries:
         sizes_list = [(n,) for n in range(1, 8)]
         sizes_list += [(p, total - p) for total in range(2, 7) for p in range(1, total)]
         for sizes in sizes_list:
-            records = _records(_plan(sizes))
+            records = _records(_decoded(_plan(sizes)))
             want = [(blocks, _same_cycle_pairs(k)) for blocks, k in _complements(sizes).items()]
             assert len(records) == len(want), sizes
             assert sorted(records) == sorted(want), sizes
@@ -482,7 +493,7 @@ class TestProductsAsEntries:
             for sizes, point_sets in plans:
                 complements = _complements(sizes)
                 ends = [(points, _pair_mask(total, [[pt - 1 for pt in points]])) for points in point_sets]
-                for blocks, mask in _records(_plan(sizes)):
+                for blocks, mask in _records(_decoded(_plan(sizes))):
                     labels = _cycle_labels(complements[blocks])
                     for points, end_mask in ends:
                         assert (not mask & end_mask) == _separated(labels, points), (blocks, points)
@@ -496,7 +507,7 @@ class TestProductsAsEntries:
         for total in range(2, 8):
             for p in range(1, total):
                 family = enumerate_psnc(AnnulusShape(p, total - p))
-                records = _records(_plan((p, total - p)))
+                records = _records(_decoded(_plan((p, total - p))))
                 by_blocks = {rec[0]: rec for rec in records}
                 assert len(by_blocks) == len(records) == len(family), (p, total - p)
                 by_perm = {}
@@ -509,10 +520,30 @@ class TestProductsAsEntries:
                     assert by_perm.setdefault(id(vp.perm), rec[1]) is rec[1], (p, total - p)
                 assert total == 2 or len(by_perm) < len(family), (p, total - p)
         for n in range(1, 8):
-            records = _records(_plan((n,)))
+            records = _records(_decoded(_plan((n,))))
             assert sorted(blocks for blocks, _ in records) == sorted(
                 _size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(n)
             ), n
+
+    def test_plan_tables_decode_to_the_enumerations_blocks(self):
+        # Decoded through the table, the records are the elements' blocks
+        # smallest first; each distinct block is in the table once, with one
+        # getter per cycle that reads the cycle's arguments (here args[i] = i).
+        args = tuple(range(8))
+        sizes_list = [(n,) for n in range(1, 8)] + [(p, t - p) for t in range(2, 7) for p in range(1, t)]
+        for sizes in sizes_list:
+            table, stretches = _plan(sizes)
+            if len(sizes) == 1:
+                want = [_size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
+            else:
+                want = [_size_order(vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
+            records = _records(_decoded((table, stretches)))
+            assert sorted(blocks for blocks, _ in records) == sorted(want), sizes
+            blocks = [block for block, *_ in table]
+            assert len(set(blocks)) == len(blocks), sizes
+            assert set(blocks) == {block for element in want for block in element}, sizes
+            for block, *getters in table:
+                assert [get(args) for get in getters] == list(block), (sizes, block)
 
     @pytest.mark.parametrize(
         "call, message",
@@ -600,7 +631,7 @@ def _by_index(stretches):
     """A plan's stretches, each record tagged with its index among the plan's
     records instead of its mask."""
     index = itertools.count()
-    return [[(blocks, next(index)) for blocks, _ in stretch] for stretch in stretches]
+    return [[(numbers, next(index)) for numbers, _ in stretch] for stretch in stretches]
 
 
 class TestSharedWork:
@@ -615,9 +646,9 @@ class TestSharedWork:
             plans = [(_plan((n,)), letters(word(n))) for n in range(1, 7)]
             for p, q in itertools.product(range(1, 4), repeat=2):
                 plans.append((_plan((p, q)), letters(word(p + q))))
-            for stretches, args in plans:
-                records = _records(stretches)
-                walked = _kappa_blocks(model, args, _by_index(stretches))
+            for (table, stretches), args in plans:
+                records = _records(_decoded((table, stretches)))
+                walked = _kappa_blocks(model, args, table, _by_index(stretches))
                 assert [i for i, _ in walked] == sorted({i for i, _ in walked}), len(args)
                 got = dict(walked)
                 for i, rec in enumerate(records):
@@ -649,9 +680,9 @@ class TestSharedWork:
         )
         for sizes in ((6,), (3, 2), (3, 3)):
             args = letters(a_word(sum(sizes)))
-            stretches = _plan(sizes)
-            records = _records(stretches)
-            walked = _kappa_blocks(model, args, _by_index(stretches))
+            table, stretches = _plan(sizes)
+            records = _records(_decoded((table, stretches)))
+            walked = _kappa_blocks(model, args, table, _by_index(stretches))
             assert len(walked) == len(records), sizes  # no zero heads
             seen, repeats = {}, 0
             for i, value in walked:
@@ -795,9 +826,9 @@ class TestBlockOrder:
         got = kappa_pi(model, ab[::-1], Permutation.identity(2))
         assert got == 0 and type(got) is int
         # The walk leaves out exactly the records behind an int-zero head.
-        stretches = _plan((4,))
-        walked = dict(_kappa_blocks(model, b4, _by_index(stretches)))
-        records = _records(stretches)
+        table, stretches = _plan((4,))
+        walked = dict(_kappa_blocks(model, b4, table, _by_index(stretches)))
+        records = _records(_decoded((table, stretches)))
         for i, (blocks, _) in enumerate(records):
             assert (i in walked) == (len(blocks[0][0]) > 1), blocks
         pairs = next(i for i, (blocks, _) in enumerate(records) if blocks == (((1, 2),), ((3, 4),)))
@@ -894,6 +925,35 @@ class TestModelEvaluations:
         clear_caches()
         assert all(memo["currsize"] == 0 for memo in memo_info().values())
 
+    def test_a_memo_dies_with_its_model(self):
+        # Each model keeps its cumulants in its own memo, so a dropped model
+        # takes its entries with it; a memo keyed by the model object kept
+        # all 10 000 of these.
+        sc = semicircular_space()
+        args = letters(x_word(6))
+        want = kappa_n(sc, args)
+        gc.collect()  # models that other tests dropped in reference cycles go first
+        before = memo_info()["kappa"]["currsize"]
+        for _ in range(2000):
+            model = MomentOracle("fresh", sc.phi, sc.phi2)
+            assert kappa_n(model, args) == want
+        assert memo_info()["kappa"]["currsize"] > before  # the last model is alive
+        del model
+        gc.collect()
+        assert memo_info()["kappa"]["currsize"] == before
+
+    def test_clear_caches_empties_a_live_models_memo(self):
+        sc = semicircular_space()
+        model = MomentOracle("alive", sc.phi, sc.phi2)
+        args = letters(x_word(4))
+        want = kappa_n(model, args)
+        assert model.memo and memo_info()["kappa"]["currsize"] >= len(model.memo)
+        clear_caches()
+        assert model.memo == {} and memo_info()["kappa"]["currsize"] == 0
+        assert kappa_n(model, args) == want and model.memo
+        with pytest.raises(TypeError):
+            MomentOracle("memo", sc.phi, sc.phi2, {})  # the memo is no constructor parameter
+
     def test_entry_points_still_validate(self):
         sc = semicircular_space()
         with pytest.raises(ValueError):
@@ -965,16 +1025,17 @@ class TestArgumentOrder:
 
     def test_reversed_arguments_are_caught(self, monkeypatch):
         # A mutant that reads every cycle's arguments backwards leaves the
-        # one-letter models blind; the ordered letters are not.
-        words = cumulants._words
+        # one-letter models blind; the ordered letters are not.  The plans
+        # hold their getters, so they are built afresh under the mutant.
+        getter = cumulants._getter
         clear_caches()
         try:
-            monkeypatch.setattr(cumulants, "_words", lambda args, cycle: words(args, cycle[::-1]))
+            monkeypatch.setattr(cumulants, "_getter", lambda cycle: getter(cycle[::-1]))
             mismatches = sum(
                 formula(ORDERED, word, comp) != oracle_product_cumulant(ORDERED, word, comp)
                 for formula, word, comp in _ordered_cases(5)
             )
         finally:
             monkeypatch.undo()
-            clear_caches()  # the mutant's values are in the memos
+            clear_caches()  # the mutant's plans and values are in the memos
         assert mismatches > 0  # 73 of the 80 cases
