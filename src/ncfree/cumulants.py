@@ -43,19 +43,21 @@ The test suite checks both against the direct recursions on the grouped
 words; neither is assumed.
 
 Every sum above walks a plan built once per size (n,) or shape (p, q),
-``_plan(sizes)``: a table of the distinct blocks (the enumeration's own
-1-based cycle tuples, each cycle with a prebuilt getter of its arguments)
-and one ``(numbers, mask)`` record per element: its blocks' table indices
-smallest first, and a bit per pair of points in one cycle of the complement
-pi^-1 gamma, so a point set is separated when its own pair mask meets the
-record's in no bit.  Records come in stretches, one per first block, the
-solved-for element (permutation gamma) last and alone.  ``_kappa_blocks``
-is the only code that multiplies cumulants over blocks: it evaluates each
-block and each product once per call, of any scalar type, stops a product
-at its first zero factor and leaves a stretch whose first block is an int
-zero (kappa_1(u) = 0 empties every Haar element with a singleton).  So a
-zero product is the running product at its first zero in size order:
-(1,2,3)(4) is 0 where kappa_1 is, not kappa_3 * 0 = Fraction(0).
+``_plan(sizes)``, which reads the family once, lazily: a table of the
+distinct blocks (the enumeration's own 1-based cycle tuples, each cycle with
+a prebuilt getter of its arguments) and one ``(numbers, mask)`` record per
+element: its blocks' table indices smallest first, and a bit per pair of
+points in one cycle of the complement pi^-1 gamma, so a point set is
+separated when its own pair mask meets the record's in no bit.  Records come
+in stretches, one per first block, the solved-for element (permutation
+gamma) last and alone.  ``_kappa_blocks``, a generator, is the only code
+that multiplies cumulants over blocks: it yields each record's product as
+it walks, evaluates each block and each product once per walk, of any
+scalar type, stops a product at its first zero factor and leaves a stretch
+whose first block is an int zero (kappa_1(u) = 0 empties every Haar
+element with a singleton).  So a zero product is the running product at its
+first zero in size order: (1,2,3)(4) is 0 where kappa_1 is, not
+kappa_3 * 0 = Fraction(0).
 
 Memos: ``_kappa(model, groups)``, the one recursion of both orders, keeps
 kappa_n of one argument tuple and kappa_{p,q} of two in ``model.memo``, as
@@ -77,7 +79,7 @@ import weakref
 from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from math import comb
-from operator import itemgetter
+from typing import Iterator
 
 from .annular import (
     AnnulusShape,
@@ -161,11 +163,12 @@ def _plan(sizes: tuple[int, ...]) -> tuple:
     of the distinct blocks and per first block a stretch of ``(numbers, mask)`` records,
     the top (gamma_pq, whose complement has no through cycle) last and alone.  ``numbers``
     index the table by point count, ties in min-point order; ``mask`` is the complement
-    cycles' ``_pair_mask``, one object per permutation, whose elements are adjacent."""
+    cycles' ``_pair_mask``, one object per permutation, whose elements are adjacent.
+    The family is read once, lazily, so blocks that are not pooled die one by one."""
     if len(sizes) == 1:
-        elements = [(pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
+        elements = ((pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes))
     else:
-        elements = [(vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
+        elements = ((vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes)))
     n, numbers, by_head, last = sum(sizes), {}, {}, None
     times_gamma = _composer0(_gamma0(*sizes))
     for pi, blocks in elements:
@@ -179,32 +182,26 @@ def _plan(sizes: tuple[int, ...]) -> tuple:
 
 
 def _table(blocks) -> tuple:
-    """``(block, *getters)`` per block of 1-based cycles: ``_getter`` of each cycle."""
-    return tuple([(block, *map(_getter, block)) for block in blocks])
+    """``(block, *getters)`` per block of 1-based cycles: ``_composer0`` of each cycle."""
+    return tuple([(block, *map(_composer0, block)) for block in blocks])
 
 
-def _getter(cycle: tuple[int, ...]) -> itemgetter:
-    # one C call for the arguments: a slice for one point, as a one-index itemgetter returns the item
-    return itemgetter(*cycle) if len(cycle) > 1 else itemgetter(slice(cycle[0], cycle[0] + 1))
-
-
-def _kappa_blocks(model: MomentOracle, args: Args, table, stretches) -> list[tuple[object, Scalar]]:
-    """``(tag, product)`` of each ``(numbers, tag)`` record of ``stretches`` whose
+def _kappa_blocks(model: MomentOracle, args: Args, table, stretches) -> Iterator[tuple[object, Scalar]]:
+    """Yield ``(tag, product)`` of each ``(numbers, tag)`` record of ``stretches`` whose
     product is not an int zero: over the blocks of ``table`` that ``numbers`` names,
     kappa_n of each one-cycle block's arguments times kappa_{s,t} of each two-cycle
     one's, left to right, stopped at its first zero factor.  The records of a stretch
     share their first block, so one whose first block is an int zero ends its stretch.
 
-    A block is evaluated once per call, from ``model.memo`` if there, and each
+    A block is evaluated once per walk, from ``model.memo`` if there, and each
     product once per pair of operands, by identity, so records whose factors
     agree share every running product, whatever the scalar type.  Every keyed
-    operand is held in ``factors`` or ``products`` until the call returns, so
-    no id is reused while it is a key."""
+    operand is held in ``factors`` or ``products`` until the walk ends, so no
+    id is reused while it is a key."""
     args = (None, *args)  # cycles count from 1
     memo, hits = model.memo, 0
-    factors, ids = [None] * len(table), [None] * len(table)  # by block number: a factor, its id
+    factors = [None] * len(table)  # by block number
     products: dict[tuple[int, int], Scalar] = {}  # by ids: both operands are held
-    out: list[tuple[object, Scalar]] = []
     for stretch in stretches:
         for numbers, tag in stretch:
             value: Scalar | None = None  # not 1: a polynomial times 1 is a copy
@@ -217,11 +214,11 @@ def _kappa_blocks(model: MomentOracle, args: Args, table, stretches) -> list[tup
                     hits += factor is not None
                     if factor is None:
                         factor = _kappa(model, groups)
-                    factors[i], ids[i] = factor, id(factor)
+                    factors[i] = factor
                 if value is None:
                     value = factor
                 else:
-                    key = (id(value), ids[i])
+                    key = (id(value), id(factor))
                     product = products.get(key)
                     if product is None:
                         product = products[key] = value * factor
@@ -229,11 +226,10 @@ def _kappa_blocks(model: MomentOracle, args: Args, table, stretches) -> list[tup
                 if not value:
                     break
             if value or type(value) is not int:
-                out.append((tag, value))
+                yield tag, value
             elif i == numbers[0]:
                 break
     _KAPPA_COUNTS["hits"] += hits
-    return out
 
 
 def _block_product(model: MomentOracle, args: Args, blocks) -> Scalar:

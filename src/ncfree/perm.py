@@ -422,8 +422,10 @@ def _points_in(points: Iterable[int], n: int) -> tuple[int, ...]:
 # _is_nc0(img, p)          disc non-crossing if p == n, else annular on (p, n-p); V (family
 #                          sweeps, fattening, order corollary), the tests
 # _inverse0, _compose0     inverse; composition, right factor first; everywhere
-# _composer0(b)            the map a -> _compose0(a, b) as one C call (an itemgetter); _is_nc0,
-#                          cumulants._plan, V: wherever the right factor b stays fixed in a loop
+# _composer0(b)            the map a -> _compose0(a, b), or any sequence a -> the tuple of its
+#                          items at b, as one C call (an itemgetter); _is_nc0, cumulants._plan,
+#                          V: wherever the right factor b stays fixed in a loop; cumulants._table:
+#                          the argument getters of a plan's cycles
 # _restricter0(pts0, n)    the map img -> first-return map of img on pts0, relabelled by
 #                          position in pts0, positions tabulated once per point set; V
 #                          (restriction lemmas, order corollary)
@@ -557,8 +559,8 @@ def _compose0(a0: tuple[int, ...], b0: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _composer0(b0: tuple[int, ...]):
-    # itemgetter with one index returns the item, not a 1-tuple; b0 = (0,) there
-    return itemgetter(*b0) if len(b0) > 1 else itemgetter(slice(0, 1))
+    # itemgetter with one index returns the item, not a 1-tuple: a one-point slice there
+    return itemgetter(*b0) if len(b0) > 1 else itemgetter(slice(b0[0], b0[0] + 1))
 
 
 def _restricter0(pts0: tuple[int, ...], n: int):

@@ -648,7 +648,7 @@ class TestSharedWork:
                 plans.append((_plan((p, q)), letters(word(p + q))))
             for (table, stretches), args in plans:
                 records = _records(_decoded((table, stretches)))
-                walked = _kappa_blocks(model, args, table, _by_index(stretches))
+                walked = list(_kappa_blocks(model, args, table, _by_index(stretches)))
                 assert [i for i, _ in walked] == sorted({i for i, _ in walked}), len(args)
                 got = dict(walked)
                 for i, rec in enumerate(records):
@@ -682,7 +682,7 @@ class TestSharedWork:
             args = letters(a_word(sum(sizes)))
             table, stretches = _plan(sizes)
             records = _records(_decoded((table, stretches)))
-            walked = _kappa_blocks(model, args, table, _by_index(stretches))
+            walked = list(_kappa_blocks(model, args, table, _by_index(stretches)))
             assert len(walked) == len(records), sizes  # no zero heads
             seen, repeats = {}, 0
             for i, value in walked:
@@ -1027,10 +1027,14 @@ class TestArgumentOrder:
         # A mutant that reads every cycle's arguments backwards leaves the
         # one-letter models blind; the ordered letters are not.  The plans
         # hold their getters, so they are built afresh under the mutant.
-        getter = cumulants._getter
+        # The getters are reversed in ``_table`` alone: a reversed
+        # ``_composer0`` would also reverse ``_plan``'s gamma.
+        table = cumulants._table
         clear_caches()
         try:
-            monkeypatch.setattr(cumulants, "_getter", lambda cycle: getter(cycle[::-1]))
+            monkeypatch.setattr(
+                cumulants, "_table", lambda blocks: table([tuple(c[::-1] for c in b) for b in blocks])
+            )
             mismatches = sum(
                 formula(ORDERED, word, comp) != oracle_product_cumulant(ORDERED, word, comp)
                 for formula, word, comp in _ordered_cases(5)

@@ -467,6 +467,12 @@ class TestRawKernels:
                     assert times_b(a) == _compose0(a, b)
                     assert type(times_b(a)) is tuple
 
+    def test_composer_reads_one_point_as_a_tuple(self):
+        # a one-point getter returns a 1-tuple, not the item, at any point
+        seq = tuple("abcdef")
+        for k in (0, 3):
+            assert _composer0((k,))(seq) == seq[k:k + 1]
+
     @given(perms.flatmap(lambda a: st.tuples(st.just(a), st.sets(st.integers(1, a.size), min_size=1))))
     def test_restriction(self, case):
         a, pts = case
