@@ -61,8 +61,10 @@ kappa_3 * 0 = Fraction(0).
 
 Memos: ``_kappa(model, groups)``, the one recursion of both orders, keeps
 kappa_n of one argument tuple and kappa_{p,q} of two in ``model.memo``, as
-long as the model lives.  ``_plan`` is an ``lru_cache``, as is
-``_nonzero_summands``: at most 128 (model, word, sizes) tables of the
+long as the model lives.  By the contract of ``MomentOracle``, rotating a
+tuple or swapping the two keeps the cumulant, so each rotation/swap class is
+walked once, under its ``_canonical`` key.  ``_plan`` is an ``lru_cache``,
+as is ``_nonzero_summands``: at most 128 (model, word, sizes) tables of the
 products that are not an int zero, each built in one walk and never
 changed.  A composition only selects summands, so a product formula call is
 one filtered sum over a table, whose records share one product object where
@@ -242,18 +244,33 @@ def _summed(model: MomentOracle, args: Args, table, stretches) -> Scalar:
     return CumulantPolynomial.sum(v for _, v in _kappa_blocks(model, args, table, stretches))
 
 
+def _canonical(groups: tuple[Args, ...]) -> tuple[Args, ...]:
+    """The least rotation of each argument tuple, two of them shorter first, then
+    sorted: a miss at (q, p), p < q, walks the plan of (p, q), never both."""
+    least = (min(args[i:] + args[:i] for i in range(len(args))) for args in groups)
+    return tuple(sorted(least, key=lambda args: (len(args), args)))
+
+
 def _kappa(model: MomentOracle, groups: tuple[Args, ...]) -> Scalar:
     """kappa_n of one argument tuple, kappa_{p,q} of two, kept in ``model.memo``: the
-    moment of the concatenated words less every summand of the plan but the solved-for one."""
+    moment of the concatenated words less every summand of the plan but the solved-for one.
+    A miss reads, or walks once, the ``_canonical`` key and keeps its value under ``groups``."""
     value = model.memo.get(groups)
+    if value is not None:
+        _KAPPA_COUNTS["hits"] += 1
+        return value
+    key = _canonical(groups)
+    value = model.memo.get(key)
     _KAPPA_COUNTS["hits" if value is not None else "misses"] += 1
     if value is None:
-        table, stretches = _plan(tuple(map(len, groups)))
-        args = groups[0] if len(groups) == 1 else groups[0] + groups[1]
+        table, stretches = _plan(tuple(map(len, key)))
+        args = key[0] if len(key) == 1 else key[0] + key[1]
         below = _summed(model, args, table, islice(stretches, len(stretches) - 1))
-        words = tuple(map(concat_words, groups))
-        value = model.memo[groups] = (model.phi if len(words) == 1 else model.phi2)(*words) - below
-        _MODELS.add(model)
+        words = tuple(map(concat_words, key))
+        if not model.memo:
+            _MODELS.add(model)
+        value = model.memo[key] = (model.phi if len(words) == 1 else model.phi2)(*words) - below
+    model.memo[groups] = value
     return value
 
 

@@ -1,7 +1,8 @@
 """Moment oracles and the exact symbolic scalar type.
 
 A word is a tuple of letters ``(generator, exponent)`` with exponent +1 or
--1.  Three models supply first and second order moments:
+-1.  Three models supply first and second order moments, each with phi
+tracial and phi2 tracial in each word and symmetric:
 
 - semicircular: one self-adjoint generator ``x``; phi(x^n) is a Catalan
   number for even n and 0 otherwise, and the two-point moments are the
@@ -449,8 +450,10 @@ Scalar = Union[int, Fraction, CumulantPolynomial]
 class MomentOracle:
     """A first and second order moment functional pair.
 
-    ``memo`` holds the cumulant layer's values for this model, as long as the
-    model lives; hash and equality are by identity, so each model has its own.
+    The contract: ``phi`` is tracial and ``phi2`` tracial in each word and
+    symmetric, so the cumulant layer computes one cumulant per rotation/swap
+    class.  ``memo`` holds its values for this model, as long as the model
+    lives; hash and equality are by identity, so each model has its own.
     """
 
     name: str

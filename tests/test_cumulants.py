@@ -66,6 +66,7 @@ from ncfree.spaces import (
     u_word,
     x_word,
 )
+from ncfree.verify import _haar_predicted
 
 MODELS = (semicircular_space(), haar_unitary_space(), formal_moment_space())
 
@@ -674,9 +675,10 @@ class TestSharedWork:
     def test_walk_shares_products_of_every_scalar_type(self):
         # Fraction moments: two records whose factors are the same objects,
         # in the same order, get one product object, as polynomials do.
+        # phi2 is symmetric, as ``MomentOracle`` asks.
         clear_caches()
         model = MomentOracle(
-            "fractions", lambda w: Fraction(len(w) + 1, 3), lambda w1, w2: Fraction(len(w1), len(w2) + 2)
+            "fractions", lambda w: Fraction(len(w) + 1, 3), lambda w1, w2: Fraction(len(w1) * len(w2), 7)
         )
         for sizes in ((6,), (3, 2), (3, 3)):
             args = letters(a_word(sum(sizes)))
@@ -1043,3 +1045,78 @@ class TestArgumentOrder:
             monkeypatch.undo()
             clear_caches()  # the mutant's plans and values are in the memos
         assert mismatches > 0  # 73 of the 80 cases
+
+
+def _rotations(args):
+    return [args[i:] + args[:i] for i in range(len(args))]
+
+
+def _rotated_requests(max_total):
+    """Every rotation of ``1 ... N`` as kappa_N's arguments, and at each split every
+    rotation of each circle in both circle orders, for N <= ``max_total``."""
+    for total in range(1, max_total + 1):
+        args = letters(tuple((str(i), 1) for i in range(1, total + 1)))
+        yield from ((rot,) for rot in _rotations(args))
+        for p in range(1, total):
+            for outer, inner in itertools.product(_rotations(args[:p]), _rotations(args[p:])):
+                yield outer, inner
+                yield inner, outer
+
+
+def _rotation_mismatches(rounds=3):
+    """The requests of ``_rotated_requests(5)`` on ``ORDERED`` whose cumulant differs
+    in value or type from a plain recursion's, visited in a fresh shuffled order
+    from empty memos in each round."""
+    requests = list(_rotated_requests(5))
+    assert len(requests) == 85
+    plain, mismatches = _PlainRecursion(ORDERED), 0
+    for seed in range(rounds):
+        clear_caches()
+        random.Random(seed).shuffle(requests)
+        for groups in requests:
+            got = kappa_n(ORDERED, *groups) if len(groups) == 1 else kappa_pq(ORDERED, *groups)
+            want = plain.kappa(*groups)
+            mismatches += got != want or type(got) is not type(want)
+    return mismatches
+
+
+class TestCanonicalKeys:
+    def test_every_rotation_and_circle_order_matches_a_plain_recursion(self):
+        assert _rotation_mismatches() == 0
+
+    def test_a_reflecting_canonical_key_is_caught(self, monkeypatch):
+        # Cumulants are not invariant under reversing their arguments: a key
+        # that also takes the least reflection answers with the wrong class.
+        def dihedral(groups):
+            least = (min(b[i:] + b[:i] for b in (a, a[::-1]) for i in range(len(b))) for a in groups)
+            return tuple(sorted(least, key=lambda args: (len(args), args)))
+
+        try:
+            monkeypatch.setattr(cumulants, "_canonical", dihedral)
+            mismatches = _rotation_mismatches(rounds=1)
+        finally:
+            monkeypatch.undo()
+            clear_caches()  # the mutant's values are in the memo
+        assert mismatches > 0
+
+    def test_each_rotation_class_is_walked_once(self, monkeypatch):
+        # The 64 sign patterns of a Haar word on the (3, 3) annulus fall into
+        # 10 classes under rotating either circle and swapping the two.
+        walked = []
+
+        def plan(sizes):
+            walked.append(sizes)
+            return _plan(sizes)
+
+        def sweep():
+            for signs in itertools.product((1, -1), repeat=6):
+                assert haar_kappa_pq(3, 3, signs) == _haar_predicted(3, 3, signs), signs
+
+        clear_caches()
+        monkeypatch.setattr(cumulants, "_plan", plan)
+        sweep()
+        monkeypatch.undo()  # memo_info reads the real plan cache
+        assert walked.count((3, 3)) == 10
+        misses = memo_info()["kappa"]["misses"]
+        sweep()
+        assert memo_info()["kappa"]["misses"] == misses

@@ -64,6 +64,7 @@ from ncfree.verify import (
     check_tracial_inequality,
     check_tunnel_product,
     run_suite,
+    suite_haar,
     suite_ks,
     suite_main_theorem,
     suite_names,
@@ -776,6 +777,11 @@ class TestExtendedBounds:
 
     def test_ks_total_9(self):
         assert_all_pass(suite_ks(9, jobs=2))
+
+    def test_haar_total_9(self):
+        results = suite_haar(9, jobs=2)
+        assert_all_pass(results)
+        assert sum(r.cases for r in results) == 3076 + 8 * 2**9  # every sign pattern of the 8 shapes of total 9
 
     def test_fluctuations_total_12(self):
         assert_all_pass([check_fluctuations(12)])
