@@ -48,13 +48,15 @@ distinct blocks (the enumeration's own 1-based cycle tuples, each cycle with
 a prebuilt getter of its arguments) and one ``(numbers, mask)`` record per
 element: its blocks' table indices smallest first, and a bit per pair of
 points in one cycle of the complement pi^-1 gamma, so a point set is
-separated when its own pair mask meets the record's in no bit.  Records come
-in stretches, one per first block, the solved-for element (permutation
-gamma) last and alone.  ``_kappa_blocks``, a generator, is the only code
-that multiplies cumulants over blocks: it yields each record's product as
-it walks, evaluates each block and each product once per walk, of any
-scalar type, stops a product at its first zero factor and leaves a stretch
-whose first block is an int zero (kappa_1(u) = 0 empties every Haar
+separated when its own pair mask meets the record's in no bit.  The mask is
+made once per permutation, by one walk of its complement, and so is the
+record of its disc-type elements; a tunnel element numbers its blocks.
+Records come in stretches, one per first block, the solved-for element
+(permutation gamma) last and alone.  ``_kappa_blocks``, a generator, is the
+only code that multiplies cumulants over blocks: it yields each record's
+product as it walks, evaluates each block and each product once per walk, of
+any scalar type, stops a product at its first zero factor and leaves a
+stretch whose first block is an int zero (kappa_1(u) = 0 empties every Haar
 element with a singleton).  So a zero product is the running product at its
 first zero in size order: (1,2,3)(4) is 0 where kappa_1 is, not
 kappa_3 * 0 = Fraction(0).
@@ -94,7 +96,7 @@ from .annular import (
     enumerate_snc,
     is_nc_disc,
 )
-from .perm import Permutation, _composer0, _cycles0, _gamma0, _inverse0
+from .perm import Permutation, _composer0, _gamma0
 from .spaces import (
     CumulantPolynomial,
     MomentOracle,
@@ -166,19 +168,38 @@ def _plan(sizes: tuple[int, ...]) -> tuple:
     the top (gamma_pq, whose complement has no through cycle) last and alone.  ``numbers``
     index the table by point count, ties in min-point order; ``mask`` is the complement
     cycles' ``_pair_mask``, one object per permutation, whose elements are adjacent.
-    The family is read once, lazily, so blocks that are not pooled die one by one."""
+    Work that depends only on the permutation is done once for it: one walk of the
+    complement through the inverse, each cycle's pair bits read from a dict of the plan,
+    and one record, made on first use, for its disc-type elements (as many blocks as
+    cycles; every NC(n) one).  A tunnel element numbers its ``block_cycles()``."""
     if len(sizes) == 1:
-        elements = ((pi, [(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes))
+        elements = ((pi, None) for pi in enumerate_nc(*sizes))
     else:
-        elements = ((vp.perm, vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes)))
-    n, numbers, by_head, last = sum(sizes), {}, {}, None
-    times_gamma = _composer0(_gamma0(*sizes))
-    for pi, blocks in elements:
+        elements = ((vp.perm, vp) for vp in enumerate_psnc(AnnulusShape(*sizes)))
+    n, numbers, by_head, bits, last = sum(sizes), {}, {}, {}, None
+    gamma, inv, number = _gamma0(*sizes), [0] * n, numbers.setdefault
+    for pi, vp in elements:
         if pi is not last:
-            complement = times_gamma(_inverse0([x - 1 for x in pi.image]))
-            last, mask = pi, _pair_mask(n, map(sorted, _cycles0(complement)))
-        record = tuple([numbers.setdefault(b, len(numbers)) for b in sorted(blocks, key=_points)])
-        by_head.setdefault(record[0] if mask else None, []).append((record, mask))
+            last, disc, mask, seen = pi, None, 0, [False] * n
+            for i, x in enumerate(pi.image):
+                inv[x - 1] = i
+            for i in range(n):  # i is the least point of each cycle it starts
+                j = inv[gamma[i]]
+                if seen[i] or j == i:
+                    continue
+                cycle = [i]
+                while j != i:
+                    seen[j] = True
+                    cycle.append(j)
+                    j = inv[gamma[j]]
+                cycle = tuple(sorted(cycle))
+                mask |= bits.get(cycle) or bits.setdefault(cycle, _pair_mask(n, [cycle]))
+        if vp is not None and len(vp.partition.blocks) < len(pi.cycles):  # a tunnel element
+            record = tuple([number(b, len(numbers)) for b in sorted(vp.block_cycles(), key=_points)])
+        else:
+            record = disc = disc or tuple([number((c,), len(numbers)) for c in sorted(pi.cycles, key=len)])
+        head = record[0] if mask else None
+        (by_head.get(head) or by_head.setdefault(head, [])).append((record, mask))
     by_head[None] = by_head.pop(None)  # the top, last
     return _table(numbers), tuple(map(tuple, by_head.values()))
 

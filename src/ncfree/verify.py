@@ -805,14 +805,14 @@ def _order_table(shape: AnnulusShape):
     witness (0_w, w) with w = pi_i^-1 pi_j."""
     els, raw = _psnc_raw(shape)
     n = shape.total
-    below = []
+    below, count = [], _count_table(n)
     for b_img, _inv, b_plab, _pairs, _len in raw:
-        b_metric, times_b = n - _cycle_count0(b_img), _composer0(b_img)
+        b_metric, times_b = n - count[b_img], _composer0(b_img)
         mask = 0
         for i, (_img, a_inv, _plab, a_pairs, a_len) in enumerate(raw):
             w0 = times_b(a_inv)
             joined, blocks = _join0(n, [*a_pairs, *enumerate(w0)])
-            if a_len + n - _cycle_count0(w0) == 2 * (n - blocks) - b_metric and joined == b_plab:
+            if a_len + n - count[w0] == 2 * (n - blocks) - b_metric and joined == b_plab:
                 mask |= 1 << i
         below.append(mask)
     return els, below
@@ -894,13 +894,14 @@ def check_order_structure(max_total: int):
     # first-appearance labels on the cycles, read per point, are its
     # first-appearance labels on the points.
     joins: dict[tuple[int, ...], dict[int, list]] = {}
+    count_of = functools.cache(_count_table)  # one table per total, for this walk
     for p, q in _shape_cells(max_total):
         n = p + q
-        shape = AnnulusShape(p, q)
+        shape, count = AnnulusShape(p, q), count_of(n)
         els, raw = _psnc_raw(shape)
         index = {(img0, plab): k for k, (img0, _inv, plab, *_rest) in enumerate(raw)}
         sigmas = sorted({img0 for img0, *_ in raw})
-        sigmas = [(s, _composer0(s), n - _cycle_count0(s)) for s in sigmas]
+        sigmas = [(s, _composer0(s), n - count[s]) for s in sigmas]
         for a_pos, (_img, a_inv, _plab, a_pairs, a_len) in enumerate(raw):
             for s_img, times_s, b_metric in sigmas:
                 w0 = times_s(a_inv)
@@ -929,7 +930,7 @@ def check_order_structure(max_total: int):
                         problem = "join expressions disagree with the product partition"
                     # (0_f, f)(V, pi) with f = sigma pi^-1 has partition v2 and
                     # permutation sigma, so it is (U, sigma) when the lengths add.
-                    elif n - _cycle_count0(flip0) + a_len != 2 * (n - blocks) - b_metric:
+                    elif n - count[flip0] + a_len != 2 * (n - blocks) - b_metric:
                         problem = "left multiplication by sigma pi^-1 misses"
                     if problem is not None and fail is None:
                         b_el = els[index[key]]

@@ -151,6 +151,43 @@ def _complements(sizes):
     return {_size_order(vp.block_cycles()): kreweras(shape, vp.perm) for vp in enumerate_psnc(shape)}
 
 
+def _plan_sizes(totals):
+    """The disc size (n,) and every annular shape (p, q) of each total."""
+    return [sizes for t in totals for sizes in [(t,)] + [(p, t - p) for p in range(1, t)]]
+
+
+def _assert_masks_are_the_complement_cycles(sizes):
+    """Each record's mask holds the pairs of points that share a cycle of its
+    complement pi^-1 gamma, computed by public Permutation arithmetic.
+    Records are matched to elements by their blocks, which determine the
+    element."""
+    records = _records(_decoded(_plan(sizes)))
+    want = [(blocks, _same_cycle_pairs(k)) for blocks, k in _complements(sizes).items()]
+    assert len(records) == len(want), sizes
+    assert sorted(records) == sorted(want), sizes
+
+
+def _assert_table_decodes_to_the_blocks(sizes):
+    """Decoded through the table, the records are the elements' blocks
+    smallest first; each distinct block is in the table once, numbered in
+    the order the family first uses it, with one getter per cycle that reads
+    the cycle's arguments (here args[i] = i)."""
+    args = tuple(range(sum(sizes) + 1))
+    table, stretches = _plan(sizes)
+    if len(sizes) == 1:
+        want = [_size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
+    else:
+        want = [_size_order(vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
+    records = _records(_decoded((table, stretches)))
+    assert sorted(blocks for blocks, _ in records) == sorted(want), sizes
+    blocks = [block for block, *_ in table]
+    assert len(set(blocks)) == len(blocks), sizes
+    assert set(blocks) == {block for element in want for block in element}, sizes
+    assert blocks == list(dict.fromkeys(block for element in want for block in element)), sizes
+    for block, *getters in table:
+        assert [get(args) for get in getters] == list(block), (sizes, block)
+
+
 class TestFirstOrder:
     def test_semicircular_is_free_of_higher_cumulants(self):
         sc = semicircular_space()
@@ -468,17 +505,8 @@ class TestProductsAsEntries:
                 assert len(records) == len(enumerate_psnc(AnnulusShape(p, q)))
 
     def test_plan_labels_are_the_complement_cycles(self):
-        # Each record's mask holds the pairs of points that share a cycle of
-        # its complement pi^-1 gamma, computed here by public Permutation
-        # arithmetic.  Records are matched to elements by their blocks,
-        # which determine the element.
-        sizes_list = [(n,) for n in range(1, 8)]
-        sizes_list += [(p, total - p) for total in range(2, 7) for p in range(1, total)]
-        for sizes in sizes_list:
-            records = _records(_decoded(_plan(sizes)))
-            want = [(blocks, _same_cycle_pairs(k)) for blocks, k in _complements(sizes).items()]
-            assert len(records) == len(want), sizes
-            assert sorted(records) == sorted(want), sizes
+        for sizes in _plan_sizes(range(1, 8)):
+            _assert_masks_are_the_complement_cycles(sizes)
 
     def test_masks_separate_exactly_where_the_labels_do(self):
         # For every record and every composition's endpoint set, no pair of
@@ -527,24 +555,14 @@ class TestProductsAsEntries:
             ), n
 
     def test_plan_tables_decode_to_the_enumerations_blocks(self):
-        # Decoded through the table, the records are the elements' blocks
-        # smallest first; each distinct block is in the table once, with one
-        # getter per cycle that reads the cycle's arguments (here args[i] = i).
-        args = tuple(range(8))
-        sizes_list = [(n,) for n in range(1, 8)] + [(p, t - p) for t in range(2, 7) for p in range(1, t)]
-        for sizes in sizes_list:
-            table, stretches = _plan(sizes)
-            if len(sizes) == 1:
-                want = [_size_order([(c,) for c in pi.cycles]) for pi in enumerate_nc(*sizes)]
-            else:
-                want = [_size_order(vp.block_cycles()) for vp in enumerate_psnc(AnnulusShape(*sizes))]
-            records = _records(_decoded((table, stretches)))
-            assert sorted(blocks for blocks, _ in records) == sorted(want), sizes
-            blocks = [block for block, *_ in table]
-            assert len(set(blocks)) == len(blocks), sizes
-            assert set(blocks) == {block for element in want for block in element}, sizes
-            for block, *getters in table:
-                assert [get(args) for get in getters] == list(block), (sizes, block)
+        for sizes in _plan_sizes(range(1, 8)):
+            _assert_table_decodes_to_the_blocks(sizes)
+
+    @pytest.mark.extended
+    def test_plans_of_total_8(self):
+        for sizes in _plan_sizes([8]):
+            _assert_masks_are_the_complement_cycles(sizes)
+            _assert_table_decodes_to_the_blocks(sizes)
 
     @pytest.mark.parametrize(
         "call, message",

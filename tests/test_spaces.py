@@ -1,5 +1,6 @@
 """Moment oracles, words, and the exact polynomial ring."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from ncfree.spaces import (
     CumulantPolynomial,
+    MomentOracle,
     a_word,
     alpha2_symbol,
     alpha_symbol,
@@ -126,6 +128,51 @@ class TestFormal:
     def test_rejects_other_letters(self):
         with pytest.raises(ValueError):
             formal_moment_space().phi(x_word(2))
+
+
+def _assert_model_contract(model, letters, max_length=6):
+    """The contract of ``MomentOracle`` over every word of ``letters`` up to
+    ``max_length``: phi is invariant under rotation, and phi2 under rotating
+    either word and under swapping the two."""
+    words = [w for n in range(1, max_length + 1) for w in itertools.product(letters, repeat=n)]
+
+    def rotations(word):
+        return [word[i:] + word[:i] for i in range(1, len(word))]
+
+    for w in words:
+        value = model.phi(w)
+        assert all(model.phi(r) == value for r in rotations(w)), ("phi rotation", model.name, w)
+    for w1, w2 in itertools.product(words, repeat=2):
+        value, where = model.phi2(w1, w2), (model.name, w1, w2)
+        assert model.phi2(w2, w1) == value, ("phi2 swap", *where)
+        assert all(model.phi2(r, w2) == value for r in rotations(w1)), ("phi2 rotation", *where)
+        assert all(model.phi2(w1, r) == value for r in rotations(w2)), ("phi2 rotation", *where)
+
+
+class TestModelContract:
+    # The cumulant memo walks one argument tuple per rotation/swap class,
+    # which is sound only for models that keep this contract.
+    @pytest.mark.parametrize(
+        "model, letters",
+        [
+            (semicircular_space(), x_word(1)),
+            (haar_unitary_space(), u_word((1, -1))),
+            (formal_moment_space(), a_word(1)),
+        ],
+        ids=["semicircular", "haar", "formal"],
+    )
+    def test_models_keep_the_contract(self, model, letters):
+        _assert_model_contract(model, letters)
+
+    def test_an_asymmetric_phi2_is_caught(self):
+        lopsided = MomentOracle("lopsided", len, lambda w1, w2: Fraction(len(w1), len(w2) + 2))
+        with pytest.raises(AssertionError, match="phi2 swap"):
+            _assert_model_contract(lopsided, a_word(1))
+
+    def test_a_phi_that_is_not_tracial_is_caught(self):
+        first = MomentOracle("first letter", lambda w: w[0][1], lambda w1, w2: 0)
+        with pytest.raises(AssertionError, match="phi rotation"):
+            _assert_model_contract(first, u_word((1, -1)))
 
 
 class TestSymbols:
